@@ -54,7 +54,7 @@ from .measure import (
     weight_from_json,
 )
 from .optimal import d_optimal, g_value, vdm_integral_christoffel, vdm_integral_det
-from .simulate import RegressionExperiment, simulate_regression, variance_identity_check
+from .simulate import RegressionExperiment, _prediction_csv, simulate_regression
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -454,8 +454,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     )
     stats = simulate_regression(exp)
     _write_json(out, "simulate", cfg, json.loads(stats.to_json()))
-    check = variance_identity_check(exp, design.points)
-    _write_csv(out, "ratios", cfg, check.to_csv())
+    _write_csv(out, "ratios", cfg, _prediction_csv(stats.prediction))
     return EXIT_OK
 
 

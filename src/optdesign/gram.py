@@ -27,7 +27,7 @@ import scipy.linalg as sla
 from .basis import PolyBasis, as_points, eval_basis_many
 from .measure import DiscreteDesign, WeightFunction
 
-_PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||
+_PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||_2
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -66,6 +66,12 @@ class MomentMatrix:
         return self.log_det - 2.0 * self.basis.log_lead
 
 
+def _assemble(B: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(B^H * coef) B, symmetrized to kill roundoff."""
+    M = (B.conj().T * coef) @ B
+    return 0.5 * (M + M.conj().T)
+
+
 def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float, int]:
     """Attempt a Cholesky factorization; returns (lower factor, log det, pivot).
 
@@ -80,6 +86,20 @@ def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float, int]:
         raise ValueError(f"illegal moment matrix passed to potrf (argument {-info})")
     diag = np.real(np.diag(C))
     return C, float(2.0 * np.sum(np.log(diag))), 0
+
+
+def _inverse_factor(C: np.ndarray) -> np.ndarray:
+    """L = inv(C) for a lower Cholesky factor C, so that inv(M) = L* L."""
+    (trtri,) = sla.get_lapack_funcs(("trtri",), (C,))
+    L, _ = trtri(C, lower=True)  # cannot fail: potrf left a positive diagonal
+    return L
+
+
+def _christoffel_rows(B: np.ndarray, L: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """K at the points whose basis values are the rows of B, times u = w**(2*s)."""
+    # transpose-conjugate pairing p^T inv(M) conj(p) = ||conj(L) p||^2: keeps
+    # the mass identity exact when the moment matrix is genuinely complex
+    return np.sum(np.abs(B @ L.conj().T) ** 2, axis=1) * u
 
 
 def moment_matrix(
@@ -97,9 +117,7 @@ def moment_matrix(
         raise ValueError("basis and design dimensions differ")
     B = eval_basis_many(basis, design.points)
     wv = weight.values(design.points)
-    coef = design.weights * wv ** (2 * s)
-    M = (B.conj().T * coef) @ B
-    M = 0.5 * (M + M.conj().T)
+    M = _assemble(B, design.weights * wv ** (2 * s))
     _, log_det, _ = _cholesky_log_det(M)
     return MomentMatrix(matrix=M, degree=s, basis=basis, log_det=log_det)
 
@@ -127,33 +145,29 @@ def orthonormal_factor(mm: MomentMatrix, weight: WeightFunction) -> ChristoffelE
     """Invert the Cholesky factor of a moment matrix.
 
     Refuses matrices whose smallest eigenvalue does not clear
-    n * 1e-14 * ||M||, reporting the offending pivot index.
+    n * 1e-14 * ||M||_2, reporting the offending pivot index.  The
+    eigenvalues of M = C C* are the squared singular values of C.
     """
-    M = mm.matrix
-    n = M.shape[0]
-    C, _, pivot = _cholesky_log_det(M)
+    C, _, pivot = _cholesky_log_det(mm.matrix)
     if pivot:
         raise SingularGramError(f"moment matrix is not positive definite at pivot {pivot}", pivot)
-    norm = float(np.linalg.norm(M, 2))
-    eig_min = float(np.linalg.eigvalsh(M)[0])
-    if eig_min <= n * _PIVOT_REL_TOL * norm:
+    sv = sla.svdvals(C)
+    eig_min, threshold = float(sv[-1]) ** 2, mm.n * _PIVOT_REL_TOL * float(sv[0]) ** 2
+    if eig_min <= threshold:
         weakest = 1 + int(np.argmin(np.real(np.diag(C))))
         raise SingularGramError(
             f"moment matrix is numerically singular (eig_min {eig_min:.3e} vs "
-            f"threshold {n * _PIVOT_REL_TOL * norm:.3e}) at pivot {weakest}",
+            f"threshold {threshold:.3e}) at pivot {weakest}",
             weakest,
         )
-    L = sla.solve_triangular(C, np.eye(n, dtype=C.dtype), lower=True)
-    return ChristoffelEvaluator(L=L, basis=mm.basis, degree=mm.degree, weight=weight)
+    return ChristoffelEvaluator(L=_inverse_factor(C), basis=mm.basis, degree=mm.degree, weight=weight)
 
 
 def christoffel_many(ev: ChristoffelEvaluator, points) -> np.ndarray:
     """Evaluate K(z) = ||conj(L) p(z)||^2 * w(z)**(2*s) at many points."""
     pts = as_points(points, ev.basis.dimension)
     B = eval_basis_many(ev.basis, pts)
-    Y = B @ ev.L.conj().T
-    wv = ev.weight.values(pts)
-    return np.sum(np.abs(Y) ** 2, axis=1) * wv ** (2 * ev.degree)
+    return _christoffel_rows(B, ev.L, ev.weight.values(pts) ** (2 * ev.degree))
 
 
 def christoffel(ev: ChristoffelEvaluator, z) -> float:

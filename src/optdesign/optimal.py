@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .basis import eval_basis, eval_basis_many, monomial_basis, space_dimension
-from .gram import ChristoffelEvaluator, SingularGramError, _cholesky_log_det
+from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
+from .gram import _assemble, _cholesky_log_det, _christoffel_rows, _inverse_factor
 from .measure import (
     DesignSpace,
     DiscreteDesign,
@@ -91,7 +91,6 @@ def d_optimal(
     epsilon: float = 1e-5,
     max_iter: int | None = None,
     init: np.ndarray | None = None,
-    basis_kind: str = "stabilized",
 ) -> OptimalResult:
     """Maximize det M over probability measures on the grid.
 
@@ -102,20 +101,22 @@ def d_optimal(
         function, and polynomial degree.
     epsilon
         Stop once the Kiefer-Wolfowitz gap max K - n falls below
-        epsilon * n.
+        epsilon * n; must be positive and finite.
     max_iter
-        Iteration cap.  The default scales like 1 / (epsilon * n), the
-        first-order rate of the multiplicative update, so tighter
-        tolerances automatically get a larger budget.
+        Iteration cap, at least 0.  The default scales like
+        1 / (epsilon * n), the first-order rate of the multiplicative
+        update, so tighter tolerances automatically get a larger budget.
     init
         Optional starting weights over the grid (default uniform).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     report = check_admissible(weight, space, s)
     if not report.passed:
         raise AdmissibilityError(f"degree-{s} design infeasible: {report.reason}")
-    basis = basis_for_space(space, s, basis_kind)
+    basis = basis_for_space(space, s)
     n = basis.n
     grid = space.grid
     m = grid.shape[0]
@@ -139,24 +140,16 @@ def d_optimal(
     prev_log_det = -math.inf
     converged = False
     iterations = 0
-    K = np.empty(m)
-    log_det = -math.inf
 
     for it in range(max_iter + 1):
-        coef = w * u
-        M = (B.conj().T * coef) @ B
-        M = 0.5 * (M + M.conj().T)
-        C, log_det, pivot = _cholesky_log_det(M)
+        C, log_det, pivot = _cholesky_log_det(_assemble(B, w * u))
         if pivot:
             if init is None:
                 raise AssertionError(
                     f"moment matrix lost rank at iteration {it} from a uniform start"
                 )
             raise SingularGramError(f"initial design is singular at pivot {pivot}", pivot)
-        # transpose-conjugate pairing p^T inv(M) conj(p): keeps the mass
-        # identity exact when the moment matrix is genuinely complex
-        Y = sla.solve_triangular(C, B.conj().T, lower=True)
-        K = np.sum(np.abs(Y) ** 2, axis=0) * u
+        K = _christoffel_rows(B, _inverse_factor(C), u)
         if orbits is not None:
             # exact no-op under the grid's rotation symmetry; stops rounding
             # noise from drifting along det-flat angular modes
@@ -206,8 +199,6 @@ class GValue(NamedTuple):
 
 def g_value(ev: ChristoffelEvaluator, space: DesignSpace) -> GValue:
     """Maximum of the Christoffel function over the grid (ties: lowest index)."""
-    from .gram import christoffel_many
-
     K = christoffel_many(ev, space.grid)
     idx = int(np.argmax(K))
     return GValue(float(K[idx]), space.grid[idx].copy(), idx)

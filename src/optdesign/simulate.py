@@ -74,13 +74,11 @@ def apportion(weights, num_obs: int) -> np.ndarray:
     return counts
 
 
-def _observation_matrix(exp: RegressionExperiment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _observation_matrix(exp: RegressionExperiment) -> tuple[np.ndarray, np.ndarray]:
     counts = apportion(exp.design.weights, exp.num_obs)
     reps = np.repeat(np.arange(exp.design.size), counts)
-    obs_pts = exp.design.points[reps]
     basis = monomial_basis(exp.design.dimension, exp.degree)
-    V = eval_basis_many(basis, obs_pts)
-    return V, counts, obs_pts
+    return eval_basis_many(basis, exp.design.points[reps]), counts
 
 
 def _is_complex_design(design: DiscreteDesign) -> bool:
@@ -166,11 +164,12 @@ def _complex_matrix(mat) -> list:
 
 
 def _apportioned_christoffel(exp: RegressionExperiment, counts: np.ndarray):
+    """Moment matrix and Christoffel evaluator of the apportioned design."""
     pos = counts > 0
     mu_x = make_design(exp.design.points[pos], counts[pos] / counts.sum())
     basis = monomial_basis(exp.design.dimension, exp.degree)
     mm = moment_matrix(mu_x, unit_weight(), exp.degree, basis)
-    return orthonormal_factor(mm, unit_weight())
+    return mm, orthonormal_factor(mm, unit_weight())
 
 
 def simulate_regression(exp: RegressionExperiment) -> ExperimentStats:
@@ -179,29 +178,24 @@ def simulate_regression(exp: RegressionExperiment) -> ExperimentStats:
     Aggregation uses numpy's fixed-order pairwise summation over the trial
     axis, so results are reproducible bit for bit for a given seed.
     """
-    V, counts, _ = _observation_matrix(exp)
+    V, counts = _observation_matrix(exp)
     theta_hats = _trial_estimates(exp, V)
     mean = theta_hats.mean(axis=0)
     centered = theta_hats - mean[None, :]
     denom = max(exp.trials - 1, 1)
     emp_cov = centered.T.conj() @ centered / denom
-    gram = V.conj().T @ V
-    theo_cov = exp.sigma**2 * np.linalg.inv(gram)
-    sign, logdet = np.linalg.slogdet(gram)
-    volume = math.exp(-0.5 * logdet) if sign != 0 else math.inf
-
-    ev = _apportioned_christoffel(exp, counts)
-    rows = []
-    for i in range(exp.design.size):
-        z = exp.design.points[i]
-        rows.append(_prediction_row(exp, theta_hats, ev, z))
+    # V* V = num_obs * M, and inv(M) = L* L
+    mm, ev = _apportioned_christoffel(exp, counts)
+    theo_cov = exp.sigma**2 / exp.num_obs * (ev.L.conj().T @ ev.L)
+    volume = math.exp(-0.5 * (mm.log_det + mm.n * math.log(exp.num_obs)))
+    rows = tuple(_prediction_row(exp, theta_hats, ev, z) for z in exp.design.points)
     return ExperimentStats(
         theta_mean=mean,
         empirical_cov=emp_cov,
         theoretical_cov=theo_cov,
         counts=counts,
         volume_proxy=volume,
-        prediction=tuple(rows),
+        prediction=rows,
         trials=exp.trials,
     )
 
@@ -224,11 +218,16 @@ class VarianceCheck:
     passed: bool
 
     def to_csv(self) -> str:
-        lines = ["point,empirical_var,theoretical_var,ratio"]
-        for r in self.rows:
-            pt = ";".join(f"{np.real(v):.17g}{np.imag(v):+.17g}j" for v in r.point)
-            lines.append(f"{pt},{r.empirical_var:.17g},{r.theoretical_var:.17g},{r.ratio:.17g}")
-        return "\n".join(lines) + "\n"
+        return _prediction_csv(self.rows)
+
+
+def _prediction_csv(rows) -> str:
+    """One CSV line per prediction row, 17 significant digits."""
+    lines = ["point,empirical_var,theoretical_var,ratio"]
+    for r in rows:
+        pt = ";".join(f"{np.real(v):.17g}{np.imag(v):+.17g}j" for v in r.point)
+        lines.append(f"{pt},{r.empirical_var:.17g},{r.theoretical_var:.17g},{r.ratio:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def variance_identity_check(exp: RegressionExperiment, eval_points) -> VarianceCheck:
@@ -237,9 +236,9 @@ def variance_identity_check(exp: RegressionExperiment, eval_points) -> VarianceC
     The check passes when every ratio lies in [0.9, 1.1] and the
     experiment ran at least 10^4 trials.
     """
-    V, counts, _ = _observation_matrix(exp)
+    V, counts = _observation_matrix(exp)
     theta_hats = _trial_estimates(exp, V)
-    ev = _apportioned_christoffel(exp, counts)
+    _, ev = _apportioned_christoffel(exp, counts)
     pts = np.asarray(eval_points, dtype=complex)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)

@@ -180,6 +180,13 @@ def test_domain_validation_errors(tmp_path):
     assert rc2 == 2
 
 
+@pytest.mark.parametrize("flag", [["--max-iter", "-1"], ["--epsilon", "nan"]])
+def test_bad_solver_budget_is_a_validation_error(tmp_path, flag):
+    rc, out = run(tmp_path, "design", "--degree", "2", "--grid", "51", *flag)
+    assert rc == 2
+    assert not (out / "certificate.json").exists()
+
+
 def test_threads_flag_accepted(tmp_path):
     rc, _ = run(
         tmp_path,

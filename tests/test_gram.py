@@ -70,6 +70,25 @@ def test_near_singular_design_is_refused():
         orthonormal_factor(mm, unit_weight())
 
 
+def test_refusal_matches_eigenvalue_reference():
+    # reference decision from numpy's eigvalsh, independent of the factor:
+    # accept iff lambda_min(M) clears n * 1e-14 * ||M||_2
+    decisions = []
+    for delta in np.logspace(-4, -8, 17):
+        design = make_design([0.0, delta, 1.0], np.full(3, 1 / 3))
+        mm = moment_matrix(design, unit_weight(), 2, monomial_basis(1, 2))
+        eig = np.linalg.eigvalsh(mm.matrix)
+        expected = eig[0] > 3 * 1e-14 * eig[-1]
+        try:
+            orthonormal_factor(mm, unit_weight())
+            accepted = True
+        except SingularGramError:
+            accepted = False
+        assert accepted == expected, delta
+        decisions.append(accepted)
+    assert True in decisions and False in decisions  # the sweep crosses the threshold
+
+
 def test_christoffel_at_atoms_of_square_design():
     # for n atoms spanning the n-dimensional space, K(z_k) = 1 / mu_k
     design = make_design([-1.0, 0.1, 0.9], [0.2, 0.5, 0.3])

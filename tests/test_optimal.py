@@ -90,8 +90,24 @@ def test_singular_init_raises():
 
 
 def test_epsilon_must_be_positive():
-    with pytest.raises(ValueError):
-        d_optimal(interval(grid=21), unit_weight(), 1, epsilon=0.0)
+    for epsilon in (0.0, -math.inf, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            d_optimal(interval(grid=21), unit_weight(), 1, epsilon=epsilon)
+
+
+def test_negative_iteration_budget_rejected():
+    with pytest.raises(ValueError, match="max_iter"):
+        d_optimal(interval(grid=21), unit_weight(), 1, max_iter=-1)
+
+
+def test_zero_iteration_budget_certifies_the_starting_design():
+    # the loop still evaluates K once, so the reported gap is a real one
+    res = d_optimal(interval(grid=21), unit_weight(), 2, epsilon=1e-9, max_iter=0)
+    assert res.iterations == 0 and not res.converged
+    assert res.g_value >= res.n
+    assert res.kw_gap == pytest.approx(res.g_value - res.n)
+    assert np.all(res.support_K_values > 0)
+    assert math.isfinite(res.log_det)
 
 
 def test_infeasible_weight_raises_admissibility_error():

@@ -8,7 +8,10 @@ import pytest
 from optdesign import (
     RegressionExperiment,
     apportion,
+    disk,
+    eval_basis_many,
     make_design,
+    monomial_basis,
     simulate_regression,
     uniform_design,
     variance_identity_check,
@@ -78,6 +81,23 @@ def test_counts_and_volume_proxy():
     V = np.repeat(np.array([[1.0, -1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), 33, axis=0)
     _, logdet = np.linalg.slogdet(V.T @ V)
     assert stats.volume_proxy == pytest.approx(math.exp(-0.5 * logdet), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_theoretical_cov_matches_observation_gram_inverse(kind):
+    if kind == "real":
+        exp = experiment(design=make_design([-1.0, -0.3, 0.4, 1.0], [0.1, 0.4, 0.3, 0.2]), num_obs=37)
+    else:
+        grid = disk().grid[::97]
+        exp = RegressionExperiment(
+            design=uniform_design(grid), degree=3, theta=np.ones(4), sigma=0.3, num_obs=50, trials=2, seed=1
+        )
+    stats = simulate_regression(exp)
+    # reference: sigma^2 inv(V* V) over the apportioned observation points
+    reps = np.repeat(np.arange(exp.design.size), stats.counts)
+    V = eval_basis_many(monomial_basis(exp.design.dimension, exp.degree), exp.design.points[reps])
+    ref = exp.sigma**2 * np.linalg.inv(V.conj().T @ V)
+    assert np.allclose(stats.theoretical_cov, ref, rtol=1e-12, atol=0)
 
 
 def test_theoretical_prediction_variance_at_support_atoms():
