@@ -284,7 +284,8 @@ def _thread_context(cfg: dict):
         from threadpoolctl import threadpool_limits
 
         return threadpool_limits(limits=threads)
-    except ImportError:  # pragma: no cover - depends on environment
+    except ImportError:
+        print(f"--threads {threads} has no effect: threadpoolctl is not installed", file=sys.stderr)
         return contextlib.nullcontext()
 
 

@@ -95,11 +95,29 @@ def _inverse_factor(C: np.ndarray) -> np.ndarray:
     return L
 
 
-def _christoffel_rows(B: np.ndarray, L: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _christoffel_rows(B: np.ndarray, L: np.ndarray, u: np.ndarray | float) -> np.ndarray:
     """K at the points whose basis values are the rows of B, times u = w**(2*s)."""
     # transpose-conjugate pairing p^T inv(M) conj(p) = ||conj(L) p||^2: keeps
     # the mass identity exact when the moment matrix is genuinely complex
-    return np.sum(np.abs(B @ L.conj().T) ** 2, axis=1) * u
+    Z = B @ L.conj().T
+    F = Z.view(np.float64) if np.iscomplexobj(Z) else Z  # |z|^2 = re^2 + im^2, no hypot
+    return np.einsum("ij,ij->i", F, F) * u
+
+
+def _orbit_rows(B: np.ndarray, u: np.ndarray, orbits: np.ndarray, counts: np.ndarray):
+    """Rows R and their orbit ids, with R[o]^H R[o] = sum over x in o of u_x b_x^H b_x.
+
+    Each orbit's rows sqrt(u) * B[o] are replaced by their QR factor R
+    once they outnumber the n columns, so no orbit keeps more than n rows;
+    assembling with orbit weights and summing ||R L^H||^2 per orbit then
+    gives M and the orbit sums of K exactly.  Real B gives real rows.
+    """
+    A = np.sqrt(u)[:, None] * (B if np.any(B.imag) else B.real)
+    big = np.flatnonzero(counts > B.shape[1])
+    small = counts[orbits] <= B.shape[1]
+    R = [A[small]] + [np.linalg.qr(A[orbits == o], mode="r") for o in big]
+    ids = [orbits[small]] + [np.full(B.shape[1], o) for o in big]
+    return np.concatenate(R), np.concatenate(ids)
 
 
 def moment_matrix(

@@ -294,6 +294,8 @@ class WeightFunction:
         if self.kind == "table":
             return self._lookup(pts)
         vals = np.array([float(np.real(self.func(p[0] if pts.shape[1] == 1 else p))) for p in pts])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("weight function returned a non-finite value")
         if np.any(vals < 0):
             raise ValueError("weight function returned a negative value")
         return vals
@@ -338,6 +340,8 @@ def table_weight(points, values) -> WeightFunction:
     vals = np.asarray(values, dtype=float)
     if len(vals) != pts.shape[0]:
         raise ValueError("tabulated weight needs one value per point")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("tabulated weights must be finite")
     if np.any(vals < 0):
         raise ValueError("weights must be nonnegative")
     return WeightFunction(kind="table", table_points=pts, table_values=vals)

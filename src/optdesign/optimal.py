@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import eval_basis, eval_basis_many, monomial_basis, space_dimension
 from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
-from .gram import _assemble, _cholesky_log_det, _christoffel_rows, _inverse_factor
+from .gram import _assemble, _cholesky_log_det, _christoffel_rows, _inverse_factor, _orbit_rows
 from .measure import (
     DesignSpace,
     DiscreteDesign,
@@ -38,23 +38,25 @@ class AdmissibilityError(ValueError):
 
 
 def _symmetry_orbits(space, u: np.ndarray, w0: np.ndarray):
-    """Return (orbit ids, orbit sizes) when the problem shares the grid's symmetry.
+    """Return (orbit id per point, orbit sizes) for the solver to iterate on.
 
     A space may record symmetry orbits of its grid (e.g. the rings of a
     disk).  If the weight values and the starting measure are constant on
     every orbit, the exact iteration stays orbit-constant forever, so the
-    solver may average the Christoffel values over orbits each step.
-    Any orbit-dependence in u or w0 disables this.
+    solver keeps one weight per orbit and averages K over each orbit.
+    Otherwise (no recorded orbits, or u or w0 depend on more than the
+    orbit) every point is its own orbit.
     """
+    m = u.shape[0]
+    trivial = np.arange(m), np.ones(m, dtype=np.intp)
     orbits = space.params.get("orbits") if space.params else None
     if orbits is None:
-        return None, None
-    orbits = np.asarray(orbits)
-    counts = np.bincount(orbits)
+        return trivial
+    _, orbits, counts = np.unique(orbits, return_inverse=True, return_counts=True)
     for vals in (u, w0):
         means = np.bincount(orbits, weights=vals) / counts
         if np.max(np.abs(vals - means[orbits])) > 1e-9 * max(np.max(np.abs(vals)), 1e-300):
-            return None, None
+            return trivial
     return orbits, counts
 
 
@@ -133,7 +135,12 @@ def d_optimal(
             raise ValueError("init must be a nonnegative weight vector over the grid")
         w /= w.sum()
 
-    orbits, orbit_counts = _symmetry_orbits(space, u, w)
+    orbits, counts = _symmetry_orbits(space, u, w)
+    # one weight per orbit, one Gram row set per orbit; exact under the
+    # grid's symmetry, and it stops rounding noise from drifting along
+    # det-flat angular modes
+    R, row_orbit = _orbit_rows(B, u, orbits, counts)
+    v = np.bincount(orbits, weights=w) / counts
 
     mass_resid = 0.0
     mono_viol = 0.0
@@ -142,19 +149,12 @@ def d_optimal(
     iterations = 0
 
     for it in range(max_iter + 1):
-        C, log_det, pivot = _cholesky_log_det(_assemble(B, w * u))
+        C, log_det, pivot = _cholesky_log_det(_assemble(R, v[row_orbit]))
         if pivot:
-            if init is None:
-                raise AssertionError(
-                    f"moment matrix lost rank at iteration {it} from a uniform start"
-                )
-            raise SingularGramError(f"initial design is singular at pivot {pivot}", pivot)
-        K = _christoffel_rows(B, _inverse_factor(C), u)
-        if orbits is not None:
-            # exact no-op under the grid's rotation symmetry; stops rounding
-            # noise from drifting along det-flat angular modes
-            K = (np.bincount(orbits, weights=K) / orbit_counts)[orbits]
-        mass_resid = max(mass_resid, abs(float(w @ K) - n))
+            origin = "a uniform start" if init is None else "the initial design"
+            raise SingularGramError(f"moment matrix lost rank at iteration {it} from {origin}", pivot)
+        K = np.bincount(row_orbit, weights=_christoffel_rows(R, _inverse_factor(C), 1.0)) / counts
+        mass_resid = max(mass_resid, abs(float((v * counts) @ K) - n))
         if prev_log_det > -math.inf:
             mono_viol = max(mono_viol, prev_log_det - log_det)
         prev_log_det = log_det
@@ -164,16 +164,17 @@ def d_optimal(
             break
         if it == max_iter:
             break
-        w = w * K / n
-        w /= w.sum()
+        v = v * K / n
+        v /= v @ counts
         iterations = it + 1
 
+    K, w = K[orbits], v[orbits]
     g_idx = int(np.argmax(K))
     g_val = float(K[g_idx])
     weight_tol = epsilon / (10.0 * m)
     keep = w >= weight_tol
     if not np.any(keep):
-        raise AssertionError("every grid weight fell below the pruning threshold")
+        raise FloatingPointError(f"every grid weight fell below the pruning threshold {weight_tol:.3e}")
     design = make_design(grid[keep], w[keep] / w[keep].sum())
     return OptimalResult(
         design=design,

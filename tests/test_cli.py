@@ -1,6 +1,8 @@
 """Command-line interface: artifacts, config resolution, exit codes."""
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -213,3 +215,35 @@ def test_weight_file_round_trip(tmp_path):
     assert cert["config"]["weight"] == str(wfile)
     rc2, _ = run(tmp_path, "design", "--weight", "no-such-file.json")
     assert rc2 == 2
+
+
+def test_underflowing_weight_is_a_numerical_failure(tmp_path, capsys):
+    rc, out = run(
+        tmp_path,
+        "design", "--domain", "interval", "--a", "30", "--weight", "gaussian", "--degree", "12",
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: moment matrix lost rank") and err.count("\n") == 1
+    assert not (out / "certificate.json").exists()
+
+
+def test_non_finite_table_weight_is_a_validation_error(tmp_path):
+    wfile = tmp_path / "weight.json"
+    wfile.write_text(json.dumps({"kind": "table", "points": [[[0.0, 0.0]]], "values": [math.nan]}))
+    rc, _ = run(tmp_path, "design", "--weight", str(wfile))
+    assert rc == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_threads_without_threadpoolctl_reports_no_effect(tmp_path, monkeypatch, capsys, source):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # makes the import fail
+    args = ["design", "--degree", "1", "--epsilon", "1e-3", "--grid", "51"]
+    if source == "flag":
+        args += ["--threads", "2"]
+    else:
+        monkeypatch.setenv("OPTDESIGN_THREADS", "2")
+    rc, out = run(tmp_path, *args)
+    assert rc == 0
+    assert capsys.readouterr().err == "--threads 2 has no effect: threadpoolctl is not installed\n"
+    assert (out / "certificate.json").exists()

@@ -7,8 +7,11 @@ import pytest
 
 from optdesign import (
     SingularGramError,
+    basis_for_space,
     christoffel,
     christoffel_many,
+    cube,
+    disk,
     gaussian_weight,
     make_design,
     moment_matrix,
@@ -16,6 +19,8 @@ from optdesign import (
     orthonormal_factor,
     unit_weight,
 )
+from optdesign.basis import eval_basis_many
+from optdesign.gram import _assemble, _cholesky_log_det, _christoffel_rows, _inverse_factor, _orbit_rows
 
 
 def _random_design(rng, m, d=1, complex_atoms=False):
@@ -125,3 +130,43 @@ def test_dimension_mismatch_rejected():
     design = make_design([[0.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
         moment_matrix(design, unit_weight(), 1, monomial_basis(1, 1))
+
+
+def _uniform_grid_factor(B, u):
+    # inverse Cholesky factor of the uniform-mass moment matrix on the grid
+    C, _, pivot = _cholesky_log_det(_assemble(B, u / B.shape[0]))
+    assert pivot == 0
+    return _inverse_factor(C)
+
+
+def test_orbit_rows_keep_each_orbit_gram_block_and_mean_christoffel():
+    space, s = disk(), 4
+    B = eval_basis_many(basis_for_space(space, s), space.grid)
+    u = gaussian_weight().values(space.grid) ** (2 * s)
+    orbits = np.asarray(space.params["orbits"])
+    counts = np.bincount(orbits)
+    R, row_orbit = _orbit_rows(B, u, orbits, counts)
+    assert np.bincount(row_orbit).max() <= B.shape[1]
+    assert R.shape[0] == 1 + 24 * B.shape[1]  # the center keeps its one row
+    L = _uniform_grid_factor(B, u)
+    K = _christoffel_rows(B, L, u)
+    K_rows = _christoffel_rows(R, L, 1.0)
+    for o in range(counts.size):
+        A = np.sqrt(u[orbits == o])[:, None] * B[orbits == o]
+        Ro = R[row_orbit == o]
+        block = A.conj().T @ A
+        assert np.abs(Ro.conj().T @ Ro - block).max() <= 1e-12 * np.abs(block).max()
+        assert K_rows[row_orbit == o].sum() / counts[o] == pytest.approx(K[orbits == o].mean(), rel=1e-12)
+
+
+def test_real_rows_give_the_complex_christoffel_values_on_the_cube():
+    space, s = cube(2, per_axis=9), 3
+    B = eval_basis_many(basis_for_space(space, s), space.grid)
+    assert np.iscomplexobj(B) and not np.any(B.imag)
+    u = np.ones(B.shape[0])
+    K_complex = _christoffel_rows(B, _uniform_grid_factor(B, u), u)
+    L_real = _uniform_grid_factor(B.real, u)
+    assert L_real.dtype == np.float64
+    K_real = _christoffel_rows(B.real, L_real, u)
+    assert np.allclose(K_real, K_complex, rtol=1e-12, atol=0)
+    assert float(K_real.mean()) == pytest.approx(B.shape[1], rel=1e-12)

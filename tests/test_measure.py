@@ -233,3 +233,12 @@ def test_grids_are_read_only():
     d = uniform_design([0.0, 1.0])
     with pytest.raises(ValueError):
         d.weights[0] = 0.9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_values_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        table_weight([0.0, 1.0], [1.0, bad])
+    w = callable_weight(lambda z: bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        w.values([[0.5]])

@@ -1,6 +1,8 @@
 """D-optimal solver, certificates, and brute-force cross-checks."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from optdesign import (
     SingularGramError,
     basis_for_space,
     d_optimal,
+    disk,
     g_value,
     gaussian_weight,
     interval,
@@ -164,3 +167,35 @@ def test_brute_force_guard_refuses_huge_enumerations():
     design = make_design(np.linspace(-1, 1, 12), np.full(12, 1 / 12))
     with pytest.raises(ValueError):
         vdm_integral_det(design, unit_weight(), 9)
+
+
+def test_orbit_compression_matches_the_per_point_solve(cached_solve, gauss_disk):
+    # the same disk without recorded orbits iterates on all 1921 points
+    res, _ = cached_solve("disk", 4, 1e-5)
+    params = {k: v for k, v in gauss_disk.params.items() if k != "orbits"}
+    flat = d_optimal(dataclasses.replace(gauss_disk, params=params), gaussian_weight(), 4, epsilon=1e-5)
+    assert flat.iterations == res.iterations
+    assert flat.log_det == pytest.approx(res.log_det, abs=1e-12)
+    assert np.array_equal(flat.design.points, res.design.points)
+
+
+def test_pruning_every_weight_is_a_numerical_error():
+    # epsilon so large that the threshold epsilon / (10 m) exceeds every weight
+    with pytest.raises(FloatingPointError, match="pruning threshold"):
+        d_optimal(interval(grid=21), unit_weight(), 1, epsilon=1e3)
+
+
+def test_underflowing_weight_power_is_a_singular_gram_error():
+    # w^24 underflows far from the origin of [-30, 30]: rank is lost at the start
+    with pytest.raises(SingularGramError, match="iteration 0 from a uniform start"):
+        d_optimal(interval(a=30.0), gaussian_weight(), 12)
+
+
+def test_centerless_disk_orbits_solve_without_warnings(cached_solve):
+    # its rings are numbered from 1, so orbit id 0 has no points; the s = 2
+    # optimum puts no mass on the center, and the solve takes as many
+    # iterations as on the full disk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = d_optimal(disk(include_center=False), gaussian_weight(), 2, epsilon=1e-5)
+    assert res.converged and res.iterations == cached_solve("disk", 2, 1e-5)[0].iterations
