@@ -18,6 +18,7 @@ exact for complex atoms; the two coincide whenever M is real.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,10 +67,21 @@ class MomentMatrix:
         return self.log_det - 2.0 * self.basis.log_lead
 
 
+def _real_if_real(B: np.ndarray) -> np.ndarray:
+    """B itself, or its real part when no entry has an imaginary part."""
+    return B if np.any(B.imag) else B.real
+
+
 def _assemble(B: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(B^H * coef) B, symmetrized to kill roundoff."""
     M = (B.conj().T * coef) @ B
     return 0.5 * (M + M.conj().T)
+
+
+@functools.cache
+def _lapack(dtype: np.dtype):
+    """The (potrf, trtri) pair for one dtype, looked up once per process."""
+    return sla.get_lapack_funcs(("potrf", "trtri"), dtype=dtype)
 
 
 def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float, int]:
@@ -78,30 +90,49 @@ def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float, int]:
     ``pivot`` is 0 on success, else the 1-based index where the
     factorization lost positivity (log det is then -inf).
     """
-    (potrf,) = sla.get_lapack_funcs(("potrf",), (M,))
+    potrf, _ = _lapack(M.dtype)
     C, info = potrf(M, lower=True, clean=True, overwrite_a=False)
     if info > 0:
         return None, -math.inf, int(info)
     if info < 0:
         raise ValueError(f"illegal moment matrix passed to potrf (argument {-info})")
-    diag = np.real(np.diag(C))
-    return C, float(2.0 * np.sum(np.log(diag))), 0
+    return C, 2.0 * float(np.log(C.diagonal().real).sum()), 0
 
 
 def _inverse_factor(C: np.ndarray) -> np.ndarray:
     """L = inv(C) for a lower Cholesky factor C, so that inv(M) = L* L."""
-    (trtri,) = sla.get_lapack_funcs(("trtri",), (C,))
+    _, trtri = _lapack(C.dtype)
     L, _ = trtri(C, lower=True)  # cannot fail: potrf left a positive diagonal
     return L
+
+
+def _squared_norms(Z: np.ndarray) -> np.ndarray:
+    """||z||^2 of each row of Z."""
+    F = Z.view(np.float64) if np.iscomplexobj(Z) else Z  # |z|^2 = re^2 + im^2, no hypot
+    return np.einsum("ij,ij->i", F, F)
 
 
 def _christoffel_rows(B: np.ndarray, L: np.ndarray, u: np.ndarray | float) -> np.ndarray:
     """K at the points whose basis values are the rows of B, times u = w**(2*s)."""
     # transpose-conjugate pairing p^T inv(M) conj(p) = ||conj(L) p||^2: keeps
     # the mass identity exact when the moment matrix is genuinely complex
-    Z = B @ L.conj().T
-    F = Z.view(np.float64) if np.iscomplexobj(Z) else Z  # |z|^2 = re^2 + im^2, no hypot
-    return np.einsum("ij,ij->i", F, F) * u
+    return _squared_norms(B @ L.conj().T) * u
+
+
+def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Hessian of log det M in the orbit masses, from the rows Z = R L^H.
+
+    With M = sum_o (mass_o / c_o) R_o^H R_o the gradient is the orbit-mean
+    K and the Hessian is H[o, p] = -tr(A_o A_p) / (c_o c_p), where
+    A_o = Z_o^H Z_o = L R_o^H R_o L^H.  ``row_orbit`` numbers the orbits
+    0 .. len(counts) - 1.
+    """
+    rows, n = Z.shape
+    S = np.zeros((counts.size, rows))
+    S[row_orbit, np.arange(rows)] = 1.0
+    G = S @ (Z.conj()[:, :, None] * Z[:, None, :]).reshape(rows, n * n)  # row o: vec(A_o)
+    # tr(A_o A_p) = vec(A_o) . conj(vec(A_p)) for Hermitian A_p
+    return -(G @ G.conj().T).real / np.outer(counts, counts)
 
 
 def _orbit_rows(B: np.ndarray, u: np.ndarray, orbits: np.ndarray, counts: np.ndarray):
@@ -112,7 +143,7 @@ def _orbit_rows(B: np.ndarray, u: np.ndarray, orbits: np.ndarray, counts: np.nda
     assembling with orbit weights and summing ||R L^H||^2 per orbit then
     gives M and the orbit sums of K exactly.  Real B gives real rows.
     """
-    A = np.sqrt(u)[:, None] * (B if np.any(B.imag) else B.real)
+    A = np.sqrt(u)[:, None] * _real_if_real(B)
     big = np.flatnonzero(counts > B.shape[1])
     small = counts[orbits] <= B.shape[1]
     R = [A[small]] + [np.linalg.qr(A[orbits == o], mode="r") for o in big]
@@ -133,7 +164,7 @@ def moment_matrix(
     """
     if basis.dimension != design.dimension:
         raise ValueError("basis and design dimensions differ")
-    B = eval_basis_many(basis, design.points)
+    B = _real_if_real(eval_basis_many(basis, design.points))
     wv = weight.values(design.points)
     M = _assemble(B, design.weights * wv ** (2 * s))
     _, log_det, _ = _cholesky_log_det(M)
@@ -184,7 +215,7 @@ def orthonormal_factor(mm: MomentMatrix, weight: WeightFunction) -> ChristoffelE
 def christoffel_many(ev: ChristoffelEvaluator, points) -> np.ndarray:
     """Evaluate K(z) = ||conj(L) p(z)||^2 * w(z)**(2*s) at many points."""
     pts = as_points(points, ev.basis.dimension)
-    B = eval_basis_many(ev.basis, pts)
+    B = _real_if_real(eval_basis_many(ev.basis, pts))
     return _christoffel_rows(B, ev.L, ev.weight.values(pts) ** (2 * ev.degree))
 
 

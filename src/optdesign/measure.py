@@ -15,11 +15,44 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .basis import PolyBasis, as_points, eval_basis_many, monomial_basis, space_dimension, stabilized_basis
 
 _ATOM_TOL = 1e-12  # two atoms closer than this are considered identical
 _SUM_TOL = 1e-9  # admissible drift of a weight vector's total mass
+
+
+# ---------------------------------------------------------------------------
+# point sets
+
+
+def _real_coordinates(pts: np.ndarray) -> np.ndarray:
+    """(m, d) complex points as (m, 2d) real ones: real and imaginary parts."""
+    return np.ascontiguousarray(pts).view(np.float64)
+
+
+def _point_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise distance max_k |a_k - b_k| between (m, d) complex point sets."""
+    return np.max(np.abs(a - b), axis=1)
+
+
+def _require_distinct(pts: np.ndarray, tol: float, what: str) -> None:
+    """Raise ValueError naming the closest pair of points within ``tol``.
+
+    Distance is max over coordinates of |z_k - z'_k|, which is never below
+    the max-norm distance of the real coordinates, so one k-d tree query at
+    radius ``tol`` finds every candidate pair.
+    """
+    pairs = cKDTree(_real_coordinates(pts)).query_pairs(tol, p=np.inf, output_type="ndarray")
+    if not len(pairs):
+        return
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    dist = _point_distance(pts[pairs[:, 0]], pts[pairs[:, 1]])
+    k = int(np.argmin(dist))
+    if dist[k] <= tol:
+        i, j = pairs[k]
+        raise ValueError(f"{what} {i} and {j} coincide" + (f" within {tol}" if tol else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +259,11 @@ def disk(
 
 
 def custom_grid(points, membership: Callable[[np.ndarray], bool] | None = None, a: float = 1.0) -> DesignSpace:
-    """Wrap an explicit point set as a design space."""
+    """Wrap an explicit point set as a design space; repeated points are refused."""
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
+    _require_distinct(pts, 0.0, "grid points")
     member = membership if membership is not None else (lambda p: True)
     return DesignSpace("custom", pts.shape[1], a, _freeze(pts.copy()), member, {})
 
@@ -302,14 +336,10 @@ class WeightFunction:
 
     def _lookup(self, pts: np.ndarray) -> np.ndarray:
         ref = self.table_points
-        out = np.empty(pts.shape[0])
-        for i, p in enumerate(pts):
-            dist = np.max(np.abs(ref - p[None, :]), axis=1)
-            j = int(np.argmin(dist))
-            if dist[j] > 1e-9:
-                raise ValueError("tabulated weight queried off its grid")
-            out[i] = self.table_values[j]
-        return out
+        _, j = cKDTree(_real_coordinates(ref)).query(_real_coordinates(pts))
+        if np.any(_point_distance(ref[j], pts) > 1e-9):
+            raise ValueError("tabulated weight queried off its grid")
+        return self.table_values[j]
 
     def __call__(self, z) -> float:
         arr = np.asarray(z, dtype=complex)
@@ -393,13 +423,7 @@ def make_design(points, weights) -> DiscreteDesign:
     total = float(w.sum())
     if abs(total - 1.0) >= _SUM_TOL:
         raise ValueError(f"design weights sum to {total!r}, not 1")
-    if pts.shape[0] > 1:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.max(np.abs(diff), axis=2)
-        np.fill_diagonal(dist, np.inf)
-        i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
-        if dist[i, j] <= _ATOM_TOL:
-            raise ValueError(f"atoms {i} and {j} coincide within {_ATOM_TOL}")
+    _require_distinct(pts, _ATOM_TOL, "atoms")
     return DiscreteDesign(points=_freeze(pts.copy()), weights=_freeze(w / total))
 
 

@@ -7,16 +7,19 @@ import pytest
 
 from optdesign import (
     SingularGramError,
+    ball,
     basis_for_space,
     christoffel,
     christoffel_many,
     cube,
     disk,
     gaussian_weight,
+    interval,
     make_design,
     moment_matrix,
     monomial_basis,
     orthonormal_factor,
+    simplex,
     unit_weight,
 )
 from optdesign.basis import eval_basis_many
@@ -170,3 +173,27 @@ def test_real_rows_give_the_complex_christoffel_values_on_the_cube():
     K_real = _christoffel_rows(B.real, L_real, u)
     assert np.allclose(K_real, K_complex, rtol=1e-12, atol=0)
     assert float(K_real.mean()) == pytest.approx(B.shape[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("space", [interval(), cube(2, per_axis=9), ball(2), simplex(2)], ids=lambda sp: sp.kind)
+def test_one_shot_paths_run_real_on_real_grids(space):
+    s = 3
+    rng = np.random.default_rng(5)
+    idx = rng.choice(space.grid_size, size=40, replace=False)
+    w = rng.uniform(0.5, 1.5, 40)
+    design = make_design(space.grid[idx], w / w.sum())
+    basis = basis_for_space(space, s)
+    mm = moment_matrix(design, gaussian_weight(), s, basis)
+    ev = orthonormal_factor(mm, gaussian_weight())
+    assert mm.matrix.dtype == np.float64 and ev.L.dtype == np.float64
+    K = christoffel_many(ev, space.grid)
+    assert K.dtype == np.float64
+    # the complex path: the same rows held in complex dtype
+    B = eval_basis_many(basis, design.points)
+    assert np.iscomplexobj(B)
+    C, log_det, _ = _cholesky_log_det(_assemble(B, design.weights * gaussian_weight().values(design.points) ** (2 * s)))
+    L_complex = _inverse_factor(C)
+    assert mm.log_det == pytest.approx(log_det, abs=1e-12)
+    u = gaussian_weight().values(space.grid) ** (2 * s)
+    K_complex = _christoffel_rows(eval_basis_many(basis, space.grid), L_complex, u)
+    assert np.allclose(K, K_complex, rtol=1e-12, atol=0)

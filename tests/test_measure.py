@@ -106,6 +106,13 @@ def test_custom_grid_wraps_points():
     assert sp.contains(123.0)  # default membership accepts everything
 
 
+def test_custom_grid_rejects_repeated_points():
+    with pytest.raises(ValueError, match="grid points 0 and 1 coincide"):
+        custom_grid([0, 0, 1])
+    with pytest.raises(ValueError, match="grid points 1 and 2 coincide"):
+        custom_grid([[0.0, 1.0], [1.0, 0.5j], [1.0, 0.5j]])
+
+
 def test_weight_values_unit_gaussian():
     pts = np.array([[0.0], [1.0], [0.5 + 0.5j]])
     assert np.allclose(unit_weight().values(pts), 1.0)
@@ -132,6 +139,19 @@ def test_table_weight_lookup_and_errors():
         table_weight([0.0, 1.0], [1.0])
 
 
+def test_table_lookup_matches_the_brute_force_nearest_match():
+    grid = disk().grid
+    perm = np.random.default_rng(3).permutation(grid.shape[0])
+    values = np.arange(grid.shape[0], dtype=float)
+    w = table_weight(grid[perm], values)
+    queries = grid + 1e-10 * (1 - 1j)  # within 1e-9 of a table point, not on it
+    ref = w.table_points
+    brute = [values[int(np.argmin(np.max(np.abs(ref - q[None, :]), axis=1)))] for q in queries]
+    assert np.array_equal(w.values(queries), brute)
+    with pytest.raises(ValueError, match="off its grid"):
+        w.values(grid + 1e-8)
+
+
 def test_callable_weight_rejects_negative_values():
     w = callable_weight(lambda z: float(np.real(z)))
     with pytest.raises(ValueError):
@@ -149,6 +169,35 @@ def test_make_design_validation():
         make_design(np.zeros((0, 1)), [])
     d = make_design([0.0, 1.0], [0.5 + 1e-12, 0.5])
     assert d.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_distinct_atoms_checked_without_a_pairwise_table():
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1, 1, (20_000, 2)) + 1j * rng.uniform(-1, 1, (20_000, 2))
+    d = make_design(pts, np.full(20_000, 1 / 20_000))
+    assert d.size == 20_000
+    # the closest pair is named, with the same metric max_k |z_k - z'_k|
+    pts[17] = pts[3] + 1e-13
+    pts[900] = pts[40] + 5e-13j
+    with pytest.raises(ValueError, match="atoms 3 and 17 coincide within 1e-12"):
+        make_design(pts, np.full(20_000, 1 / 20_000))
+    # 1e-12 apart in every coordinate: distinct under this metric
+    assert make_design([[0.0, 0.0], [1.1e-12, 1.1e-12j]], [0.5, 0.5]).size == 2
+
+
+def test_duplicate_pair_matches_the_pairwise_table():
+    # the reference: the full m x m table of max_k |z_k - z'_k|, first minimum in row-major order
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        pts = rng.uniform(-1, 1, (200, 2)) + 1j * rng.uniform(-1, 1, (200, 2))
+        for _ in range(3):
+            i, j = rng.choice(200, size=2, replace=False)
+            pts[j] = pts[i] + rng.uniform(0, 1e-12) * np.exp(2j * np.pi * rng.uniform(size=2)) / math.sqrt(2)
+        dist = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+        np.fill_diagonal(dist, np.inf)
+        a, b = np.unravel_index(int(np.argmin(dist)), dist.shape)
+        with pytest.raises(ValueError, match=f"atoms {a} and {b} coincide within 1e-12"):
+            make_design(pts, np.full(200, 1 / 200))
 
 
 def test_uniform_design_weights():

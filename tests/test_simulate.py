@@ -100,6 +100,20 @@ def test_theoretical_cov_matches_observation_gram_inverse(kind):
     assert np.allclose(stats.theoretical_cov, ref, rtol=1e-12, atol=0)
 
 
+def test_theoretical_cov_is_real_on_a_real_design_and_matches_the_complex_path():
+    exp = experiment(design=make_design([-1.0, -0.3, 0.4, 1.0], [0.1, 0.4, 0.3, 0.2]), num_obs=37)
+    stats = simulate_regression(exp)
+    assert stats.theoretical_cov.dtype == np.float64
+    # the complex path: the observation Gram matrix assembled in complex dtype
+    reps = np.repeat(np.arange(exp.design.size), stats.counts)
+    V = eval_basis_many(monomial_basis(1, exp.degree), exp.design.points[reps])
+    assert np.iscomplexobj(V)
+    C = np.linalg.cholesky(V.conj().T @ V / exp.num_obs)
+    L = np.linalg.inv(C)
+    ref = exp.sigma**2 / exp.num_obs * (L.conj().T @ L)
+    assert np.allclose(stats.theoretical_cov, ref, rtol=1e-12, atol=0)
+
+
 def test_theoretical_prediction_variance_at_support_atoms():
     # uniform thirds realized exactly: K(atom) = 3, so var = 3 sigma^2 / m
     stats = simulate_regression(experiment())
