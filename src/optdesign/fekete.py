@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .basis import degree_sum, eval_basis_many
+from .gram import _real_if_real, _squared_norms
 from .measure import DesignSpace, WeightFunction, basis_for_space
 from .optimal import OptimalResult, d_optimal
 
@@ -29,8 +29,8 @@ class FeketeResult:
     """A near-maximal-volume configuration.
 
     ``weighted_vdm_log`` is log(|VDM| * prod w^s) in the monomial
-    normalization; ``delta_s`` its 1/m_s-th power... more precisely
-    exp(weighted_vdm_log / m_s) with m_s the basis degree sum.
+    normalization, and ``delta_s`` is exp(weighted_vdm_log / m_s) with
+    m_s the basis degree sum.
     """
 
     points: np.ndarray
@@ -40,9 +40,53 @@ class FeketeResult:
     method: str
 
 
-def _selection_log(A: np.ndarray, sel: list[int], log_lead: float) -> float:
-    _, log_abs = np.linalg.slogdet(A[sel, :])
-    return float(log_abs) - log_lead
+def _greedy_rows(A: np.ndarray) -> list[int]:
+    """n rows of the m x n matrix A chosen greedily for volume.
+
+    Each step takes the row with the largest residual norm and projects
+    its direction out of every row (modified Gram-Schmidt on the rows),
+    the pivot order of a column-pivoted QR of A^T, computed elementwise.
+    A residual at or below max(m, n) * eps times the largest row norm
+    means A has rank below n.
+    """
+    R = A.copy()
+    m, n = R.shape
+    norms = _squared_norms(R)
+    tol = (max(m, n) * np.finfo(np.float64).eps) ** 2 * norms.max()
+    sel = []
+    for _ in range(n):
+        j = int(np.argmax(norms))
+        if not norms[j] > tol:
+            raise ValueError("weighted Vandermonde is rank-deficient on this grid")
+        sel.append(j)
+        q = R[j] / math.sqrt(norms[j])
+        R -= np.multiply.outer(np.einsum("ij,j->i", R, q.conj()), q)
+        norms = _squared_norms(R)
+    return sel
+
+
+def _exchange(A: np.ndarray, sel: list[int], passes: int) -> list[int]:
+    """Sweep row exchanges that raise |det A[sel]|, at most ``passes`` times.
+
+    G = A inv(A[sel]) holds the Lagrange polynomials of the selection at
+    every grid point: putting row j in slot k multiplies |det A[sel]| by
+    |G[j, k]|.  After a swap, G follows by the rank-one update
+    G -= G[:, k] (G[j] - e_k) / G[j, k], so each pass inverts once.
+    """
+    n = len(sel)
+    for _ in range(passes):
+        G = A @ np.linalg.inv(A[sel])
+        improved = False
+        for k in range(n):
+            gain = np.abs(G[:, k])
+            j = int(np.argmax(gain))
+            if gain[j] > 1.0 + 1e-10 and j != sel[k]:
+                G -= np.multiply.outer(G[:, k] / G[j, k], G[j] - np.eye(1, n, k)[0])
+                sel[k] = j
+                improved = True
+        if not improved:
+            break
+    return sel
 
 
 def approx_fekete(
@@ -55,20 +99,25 @@ def approx_fekete(
 ) -> FeketeResult:
     """Select an (approximately) extremal n-point configuration on the grid.
 
-    The default path picks rows greedily by pivoted QR volume maximization
-    and then sweeps pairwise exchanges, each of which strictly increases
-    the weighted Vandermonde modulus.  ``exhaustive=True`` enumerates every
-    n-subset instead (guarded, for small grids only).
+    The default path is the approximate Fekete algorithm of Bos, De
+    Marchi, Sommariva & Vianello (2010): a greedy volume-maximizing pick
+    of n rows of the weighted Vandermonde matrix (the pivots of a
+    column-pivoted QR), followed by up to ``exchange_passes`` sweeps of
+    Fedorov-style single-point exchanges, each of which strictly
+    increases the weighted Vandermonde modulus.  The rows are real on
+    real grids.  ``exhaustive=True`` enumerates every n-subset instead
+    (guarded, for small grids only).
     """
+    if exchange_passes < 0:
+        raise ValueError(f"exchange_passes must be nonnegative, got {exchange_passes}")
     basis = basis_for_space(space, s)
     n = basis.n
     grid = space.grid
     m = grid.shape[0]
     if m < n:
         raise ValueError(f"grid of {m} points cannot support {n} Fekete points")
-    B = eval_basis_many(basis, grid)
     ws = weight.values(grid) ** s
-    A = B * ws[:, None]
+    A = _real_if_real(eval_basis_many(basis, grid)) * ws[:, None]
 
     if exhaustive:
         pos = np.flatnonzero(ws > 0)
@@ -92,22 +141,8 @@ def approx_fekete(
         log_vdm = best_log - basis.log_lead
         method = "exhaustive"
     else:
-        if np.linalg.matrix_rank(A) < n:
-            raise ValueError("weighted Vandermonde is rank-deficient on this grid")
-        _, _, piv = sla.qr(A.T, mode="economic", pivoting=True)
-        sel = list(piv[:n])
-        for _ in range(max(0, exchange_passes)):
-            improved = False
-            for k in range(n):
-                V_inv = np.linalg.inv(A[sel, :])
-                ratios = np.abs(A @ V_inv[:, k])
-                j = int(np.argmax(ratios))
-                if ratios[j] > 1.0 + 1e-10 and j != sel[k]:
-                    sel[k] = j
-                    improved = True
-            if not improved:
-                break
-        log_vdm = _selection_log(A, sel, basis.log_lead)
+        sel = _exchange(A, _greedy_rows(A), exchange_passes)
+        log_vdm = float(np.linalg.slogdet(A[sel])[1]) - basis.log_lead
         method = "greedy+exchange" if exchange_passes > 0 else "greedy"
 
     sel_sorted = [sel[i] for i in np.lexsort((grid[sel, 0].imag, grid[sel, 0].real))]

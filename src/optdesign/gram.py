@@ -125,14 +125,17 @@ def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> 
     With M = sum_o (mass_o / c_o) R_o^H R_o the gradient is the orbit-mean
     K and the Hessian is H[o, p] = -tr(A_o A_p) / (c_o c_p), where
     A_o = Z_o^H Z_o = L R_o^H R_o L^H.  ``row_orbit`` numbers the orbits
-    0 .. len(counts) - 1.
+    0 .. len(counts) - 1, each of which owns at least one row.
     """
-    rows, n = Z.shape
-    S = np.zeros((counts.size, rows))
-    S[row_orbit, np.arange(rows)] = 1.0
-    G = S @ (Z.conj()[:, :, None] * Z[:, None, :]).reshape(rows, n * n)  # row o: vec(A_o)
-    # tr(A_o A_p) = vec(A_o) . conj(vec(A_p)) for Hermitian A_p
-    return -(G @ G.conj().T).real / np.outer(counts, counts)
+    order = np.argsort(row_orbit, kind="stable")
+    starts = np.searchsorted(row_orbit[order], np.arange(counts.size))
+    Zs = Z[order]
+    X = (Zs.conj()[:, :, None] * Zs[:, None, :]).reshape(Zs.shape[0], -1)  # row r: vec(z_r^H z_r)
+    G = np.add.reduceat(X, starts)  # row o: vec(A_o)
+    # tr(A_o A_p) = Re vec(A_o) . conj(vec(A_p)) for Hermitian A_p: a real
+    # product of the float64 views
+    F = G.view(np.float64) if np.iscomplexobj(G) else G
+    return -(F @ F.T) / np.outer(counts, counts)
 
 
 def _orbit_rows(B: np.ndarray, u: np.ndarray, orbits: np.ndarray, counts: np.ndarray):

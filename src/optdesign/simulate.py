@@ -91,8 +91,13 @@ def _trial_estimates(exp: RegressionExperiment, V: np.ndarray) -> np.ndarray:
     complex_noise = _is_complex_design(exp.design)
     y0 = V @ exp.theta
     noise = np.empty((exp.trials, m), dtype=complex)
+    bitgen = np.random.Philox(key=np.array([exp.seed, 0], dtype=np.uint64))
+    fresh = bitgen.state  # counter 0, empty buffer
+    rng = np.random.Generator(bitgen)
     for t in range(exp.trials):
-        rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, t], dtype=np.uint64)))
+        # trial t draws what a new Generator(Philox(key=(seed, t))) would
+        fresh["state"]["key"][1] = t
+        bitgen.state = fresh
         if complex_noise:
             re = rng.standard_normal(m)
             im = rng.standard_normal(m)

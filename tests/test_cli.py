@@ -247,3 +247,25 @@ def test_threads_without_threadpoolctl_reports_no_effect(tmp_path, monkeypatch, 
     assert rc == 0
     assert capsys.readouterr().err == "--threads 2 has no effect: threadpoolctl is not installed\n"
     assert (out / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fekete", "tfd"])
+def test_negative_exchange_passes_is_a_validation_error(tmp_path, capsys, command):
+    rc, out = run(tmp_path, command, "--grid", "51", "--exchange-passes", "-3")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: exchange_passes must be nonnegative, got -3\n"
+    assert not any(out.iterdir())
+
+
+def test_rank_deficient_fekete_weight_is_a_validation_error(tmp_path, capsys):
+    from optdesign import interval, table_weight, weight_to_json
+
+    grid = interval(grid=21, spacing="chebyshev").grid
+    wfile = tmp_path / "weight.json"
+    wfile.write_text(weight_to_json(table_weight(grid, np.r_[1.0, 1.0, np.zeros(19)])))
+    rc, out = run(tmp_path, "fekete", "--grid", "21", "--degree", "2", "--weight", str(wfile))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: weighted Vandermonde is rank-deficient on this grid\n"
+    assert not (out / "fekete.json").exists()

@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from optdesign import (
     approx_fekete,
+    ball,
+    basis_for_space,
+    cube,
     disk,
+    eval_basis_many,
     gaussian_weight,
     interval,
+    simplex,
     sth_diameter,
     table_weight,
     tfd_table,
     tfd_to_csv,
     unit_weight,
 )
+from optdesign import fekete
+from optdesign.gram import _real_if_real
 
 
 def test_degree_one_interval_endpoints():
@@ -91,3 +99,82 @@ def test_tfd_rows_and_csv(cached_solve):
     lines = text.strip().split("\n")
     assert lines[0] == "s,m_s,delta_s,gram_root,gap"
     assert len(lines) == 3 and text.endswith("\n")
+
+
+def _weighted_vandermonde(space, weight, s, real=True):
+    basis = basis_for_space(space, s)
+    B = eval_basis_many(basis, space.grid)
+    A = (_real_if_real(B) if real else B) * (weight.values(space.grid) ** s)[:, None]
+    return A, basis
+
+
+def _log_volume(A, sel, basis):
+    return float(np.linalg.slogdet(A[sel])[1]) - basis.log_lead
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_greedy_rows_are_the_pivots_of_column_pivoted_qr(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(10, 200)), int(rng.integers(2, 12))
+    A = rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0, (m, 1))
+    if seed % 2:
+        A = A + 1j * rng.standard_normal((m, n))
+    _, _, piv = sla.qr(A.T, mode="economic", pivoting=True)
+    assert fekete._greedy_rows(A) == piv[:n].tolist()
+
+
+def _exchange_by_inverse(A, sel, passes):
+    # the exchange sweep with a fresh inverse of the selection for every slot
+    sel = list(sel)
+    for _ in range(passes):
+        improved = False
+        for k in range(len(sel)):
+            ratios = np.abs(A @ np.linalg.inv(A[sel])[:, k])
+            j = int(np.argmax(ratios))
+            if ratios[j] > 1.0 + 1e-10 and j != sel[k]:
+                sel[k] = j
+                improved = True
+        if not improved:
+            break
+    return sel
+
+
+@pytest.mark.parametrize(
+    "space, weight, s",
+    [
+        (interval(grid=401), unit_weight(), 16),
+        (disk(), gaussian_weight(), 12),
+        (cube(2, per_axis=33), unit_weight(), 8),
+        (simplex(2), unit_weight(), 6),
+    ],
+    ids=["interval_s16", "disk_s12", "cube2_s8", "simplex_s6"],
+)
+def test_rank_one_exchange_matches_the_per_swap_inverse(space, weight, s):
+    A, basis = _weighted_vandermonde(space, weight, s)
+    start = fekete._greedy_rows(A)
+    fast = fekete._exchange(A, list(start), 2)
+    slow = _exchange_by_inverse(A, start, 2)
+    assert _log_volume(A, fast, basis) == pytest.approx(_log_volume(A, slow, basis), abs=1e-12)
+    assert _log_volume(A, fast, basis) >= _log_volume(A, start, basis)
+    res = approx_fekete(space, weight, s)
+    assert res.weighted_vdm_log == pytest.approx(_log_volume(A, fast, basis), abs=1e-12)
+    assert res.weighted_vdm_log >= approx_fekete(space, weight, s, exchange_passes=0).weighted_vdm_log
+
+
+@pytest.mark.parametrize("space", [interval(), cube(2, per_axis=9), ball(2), simplex(2)], ids=lambda sp: sp.kind)
+def test_approx_fekete_runs_real_on_real_grids(space, monkeypatch):
+    s, seen = 3, []
+    greedy = fekete._greedy_rows
+
+    def spy(A):
+        seen.append(A.dtype)
+        return greedy(A)
+
+    monkeypatch.setattr(fekete, "_greedy_rows", spy)
+    res = approx_fekete(space, gaussian_weight(), s)
+    assert seen == [np.dtype(np.float64)]
+    # the complex path: the same rows held in complex dtype
+    A, basis = _weighted_vandermonde(space, gaussian_weight(), s, real=False)
+    assert np.iscomplexobj(A)
+    sel = fekete._exchange(A, greedy(A), 2)
+    assert res.weighted_vdm_log == pytest.approx(_log_volume(A, sel, basis), abs=1e-12)

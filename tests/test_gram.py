@@ -23,7 +23,15 @@ from optdesign import (
     unit_weight,
 )
 from optdesign.basis import eval_basis_many
-from optdesign.gram import _assemble, _cholesky_log_det, _christoffel_rows, _inverse_factor, _orbit_rows
+from optdesign.gram import (
+    _assemble,
+    _cholesky_log_det,
+    _christoffel_rows,
+    _inverse_factor,
+    _orbit_hessian,
+    _orbit_rows,
+    _real_if_real,
+)
 
 
 def _random_design(rng, m, d=1, complex_atoms=False):
@@ -160,6 +168,33 @@ def test_orbit_rows_keep_each_orbit_gram_block_and_mean_christoffel():
         block = A.conj().T @ A
         assert np.abs(Ro.conj().T @ Ro - block).max() <= 1e-12 * np.abs(block).max()
         assert K_rows[row_orbit == o].sum() / counts[o] == pytest.approx(K[orbits == o].mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["disk", "cube"])
+def test_orbit_hessian_is_minus_the_trace_of_orbit_block_products(kind):
+    # H[o, p] = -tr(A_o A_p) / (c_o c_p) with A_o = Z_o^H Z_o, summed explicitly
+    if kind == "disk":
+        space, weight, s, picked = disk(), gaussian_weight(), 4, 12
+        orbits = np.asarray(space.params["orbits"])
+    else:
+        space, weight, s, picked = cube(2, per_axis=9), unit_weight(), 3, 30
+        orbits = np.arange(space.grid_size)  # every point its own orbit
+    B = _real_if_real(eval_basis_many(basis_for_space(space, s), space.grid))
+    u = weight.values(space.grid) ** (2 * s)
+    counts = np.bincount(orbits)
+    R, row_orbit = _orbit_rows(B, u, orbits, counts)
+    Z = R @ _uniform_grid_factor(B, u).conj().T
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(Z.shape[0])  # rows in no particular orbit order
+    Z, row_orbit = Z[perm], row_orbit[perm]
+    free = rng.choice(counts.size, picked, replace=False)
+    slot = np.full(counts.size, -1)
+    slot[free] = np.arange(picked)
+    rows = slot[row_orbit] >= 0
+    H = _orbit_hessian(Z[rows], slot[row_orbit[rows]], counts[free])
+    blocks = [Z[row_orbit == o].conj().T @ Z[row_orbit == o] for o in free]
+    ref = -np.array([[np.trace(a @ b).real for b in blocks] for a in blocks]) / np.outer(counts[free], counts[free])
+    assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_real_rows_give_the_complex_christoffel_values_on_the_cube():

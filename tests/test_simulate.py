@@ -159,3 +159,28 @@ def test_complex_design_produces_hermitian_covariance():
     eig = np.linalg.eigvalsh(stats.empirical_cov)
     assert eig.min() >= -1e-20
     assert np.all(np.isfinite([r.empirical_var for r in stats.prediction]))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_trial_noise_is_a_fresh_philox_draw_keyed_by_seed_and_trial(kind):
+    from optdesign.simulate import _observation_matrix, _trial_estimates
+
+    if kind == "real":
+        exp = experiment(sigma=1.0, num_obs=9, trials=5)
+    else:
+        z = 0.75 * np.exp(2j * math.pi * np.arange(4) / 4)
+        exp = RegressionExperiment(
+            design=uniform_design(z), degree=1, theta=np.array([1.0 + 0.5j, -0.25j]),
+            sigma=1.0, num_obs=8, trials=5, seed=7,
+        )
+    V, _ = _observation_matrix(exp)
+    theta_hats = _trial_estimates(exp, V)
+    m = V.shape[0]
+    for t in range(exp.trials):
+        rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, t], dtype=np.uint64)))
+        if kind == "real":
+            noise = rng.standard_normal(m)
+        else:
+            noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+        ref = np.linalg.lstsq(V, V @ exp.theta + exp.sigma * noise, rcond=None)[0]
+        assert np.allclose(theta_hats[t], ref, rtol=0, atol=1e-12)
