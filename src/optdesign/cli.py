@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import convergence_sweep
-from .basis import space_dimension
+from .basis import multi_indices, space_dimension
 from .equilibrium import (
     EquilibriumMeasure,
     arcsine,
@@ -49,6 +49,7 @@ from .measure import (
     disk,
     gaussian_weight,
     interval,
+    make_design,
     simplex,
     unit_weight,
     weight_from_json,
@@ -60,116 +61,81 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_COMMON_DEFAULTS = {
-    "domain": "interval",
-    "dimension": 1,
-    "a": 1.0,
-    "grid": 401,
-    "grid_angular": 64,
-    "spacing": "chebyshev",
-    "weight": "unit",
-    "seed": 0,
-    "threads": None,
-    "out": ".",
+# Every option once: its argparse settings and its default.  A --config
+# value is checked against the same type and choices as the flag.
+_OPTIONS = {
+    "domain": {"type": str, "choices": ["interval", "cube", "ball", "simplex", "disk"], "default": "interval"},
+    "dimension": {"type": int, "default": 1},
+    "a": {"type": float, "default": 1.0},
+    "grid": {"type": int, "default": 401, "help": "grid density (per-axis / radial count)"},
+    "grid_angular": {"type": int, "default": 64},
+    "spacing": {"type": str, "choices": ["chebyshev", "uniform"], "default": "chebyshev"},
+    "weight": {"type": str, "default": "unit", "help": "unit, gaussian, or a weight JSON file path"},
+    "seed": {"type": int, "default": 0},
+    "threads": {"type": int, "default": None, "help": "cap worker threads (env OPTDESIGN_THREADS)"},
+    "out": {"type": str, "default": ".", "help": "output directory"},
+    "design": {"type": str, "default": None, "help": "design JSON file; simulate solves for the optimal design without one"},
+    "degree": {"type": int, "default": 2},
+    "degrees": {"type": str, "default": "1,2,4,8", "help": "comma-separated degree list"},
+    "target": {"type": str, "choices": ["arcsine", "cube", "ball", "simplex", "wball"], "default": "arcsine"},
+    "tmax": {"type": int, "default": 6},
+    "epsilon": {"type": float, "default": 1e-5},
+    "max_iter": {"type": int, "default": None},
+    "exchange_passes": {"type": int, "default": 2},
+    "sigma": {"type": float, "default": 0.1},
+    "obs": {"type": int, "default": 100},
+    "trials": {"type": int, "default": 10000},
+    "atoms": {"type": int, "default": 4},
 }
 
-_DEFAULTS = {
-    "design": {**_COMMON_DEFAULTS, "degree": 2, "epsilon": 1e-5, "max_iter": None},
-    "gvalue": {**_COMMON_DEFAULTS, "design": None, "degree": None},
-    "fekete": {**_COMMON_DEFAULTS, "degree": 2, "exchange_passes": 2},
-    "tfd": {**_COMMON_DEFAULTS, "degrees": "1,2,4,8", "epsilon": 1e-5, "max_iter": None, "exchange_passes": 2},
-    "equilibrium": {**_COMMON_DEFAULTS, "target": "arcsine", "tmax": 6},
-    "converge": {**_COMMON_DEFAULTS, "degrees": "2,4,8", "target": "arcsine", "tmax": 6, "epsilon": 1e-5, "max_iter": None},
-    "simulate": {**_COMMON_DEFAULTS, "design": None, "degree": None, "sigma": 0.1, "obs": 100, "trials": 10000, "epsilon": 1e-6, "max_iter": None},
-    "oracle": {**_COMMON_DEFAULTS, "atoms": 4, "degree": 2},
-}
+_COMMON = ("domain", "dimension", "a", "grid", "grid_angular", "spacing", "weight", "seed", "threads", "out")
+
+
+def _command_defaults(cmd: str) -> dict:
+    _, _, own, differing = _COMMANDS[cmd]
+    return {key: differing.get(key, _OPTIONS[key]["default"]) for key in (*_COMMON, *own.split())}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="optdesign", description=__doc__)
     ap.add_argument("--version", action="version", version=f"optdesign {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for cmd, (_, help_text, _, _) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-        p.add_argument("--domain", choices=["interval", "cube", "ball", "simplex", "disk"])
-        p.add_argument("--dimension", type=int)
-        p.add_argument("--a", type=float)
-        p.add_argument("--grid", type=int, help="grid density (per-axis / radial count)")
-        p.add_argument("--grid-angular", dest="grid_angular", type=int)
-        p.add_argument("--spacing", choices=["chebyshev", "uniform"])
-        p.add_argument("--weight", help="unit, gaussian, or a weight JSON file path")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, help="cap worker threads (env OPTDESIGN_THREADS)")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("design", help="solve a D-optimal design and certify it")
-    common(p)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-
-    p = sub.add_parser("gvalue", help="G-value of a stored design over the domain grid")
-    common(p)
-    p.add_argument("--design", help="design JSON file")
-    p.add_argument("--degree", type=int)
-
-    p = sub.add_parser("fekete", help="approximate weighted Fekete points")
-    common(p)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--exchange-passes", dest="exchange_passes", type=int)
-
-    p = sub.add_parser("tfd", help="s-th order diameters vs Gram determinant roots")
-    common(p)
-    p.add_argument("--degrees", help="comma-separated degree list")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--exchange-passes", dest="exchange_passes", type=int)
-
-    p = sub.add_parser("equilibrium", help="tabulate an equilibrium measure")
-    common(p)
-    p.add_argument("--target", choices=["arcsine", "cube", "ball", "simplex", "wball"])
-    p.add_argument("--tmax", type=int)
-
-    p = sub.add_parser("converge", help="weak-* convergence diagnostics across degrees")
-    common(p)
-    p.add_argument("--degrees", help="comma-separated degree list")
-    p.add_argument("--target", choices=["arcsine", "cube", "ball", "simplex", "wball"])
-    p.add_argument("--tmax", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-
-    p = sub.add_parser("simulate", help="Monte Carlo check of the regression identities")
-    common(p)
-    p.add_argument("--design", help="design JSON file (default: solve the optimal design)")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--obs", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-
-    p = sub.add_parser("oracle", help="cross-check determinants against brute-force sums")
-    common(p)
-    p.add_argument("--atoms", type=int)
-    p.add_argument("--degree", type=int)
+        for key, default in _command_defaults(cmd).items():
+            spec = {k: v for k, v in _OPTIONS[key].items() if k != "default"}
+            spec["help"] = " ".join(filter(None, [spec.get("help"), f"(default: {default})"]))
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **spec)
     return ap
+
+
+def _check_config_value(key: str, value, default) -> None:
+    spec = _OPTIONS[key]
+    if value is None and default is None:
+        return
+    allowed = (int, float) if spec["type"] is float else spec["type"]
+    if not isinstance(value, allowed) or isinstance(value, bool):
+        raise ValueError(f"config key {key!r} must be {spec['type'].__name__}, got {json.dumps(value)}")
+    if "choices" in spec and value not in spec["choices"]:
+        raise ValueError(f"config key {key!r} must be one of {spec['choices']}, got {json.dumps(value)}")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     cmd = args.command
-    resolved = dict(_DEFAULTS[cmd])
-    if getattr(args, "config", None):
+    resolved = _command_defaults(cmd)
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_config_value(key, value, resolved[key])
         resolved.update(file_cfg)
-    for key in resolved:
-        val = getattr(args, key, None)
-        if val is not None:
-            resolved[key] = val
+    resolved.update((key, val) for key, val in vars(args).items() if key in resolved and val is not None)
     resolved["command"] = cmd
     return resolved
 
@@ -218,10 +184,7 @@ def _make_target(cfg: dict) -> EquilibriumMeasure:
 
 def _degree_list(cfg: dict) -> list[int]:
     raw = cfg["degrees"]
-    if isinstance(raw, str):
-        vals = [int(v) for v in raw.split(",") if v.strip()]
-    else:
-        vals = [int(v) for v in raw]
+    vals = [int(v) for v in raw.split(",") if v.strip()]
     if not vals or any(v < 0 for v in vals):
         raise ValueError(f"bad degree list {raw!r}")
     return vals
@@ -323,11 +286,16 @@ def _cmd_design(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def _load_design(cfg: dict):
+    """The --design file's design and its degree, unless --degree overrides it."""
+    design, file_degree = design_from_json(Path(cfg["design"]).read_text())
+    return design, cfg["degree"] if cfg["degree"] is not None else file_degree
+
+
 def _cmd_gvalue(cfg: dict, out: Path) -> int:
     if not cfg["design"]:
         raise ValueError("gvalue needs --design pointing to a design JSON file")
-    design, file_degree = design_from_json(Path(cfg["design"]).read_text())
-    s = cfg["degree"] if cfg["degree"] is not None else file_degree
+    design, s = _load_design(cfg)
     space = _make_space(cfg)
     weight = _make_weight(cfg)
     basis = basis_for_space(space, s)
@@ -391,8 +359,6 @@ def _cmd_equilibrium(cfg: dict, out: Path) -> int:
         for k in range(tmax + 1):
             lines.append(f"{k}|{k},{eq_moment_mixed(target, k, k):.17g}")
     else:
-        from .basis import multi_indices
-
         for alpha in multi_indices(target.dimension, tmax):
             tag = "|".join(str(v) for v in alpha)
             lines.append(f"{tag},{eq_moment(target, alpha):.17g}")
@@ -438,8 +404,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     space = _make_space(cfg)
     weight = _make_weight(cfg)
     if cfg["design"]:
-        design, file_degree = design_from_json(Path(cfg["design"]).read_text())
-        s = cfg["degree"] if cfg["degree"] is not None else file_degree
+        design, s = _load_design(cfg)
     else:
         s = cfg["degree"] if cfg["degree"] is not None else 1
         design = d_optimal(space, weight, s, epsilon=cfg["epsilon"], max_iter=cfg["max_iter"]).design
@@ -471,8 +436,6 @@ def _cmd_oracle(cfg: dict, out: Path) -> int:
     idx = np.unique(idx)
     pts = space.grid[idx]
     w = np.arange(1.0, idx.size + 1)
-    from .measure import make_design
-
     design = make_design(pts, w / w.sum())
     basis = basis_for_space(space, s, kind="monomial")
     mm = moment_matrix(design, weight, s, basis)
@@ -507,15 +470,18 @@ def _cmd_oracle(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "design": _cmd_design,
-    "gvalue": _cmd_gvalue,
-    "fekete": _cmd_fekete,
-    "tfd": _cmd_tfd,
-    "equilibrium": _cmd_equilibrium,
-    "converge": _cmd_converge,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
+# subcommand: (handler, help, its options after _COMMON, the defaults that differ from _OPTIONS)
+_COMMANDS = {
+    "design": (_cmd_design, "solve a D-optimal design and certify it", "degree epsilon max_iter", {}),
+    "gvalue": (_cmd_gvalue, "G-value of a stored design over the domain grid", "design degree", {"degree": None}),
+    "fekete": (_cmd_fekete, "approximate weighted Fekete points", "degree exchange_passes", {}),
+    "tfd": (_cmd_tfd, "s-th order diameters vs Gram determinant roots", "degrees epsilon max_iter exchange_passes", {}),
+    "equilibrium": (_cmd_equilibrium, "tabulate an equilibrium measure", "target tmax", {}),
+    "converge": (_cmd_converge, "weak-* convergence diagnostics across degrees", "degrees target tmax epsilon max_iter",
+                 {"degrees": "2,4,8"}),
+    "simulate": (_cmd_simulate, "Monte Carlo check of the regression identities",
+                 "design degree sigma obs trials epsilon max_iter", {"degree": None, "epsilon": 1e-6}),
+    "oracle": (_cmd_oracle, "cross-check determinants against brute-force sums", "atoms degree", {}),
 }
 
 
@@ -528,7 +494,7 @@ def main(argv=None) -> int:
         if not os.access(out, os.W_OK):
             raise OSError(f"output directory {out} is not writable")
         with _thread_context(cfg):
-            return _HANDLERS[args.command](cfg, out)
+            return _COMMANDS[args.command][0](cfg, out)
     except (SingularGramError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .basis import PolyBasis, as_points, eval_basis_many, monomial_basis, space_dimension, stabilized_basis
@@ -421,7 +423,7 @@ def make_design(points, weights) -> DiscreteDesign:
     if np.any(w < 0):
         raise ValueError("design weights must be nonnegative")
     total = float(w.sum())
-    if abs(total - 1.0) >= _SUM_TOL:
+    if not abs(total - 1.0) < _SUM_TOL:  # also refuses NaN weights
         raise ValueError(f"design weights sum to {total!r}, not 1")
     _require_distinct(pts, _ATOM_TOL, "atoms")
     return DiscreteDesign(points=_freeze(pts.copy()), weights=_freeze(w / total))
@@ -456,30 +458,15 @@ def prune_and_merge(design: DiscreteDesign, weight_tol: float = 0.0, merge_radiu
         raise ValueError("pruning removed every atom")
     if merge_radius > 0 and pts.shape[0] > 1:
         m = pts.shape[0]
-        dist = np.linalg.norm((pts[:, None, :] - pts[None, :, :]).view(float).reshape(m, m, -1), axis=2)
-        parent = list(range(m))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(m):
-            for j in range(i + 1, m):
-                if dist[i, j] <= merge_radius:
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(m):
-            groups.setdefault(find(i), []).append(i)
-        new_pts, new_w = [], []
-        for members in groups.values():
-            wm = w[members]
-            new_w.append(float(wm.sum()))
-            new_pts.append(np.average(pts[members], axis=0, weights=wm))
-        order = np.argsort([float(np.real(p[0])) for p in new_pts], kind="stable")
-        pts = np.array(new_pts)[order]
-        w = np.array(new_w)[order]
+        xy = _real_coordinates(pts)
+        pairs = cKDTree(xy).query_pairs(merge_radius, output_type="ndarray")
+        # components are numbered in order of their lowest member
+        _, label = connected_components(coo_matrix((np.ones(len(pairs)), pairs.T), shape=(m, m)), directed=False)
+        mass = np.bincount(label, weights=w)
+        centre = np.stack([np.bincount(label, weights=w * c) for c in xy.T], axis=1) / mass[:, None]
+        order = np.argsort(centre[:, 0], kind="stable")
+        pts = centre.view(complex)[order]
+        w = mass[order]
     return PruneResult(make_design(pts, w / w.sum()), dropped)
 
 
@@ -527,15 +514,31 @@ def design_to_json(design: DiscreteDesign, degree: int = 0) -> str:
     return json.dumps(payload)
 
 
+def _field(payload, key: str, what: str, expected: type | None = None):
+    """payload[key], or a ValueError naming the missing key or its wrong type."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"{what} JSON has no {key!r} key")
+    value = payload[key]
+    if expected is not None and (not isinstance(value, expected) or isinstance(value, bool)):
+        raise ValueError(f"{what} JSON {key!r} must be {expected.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _decode_points(payload, what: str) -> np.ndarray:
+    """The "points" of a design or weight JSON: one list of [re, im] pairs per point."""
+    rows = _field(payload, "points", what, list)
+    for i, row in enumerate(rows):
+        for pair in row if isinstance(row, list) else [row]:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair)):
+                raise ValueError(f"{what} JSON point {i} holds {json.dumps(pair)}, not an [re, im] pair")
+    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+
+
 def design_from_json(text: str) -> tuple[DiscreteDesign, int]:
     """Inverse of :func:`design_to_json`; returns (design, degree)."""
     payload = json.loads(text)
-    d = int(payload["dimension"])
-    pts = np.array(
-        [[complex(re, im) for re, im in row] for row in payload["points"]],
-        dtype=complex,
-    ).reshape(-1, d)
-    return make_design(pts, payload["weights"]), int(payload["degree"])
+    pts = _decode_points(payload, "design").reshape(-1, _field(payload, "dimension", "design", int))
+    return make_design(pts, _field(payload, "weights", "design", list)), _field(payload, "degree", "design", int)
 
 
 def weight_to_json(weight: WeightFunction) -> str:
@@ -556,15 +559,11 @@ def weight_to_json(weight: WeightFunction) -> str:
 
 def weight_from_json(text: str) -> WeightFunction:
     payload = json.loads(text)
-    kind = payload["kind"]
+    kind = _field(payload, "kind", "weight")
     if kind == "unit":
         return unit_weight()
     if kind == "gaussian":
         return gaussian_weight()
     if kind == "table":
-        pts = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["points"]],
-            dtype=complex,
-        )
-        return table_weight(pts, payload["values"])
+        return table_weight(_decode_points(payload, "weight"), _field(payload, "values", "weight", list))
     raise ValueError(f"unknown weight kind {kind!r}")

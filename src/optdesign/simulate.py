@@ -168,13 +168,25 @@ def _complex_matrix(mat) -> list:
     return [_complex_list(row) for row in np.asarray(mat)]
 
 
-def _apportioned_christoffel(exp: RegressionExperiment, counts: np.ndarray):
-    """Moment matrix and Christoffel evaluator of the apportioned design."""
+def _run(exp: RegressionExperiment, points: np.ndarray):
+    """Run the trials; return the estimates, the observation counts, the
+    apportioned design's moment matrix and K evaluator, and the prediction
+    rows at ``points`` (k, d)."""
+    V, counts = _observation_matrix(exp)
+    theta_hats = _trial_estimates(exp, V)
     pos = counts > 0
     mu_x = make_design(exp.design.points[pos], counts[pos] / counts.sum())
     basis = monomial_basis(exp.design.dimension, exp.degree)
     mm = moment_matrix(mu_x, unit_weight(), exp.degree, basis)
-    return mm, orthonormal_factor(mm, unit_weight())
+    ev = orthonormal_factor(mm, unit_weight())
+    # plain transpose: sum_j p_j(z) theta_hat_j; one row per point, so each sum runs pairwise over the trials
+    vals = np.ascontiguousarray((theta_hats @ eval_basis_many(basis, points).T).T)
+    emp = np.sum(np.abs(vals - vals.mean(axis=1)[:, None]) ** 2, axis=1) / max(exp.trials - 1, 1)
+    theo = exp.sigma**2 / exp.num_obs * christoffel_many(ev, points)
+    rows = tuple(
+        PredictionRow(point=z, empirical_var=float(e), theoretical_var=float(t)) for z, e, t in zip(points, emp, theo)
+    )
+    return theta_hats, counts, mm, ev, rows
 
 
 def simulate_regression(exp: RegressionExperiment) -> ExperimentStats:
@@ -183,17 +195,14 @@ def simulate_regression(exp: RegressionExperiment) -> ExperimentStats:
     Aggregation uses numpy's fixed-order pairwise summation over the trial
     axis, so results are reproducible bit for bit for a given seed.
     """
-    V, counts = _observation_matrix(exp)
-    theta_hats = _trial_estimates(exp, V)
+    theta_hats, counts, mm, ev, rows = _run(exp, exp.design.points)
     mean = theta_hats.mean(axis=0)
     centered = theta_hats - mean[None, :]
     denom = max(exp.trials - 1, 1)
     emp_cov = centered.T.conj() @ centered / denom
     # V* V = num_obs * M, and inv(M) = L* L
-    mm, ev = _apportioned_christoffel(exp, counts)
     theo_cov = exp.sigma**2 / exp.num_obs * (ev.L.conj().T @ ev.L)
     volume = math.exp(-0.5 * (mm.log_det + mm.n * math.log(exp.num_obs)))
-    rows = tuple(_prediction_row(exp, theta_hats, ev, z) for z in exp.design.points)
     return ExperimentStats(
         theta_mean=mean,
         empirical_cov=emp_cov,
@@ -203,18 +212,6 @@ def simulate_regression(exp: RegressionExperiment) -> ExperimentStats:
         prediction=rows,
         trials=exp.trials,
     )
-
-
-def _prediction_row(exp, theta_hats, ev, z) -> PredictionRow:
-    basis = monomial_basis(exp.design.dimension, exp.degree)
-    p = eval_basis_many(basis, np.asarray(z, dtype=complex).reshape(1, -1))[0]
-    vals = theta_hats @ p  # plain transpose: sum_j p_j theta_hat_j
-    mv = vals.mean()
-    denom = max(exp.trials - 1, 1)
-    emp = float(np.sum(np.abs(vals - mv) ** 2) / denom)
-    K = christoffel_many(ev, np.asarray(z, dtype=complex).reshape(1, -1))[0]
-    theo = exp.sigma**2 / exp.num_obs * float(K)
-    return PredictionRow(point=np.asarray(z, dtype=complex).reshape(-1), empirical_var=emp, theoretical_var=theo)
 
 
 @dataclass(frozen=True)
@@ -241,12 +238,9 @@ def variance_identity_check(exp: RegressionExperiment, eval_points) -> VarianceC
     The check passes when every ratio lies in [0.9, 1.1] and the
     experiment ran at least 10^4 trials.
     """
-    V, counts = _observation_matrix(exp)
-    theta_hats = _trial_estimates(exp, V)
-    _, ev = _apportioned_christoffel(exp, counts)
     pts = np.asarray(eval_points, dtype=complex)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    rows = tuple(_prediction_row(exp, theta_hats, ev, z) for z in pts)
+    rows = _run(exp, pts)[-1]
     ok = all(0.9 <= r.ratio <= 1.1 for r in rows) and exp.trials >= 10**4
     return VarianceCheck(rows=rows, passed=ok)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from optdesign import design_from_json
-from optdesign.cli import main
+from optdesign.cli import _build_parser, _resolve_config, main
 
 
 def run(tmp_path, *args):
@@ -269,3 +269,93 @@ def test_rank_deficient_fekete_weight_is_a_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "validation error: weighted Vandermonde is rank-deficient on this grid\n"
     assert not (out / "fekete.json").exists()
+
+
+_COMMON_DEFAULTS = {
+    "domain": "interval", "dimension": 1, "a": 1.0, "grid": 401, "grid_angular": 64,
+    "spacing": "chebyshev", "weight": "unit", "seed": 0, "threads": None, "out": ".",
+}
+
+# the resolved defaults every artifact echoes, key for key and in order
+_PINNED_DEFAULTS = {
+    "design": {"degree": 2, "epsilon": 1e-5, "max_iter": None},
+    "gvalue": {"design": None, "degree": None},
+    "fekete": {"degree": 2, "exchange_passes": 2},
+    "tfd": {"degrees": "1,2,4,8", "epsilon": 1e-5, "max_iter": None, "exchange_passes": 2},
+    "equilibrium": {"target": "arcsine", "tmax": 6},
+    "converge": {"degrees": "2,4,8", "target": "arcsine", "tmax": 6, "epsilon": 1e-5, "max_iter": None},
+    "simulate": {
+        "design": None, "degree": None, "sigma": 0.1, "obs": 100, "trials": 10000, "epsilon": 1e-6, "max_iter": None,
+    },
+    "oracle": {"atoms": 4, "degree": 2},
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_DEFAULTS))
+def test_resolved_defaults_are_pinned(command):
+    cfg = _resolve_config(_build_parser().parse_args([command]))
+    expected = {**_COMMON_DEFAULTS, **_PINNED_DEFAULTS[command], "command": command}
+    assert list(cfg.items()) == list(expected.items())
+
+
+def test_help_lists_each_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--epsilon EPSILON (default: 1e-06)" in help_text
+    assert "--grid GRID grid density (per-axis / radial count) (default: 401)" in help_text
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("design", '{"grid": "401"}', "config key 'grid' must be int, got \"401\""),
+        ("design", '{"degree": 2.5}', "config key 'degree' must be int, got 2.5"),
+        ("design", '{"degree": true}', "config key 'degree' must be int, got true"),
+        ("design", '{"epsilon": null}', "config key 'epsilon' must be float, got null"),
+        ("design", '{"threads": "2"}', "config key 'threads' must be int, got \"2\""),
+        ("design", '{"out": 5}', "config key 'out' must be str, got 5"),
+        ("design", '{"spacing": "random"}', "config key 'spacing' must be one of ['chebyshev', 'uniform'], got \"random\""),
+        ("design", "5", "must hold a JSON object"),
+        ("tfd", '{"degrees": 5}', "config key 'degrees' must be str, got 5"),
+    ],
+)
+def test_ill_typed_config_value_is_a_validation_error(tmp_path, capsys, command, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    rc, out = run(tmp_path, command, "--config", str(cfg))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.endswith(message + "\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_accepts_null_where_the_default_is_null_and_an_int_for_a_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": None, "max_iter": None, "a": 2, "degree": 1, "grid": 51, "epsilon": 1e-3}))
+    rc, out = run(tmp_path, "design", "--config", str(cfg))
+    assert rc == 0
+    echoed = json.loads((out / "certificate.json").read_text())["config"]
+    assert echoed["a"] == 2 and echoed["threads"] is None
+
+
+@pytest.mark.parametrize(
+    "command, flag, content, message",
+    [
+        ("gvalue", "--design", "{}", "design JSON has no 'points' key"),
+        ("simulate", "--design", '{"points": [[[0.0, 0.0]]], "weights": [1.0]}', "design JSON has no 'dimension' key"),
+        ("gvalue", "--design", '{"dimension": 1, "degree": 1, "points": [[[0.0]]], "weights": [1.0]}',
+         "design JSON point 0 holds [0.0], not an [re, im] pair"),
+        ("design", "--weight", '{"kind": "table"}', "weight JSON has no 'points' key"),
+        ("design", "--weight", '{"kind": "table", "points": [[[0.0, "x"]]], "values": [1.0]}',
+         'weight JSON point 0 holds [0.0, "x"], not an [re, im] pair'),
+        ("design", "--weight", "[]", "weight JSON has no 'kind' key"),
+    ],
+)
+def test_malformed_design_or_weight_file_is_a_validation_error(tmp_path, capsys, command, flag, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    rc, out = run(tmp_path, command, "--grid", "51", flag, str(path))
+    assert rc == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not any(out.iterdir())

@@ -227,6 +227,36 @@ def test_merge_chains_to_weighted_barycenter():
     assert same.design.size == 2
 
 
+@pytest.mark.parametrize("complex_points", [False, True])
+def test_merge_matches_a_pairwise_union_find(complex_points):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        m, d = int(rng.integers(2, 30)), int(rng.integers(1, 3))
+        centres = rng.standard_normal((m // 3 + 1, d)) + (1j * rng.standard_normal((m // 3 + 1, d)) if complex_points else 0)
+        pts = centres[rng.integers(0, len(centres), m)] + 1e-3 * rng.standard_normal((m, d))
+        w = rng.random(m)
+        res = prune_and_merge(make_design(pts, w / w.sum()), merge_radius=0.01)
+        # reference: union every pair within the radius, groups in order of their lowest member
+        xy = pts.astype(complex).view(float)
+        label = list(range(m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                if np.linalg.norm(xy[i] - xy[j]) <= 0.01:
+                    old, new = label[j], label[i]
+                    label = [new if v == old else v for v in label]
+        groups = [np.flatnonzero(np.array(label) == g) for g in dict.fromkeys(label)]
+        ref_w = np.array([w[g].sum() for g in groups]) / w.sum()
+        ref_p = np.array([np.average(pts[g], axis=0, weights=w[g]) for g in groups])
+        order = np.argsort(ref_p[:, 0].real, kind="stable")
+        assert np.allclose(res.design.points, ref_p[order], rtol=0, atol=1e-14)
+        assert np.allclose(res.design.weights, ref_w[order], rtol=0, atol=1e-15)
+
+
+def test_make_design_refuses_nan_weights():
+    with pytest.raises(ValueError, match="sum to nan"):
+        make_design([0.0, 1.0], [math.nan, 1.0])
+
+
 def test_prune_refuses_to_empty_the_design():
     d = make_design([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):

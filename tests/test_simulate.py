@@ -184,3 +184,34 @@ def test_trial_noise_is_a_fresh_philox_draw_keyed_by_seed_and_trial(kind):
             noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
         ref = np.linalg.lstsq(V, V @ exp.theta + exp.sigma * noise, rcond=None)[0]
         assert np.allclose(theta_hats[t], ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_prediction_rows_match_a_per_point_loop(kind):
+    from optdesign import christoffel_many, moment_matrix, orthonormal_factor, unit_weight
+    from optdesign.simulate import _observation_matrix, _trial_estimates
+
+    if kind == "real":
+        exp, pts = experiment(trials=500), np.array([[-1.0], [-0.3], [0.0], [0.8]], dtype=complex)
+    else:
+        z = 0.75 * np.exp(2j * math.pi * np.arange(5) / 5)
+        exp = RegressionExperiment(
+            design=uniform_design(z), degree=2, theta=np.ones(3), sigma=0.2, num_obs=25, trials=500, seed=3,
+        )
+        pts = np.array([[0.1j], [0.5 - 0.2j], [-0.9]])
+    rows = variance_identity_check(exp, pts).rows
+    V, counts = _observation_matrix(exp)
+    theta_hats = _trial_estimates(exp, V)
+    basis = monomial_basis(1, exp.degree)
+    pos = counts > 0
+    ev = orthonormal_factor(
+        moment_matrix(make_design(exp.design.points[pos], counts[pos] / counts.sum()), unit_weight(), exp.degree, basis),
+        unit_weight(),
+    )
+    for row, z in zip(rows, pts):
+        vals = theta_hats @ eval_basis_many(basis, z.reshape(1, -1))[0]
+        emp = np.sum(np.abs(vals - vals.mean()) ** 2) / (exp.trials - 1)
+        theo = exp.sigma**2 / exp.num_obs * christoffel_many(ev, z.reshape(1, -1))[0]
+        assert row.empirical_var == pytest.approx(emp, rel=1e-13)
+        assert row.theoretical_var == pytest.approx(theo, rel=1e-13)
+        assert np.array_equal(row.point, z)
