@@ -127,6 +127,8 @@ def moment_distance(design: DiscreteDesign, target: EquilibriumMeasure, t_max: i
     ranges over mixed monomials z^beta conj(z)^gamma, which see the
     angular structure that holomorphic moments miss.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
     w = design.weights
     pts = design.points
     if target.kind == "weighted-ball":

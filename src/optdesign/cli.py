@@ -151,7 +151,7 @@ def _make_space(cfg: dict):
     if dom == "simplex":
         return simplex(dimension=cfg["dimension"], a=cfg["a"], refine=cfg["grid"])
     if dom == "disk":
-        return disk(a=cfg["a"], radial=cfg["grid"], angular=cfg["grid_angular"])
+        return disk(a=cfg["a"], radial=cfg["grid"], angular=cfg["grid_angular"], spacing=cfg["spacing"])
     raise ValueError(f"unknown domain {dom!r}")
 
 
@@ -168,6 +168,8 @@ def _make_weight(cfg: dict):
 
 
 def _make_target(cfg: dict) -> EquilibriumMeasure:
+    if cfg["tmax"] < 0:  # every subcommand with a target compares moments up to --tmax
+        raise ValueError(f"--tmax must be nonnegative, got {cfg['tmax']}")
     t = cfg["target"]
     if t == "arcsine":
         return arcsine(cfg["a"])

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import degree_sum, eval_basis_many
-from .gram import _real_if_real, _squared_norms
-from .measure import DesignSpace, WeightFunction, basis_for_space
+from .basis import degree_sum
+from .measure import DesignSpace, WeightFunction, _squared_norms, basis_for_space, weighted_rows
 from .optimal import OptimalResult, d_optimal
 
 _EXHAUSTIVE_LIMIT = 2 * 10**6
@@ -116,11 +115,10 @@ def approx_fekete(
     m = grid.shape[0]
     if m < n:
         raise ValueError(f"grid of {m} points cannot support {n} Fekete points")
-    ws = weight.values(grid) ** s
-    A = _real_if_real(eval_basis_many(basis, grid)) * ws[:, None]
+    A = weighted_rows(basis, grid, weight.values(grid))
 
     if exhaustive:
-        pos = np.flatnonzero(ws > 0)
+        pos = np.flatnonzero(np.any(A != 0, axis=1))
         count = math.comb(pos.size, n)
         if count > _EXHAUSTIVE_LIMIT:
             raise ValueError(f"exhaustive search over {count} subsets exceeds the limit")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import PolyBasis, as_points, eval_basis_many
-from .measure import DiscreteDesign, WeightFunction
+from .basis import PolyBasis, as_points
+from .measure import DiscreteDesign, WeightFunction, _squared_norms, weighted_rows
 
 _PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||_2
 
@@ -67,11 +67,6 @@ class MomentMatrix:
         return self.log_det - 2.0 * self.basis.log_lead
 
 
-def _real_if_real(B: np.ndarray) -> np.ndarray:
-    """B itself, or its real part when no entry has an imaginary part."""
-    return B if np.any(B.imag) else B.real
-
-
 def _assemble(B: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(B^H * coef) B, symmetrized to kill roundoff."""
     M = (B.conj().T * coef) @ B
@@ -106,17 +101,11 @@ def _inverse_factor(C: np.ndarray) -> np.ndarray:
     return L
 
 
-def _squared_norms(Z: np.ndarray) -> np.ndarray:
-    """||z||^2 of each row of Z."""
-    F = Z.view(np.float64) if np.iscomplexobj(Z) else Z  # |z|^2 = re^2 + im^2, no hypot
-    return np.einsum("ij,ij->i", F, F)
-
-
-def _christoffel_rows(B: np.ndarray, L: np.ndarray, u: np.ndarray | float) -> np.ndarray:
-    """K at the points whose basis values are the rows of B, times u = w**(2*s)."""
+def _christoffel_rows(A: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """K at the points whose weighted rows (see ``weighted_rows``) are the rows of A."""
     # transpose-conjugate pairing p^T inv(M) conj(p) = ||conj(L) p||^2: keeps
     # the mass identity exact when the moment matrix is genuinely complex
-    return _squared_norms(B @ L.conj().T) * u
+    return _squared_norms(A @ L.conj().T)
 
 
 def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -138,19 +127,19 @@ def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> 
     return -(F @ F.T) / np.outer(counts, counts)
 
 
-def _orbit_rows(B: np.ndarray, u: np.ndarray, orbits: np.ndarray, counts: np.ndarray):
-    """Rows R and their orbit ids, with R[o]^H R[o] = sum over x in o of u_x b_x^H b_x.
+def _orbit_rows(A: np.ndarray, orbits: np.ndarray, counts: np.ndarray):
+    """Rows R and their orbit ids, with R[o]^H R[o] = A[o]^H A[o] for each orbit o.
 
-    Each orbit's rows sqrt(u) * B[o] are replaced by their QR factor R
+    Each orbit's weighted rows A[o] are replaced by their QR factor R
     once they outnumber the n columns, so no orbit keeps more than n rows;
     assembling with orbit weights and summing ||R L^H||^2 per orbit then
-    gives M and the orbit sums of K exactly.  Real B gives real rows.
+    gives M and the orbit sums of K exactly.  Real A gives real rows.
     """
-    A = np.sqrt(u)[:, None] * _real_if_real(B)
-    big = np.flatnonzero(counts > B.shape[1])
-    small = counts[orbits] <= B.shape[1]
+    n = A.shape[1]
+    big = np.flatnonzero(counts > n)
+    small = counts[orbits] <= n
     R = [A[small]] + [np.linalg.qr(A[orbits == o], mode="r") for o in big]
-    ids = [orbits[small]] + [np.full(B.shape[1], o) for o in big]
+    ids = [orbits[small]] + [np.full(n, o) for o in big]
     return np.concatenate(R), np.concatenate(ids)
 
 
@@ -165,11 +154,9 @@ def moment_matrix(
     The result is Hermitian by construction (symmetrized to kill roundoff)
     and positive semidefinite up to rounding.
     """
-    if basis.dimension != design.dimension:
-        raise ValueError("basis and design dimensions differ")
-    B = _real_if_real(eval_basis_many(basis, design.points))
-    wv = weight.values(design.points)
-    M = _assemble(B, design.weights * wv ** (2 * s))
+    if (basis.dimension, basis.degree) != (design.dimension, s):
+        raise ValueError("basis and design dimensions, or basis and moment degrees, differ")
+    M = _assemble(weighted_rows(basis, design.points, weight.values(design.points)), design.weights)
     _, log_det, _ = _cholesky_log_det(M)
     return MomentMatrix(matrix=M, degree=s, basis=basis, log_det=log_det)
 
@@ -218,8 +205,7 @@ def orthonormal_factor(mm: MomentMatrix, weight: WeightFunction) -> ChristoffelE
 def christoffel_many(ev: ChristoffelEvaluator, points) -> np.ndarray:
     """Evaluate K(z) = ||conj(L) p(z)||^2 * w(z)**(2*s) at many points."""
     pts = as_points(points, ev.basis.dimension)
-    B = _real_if_real(eval_basis_many(ev.basis, pts))
-    return _christoffel_rows(B, ev.L, ev.weight.values(pts) ** (2 * ev.degree))
+    return _christoffel_rows(weighted_rows(ev.basis, pts, ev.weight.values(pts)), ev.L)
 
 
 def christoffel(ev: ChristoffelEvaluator, z) -> float:

@@ -19,7 +19,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .basis import PolyBasis, as_points, eval_basis_many, monomial_basis, space_dimension, stabilized_basis
+from .basis import PolyBasis, as_points, eval_basis_many, monomial_basis, stabilized_basis
 
 _ATOM_TOL = 1e-12  # two atoms closer than this are considered identical
 _SUM_TOL = 1e-9  # admissible drift of a weight vector's total mass
@@ -27,6 +27,12 @@ _SUM_TOL = 1e-9  # admissible drift of a weight vector's total mass
 
 # ---------------------------------------------------------------------------
 # point sets
+
+
+def _point_array(points) -> np.ndarray:
+    """Points as a complex array; a 1-d input holds m points of one coordinate."""
+    pts = np.asarray(points, dtype=complex)
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
 def _real_coordinates(pts: np.ndarray) -> np.ndarray:
@@ -262,9 +268,7 @@ def disk(
 
 def custom_grid(points, membership: Callable[[np.ndarray], bool] | None = None, a: float = 1.0) -> DesignSpace:
     """Wrap an explicit point set as a design space; repeated points are refused."""
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _point_array(points)
     _require_distinct(pts, 0.0, "grid points")
     member = membership if membership is not None else (lambda p: True)
     return DesignSpace("custom", pts.shape[1], a, _freeze(pts.copy()), member, {})
@@ -320,9 +324,7 @@ class WeightFunction:
     table_values: np.ndarray | None = None
 
     def values(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
+        pts = _point_array(points)
         if self.kind == "unit":
             return np.ones(pts.shape[0])
         if self.kind == "gaussian":
@@ -366,9 +368,7 @@ def gaussian_weight() -> WeightFunction:
 
 
 def table_weight(points, values) -> WeightFunction:
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _point_array(points)
     vals = np.asarray(values, dtype=float)
     if len(vals) != pts.shape[0]:
         raise ValueError("tabulated weight needs one value per point")
@@ -412,9 +412,7 @@ def make_design(points, weights) -> DiscreteDesign:
     Weights must be nonnegative and sum to 1 within 1e-9 (they are then
     renormalized exactly); atoms must be pairwise distinct beyond 1e-12.
     """
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _point_array(points)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if pts.shape[0] != w.shape[0]:
         raise ValueError(f"{pts.shape[0]} points but {w.shape[0]} weights")
@@ -431,9 +429,7 @@ def make_design(points, weights) -> DiscreteDesign:
 
 def uniform_design(points) -> DiscreteDesign:
     """Equal weights on the given atoms."""
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _point_array(points)
     m = pts.shape[0]
     return make_design(pts, np.full(m, 1.0 / m))
 
@@ -479,24 +475,41 @@ class AdmissibilityReport:
     reason: str | None = None
 
 
-def check_admissible(weight: WeightFunction, space: DesignSpace, s: int) -> AdmissibilityReport:
-    """Whether w admits a nonsingular degree-s design on this grid.
+def weighted_rows(basis: PolyBasis, points: np.ndarray, wvals: np.ndarray) -> np.ndarray:
+    """The weighted Vandermonde rows sqrt(w^{2s}) p(x), w = wvals and s the basis degree.
 
-    Requires at least n = C(s+d, d) grid points with positive weight and a
-    full-rank Vandermonde matrix on those points.
+    A design's moment matrix is the Gram matrix of its rows under its
+    masses.  They are real when no basis value has an imaginary part.
     """
-    n = space_dimension(space.dimension, s)
-    wvals = weight.values(space.grid)
-    pos = wvals > 0
+    B = eval_basis_many(basis, points)
+    return np.sqrt(wvals ** (2 * basis.degree))[:, None] * (B if np.any(B.imag) else B.real)
+
+
+def _squared_norms(Z: np.ndarray) -> np.ndarray:
+    """||z||^2 of each row of Z."""
+    F = Z.view(np.float64) if np.iscomplexobj(Z) else Z  # |z|^2 = re^2 + im^2, no hypot
+    return np.einsum("ij,ij->i", F, F)
+
+
+def _admissibility(A: np.ndarray) -> AdmissibilityReport:
+    """Whether at least n weighted rows A are nonzero (w^{2s} > 0: the basis holds a constant) with rank n."""
+    n = A.shape[1]
+    pos = np.any(A != 0, axis=1)
     count = int(pos.sum())
     if count < n:
         return AdmissibilityReport(False, count, n, None, f"only {count} positive-weight grid points, need {n}")
-    basis = basis_for_space(space, s)
-    B = eval_basis_many(basis, space.grid[pos])
-    rank = int(np.linalg.matrix_rank(B))
-    if rank < n:
-        return AdmissibilityReport(False, count, n, rank, f"Vandermonde rank {rank} < {n} on positive-weight points")
-    return AdmissibilityReport(True, count, n, rank)
+    rank = int(np.linalg.matrix_rank(A[pos]))
+    reason = None if rank == n else f"weighted Vandermonde rank {rank} < {n} on positive-weight points"
+    return AdmissibilityReport(rank == n, count, n, rank, reason)
+
+
+def check_admissible(weight: WeightFunction, space: DesignSpace, s: int) -> AdmissibilityReport:
+    """Whether w admits a nonsingular degree-s design on this grid.
+
+    Requires at least n = C(s+d, d) grid points where w^{2s} is positive
+    and a full-rank weighted Vandermonde matrix on those points.
+    """
+    return _admissibility(weighted_rows(basis_for_space(space, s), space.grid, weight.values(space.grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ optimality.  The solve runs in two phases:
    largest K carries none), active-set Newton steps on the masses over
    the simplex, with a backtracking line search on log det itself, so
    every accepted step raises it.  A step that cannot ascend is replaced
-   by a multiplicative one.
+   by a multiplicative one, or by the Wynn-Fedorov vertex step when the
+   orbit with the largest K carries no mass.
 
 Steps of both kinds count as iterations against ``max_iter``.  The
 certificate is always taken on every orbit of the full grid: if an
@@ -37,22 +38,16 @@ import numpy as np
 
 from .basis import eval_basis, eval_basis_many, monomial_basis, space_dimension
 from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
-from .gram import (
-    _assemble,
-    _cholesky_log_det,
-    _christoffel_rows,
-    _inverse_factor,
-    _orbit_hessian,
-    _orbit_rows,
-    _squared_norms,
-)
+from .gram import _assemble, _cholesky_log_det, _christoffel_rows, _inverse_factor, _orbit_hessian, _orbit_rows
 from .measure import (
     DesignSpace,
     DiscreteDesign,
     WeightFunction,
+    _admissibility,
+    _squared_norms,
     basis_for_space,
-    check_admissible,
     make_design,
+    weighted_rows,
 )
 
 _ORACLE_LIMIT = 10**7  # cap on the number of index tuples a brute-force sum may touch
@@ -66,23 +61,23 @@ class AdmissibilityError(ValueError):
     """The weight does not admit a nonsingular design on this grid."""
 
 
-def _symmetry_orbits(space, u: np.ndarray, w0: np.ndarray):
+def _symmetry_orbits(space, wvals: np.ndarray, w0: np.ndarray):
     """Return (orbit id per point, orbit sizes) for the solver to iterate on.
 
     A space may record symmetry orbits of its grid (e.g. the rings of a
     disk).  If the weight values and the starting measure are constant on
     every orbit, the exact iteration stays orbit-constant forever, so the
     solver keeps one weight per orbit and averages K over each orbit.
-    Otherwise (no recorded orbits, or u or w0 depend on more than the
+    Otherwise (no recorded orbits, or wvals or w0 depend on more than the
     orbit) every point is its own orbit.
     """
-    m = u.shape[0]
+    m = wvals.shape[0]
     trivial = np.arange(m), np.ones(m, dtype=np.intp)
     orbits = space.params.get("orbits") if space.params else None
     if orbits is None:
         return trivial
     _, orbits, counts = np.unique(orbits, return_inverse=True, return_counts=True)
-    for vals in (u, w0):
+    for vals in (wvals, w0):
         means = np.bincount(orbits, weights=vals) / counts
         if np.max(np.abs(vals - means[orbits])) > 1e-9 * max(np.max(np.abs(vals)), 1e-300):
             return trivial
@@ -239,17 +234,17 @@ def d_optimal(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if max_iter is not None and max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
-    report = check_admissible(weight, space, s)
-    if not report.passed:
-        raise AdmissibilityError(f"degree-{s} design infeasible: {report.reason}")
     basis = basis_for_space(space, s)
     n = basis.n
     grid = space.grid
     m = grid.shape[0]
+    wvals = weight.values(grid)
+    A = weighted_rows(basis, grid, wvals)
+    report = _admissibility(A)
+    if not report.passed:
+        raise AdmissibilityError(f"degree-{s} design infeasible: {report.reason}")
     if max_iter is None:
         max_iter = min(1_000_000, 50 * m + math.ceil(4.0 / (epsilon * n)))
-    B = eval_basis_many(basis, grid)
-    u = weight.values(grid) ** (2 * s)
 
     if init is None:
         w = np.full(m, 1.0 / m)
@@ -259,11 +254,11 @@ def d_optimal(
             raise ValueError("init must be a nonnegative weight vector over the grid")
         w /= w.sum()
 
-    orbits, counts = _symmetry_orbits(space, u, w)
+    orbits, counts = _symmetry_orbits(space, wvals, w)
     # one mass per orbit, one Gram row set per orbit; exact under the
     # grid's symmetry, and it stops rounding noise from drifting along
     # det-flat angular modes
-    R, row_orbit = _orbit_rows(B, u, orbits, counts)
+    R, row_orbit = _orbit_rows(A, orbits, counts)
     live = np.ones(counts.size, dtype=bool)
     live_R, live_row_orbit = R, row_orbit
     newton_at = max(3 * n, _NEWTON_ORBITS)
@@ -279,7 +274,7 @@ def d_optimal(
         return new
 
     def grid_christoffel(L):
-        return np.bincount(row_orbit, weights=_christoffel_rows(R, L, 1.0), minlength=counts.size) / counts
+        return np.bincount(row_orbit, weights=_christoffel_rows(R, L), minlength=counts.size) / counts
 
     it = evaluate_or_raise(np.bincount(orbits, weights=w, minlength=counts.size), 0)
     mass_resid = 0.0
@@ -304,12 +299,18 @@ def d_optimal(
         steps += 1
         out = live & (it.K < _hp_bound(gap, n))
         new = None
-        if np.count_nonzero(it.mass) <= newton_at or it.mass[np.argmax(it.K)] == 0:
+        j = int(np.argmax(it.K))
+        if np.count_nonzero(it.mass) <= newton_at or it.mass[j] == 0:
             new = _newton_step(it, evaluate, counts, n)
             if new is not None:
                 out &= new.mass == 0
         if new is None:
-            mass = it.mass * it.K / n
+            if it.mass[j] == 0:  # no multiplicative step gives it mass: Wynn-Fedorov vertex step
+                a = (it.K[j] - n) / (n * (it.K[j] - 1.0))
+                mass = (1.0 - a) * it.mass
+                mass[j] += a
+            else:
+                mass = it.mass * it.K / n
             mass[out] = 0.0
             mass /= mass.sum()
         dropped = out.any()

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 
 from .basis import eval_basis_many, monomial_basis, space_dimension
 from .gram import christoffel_many, moment_matrix, orthonormal_factor
-from .measure import DiscreteDesign, make_design, unit_weight
+from .measure import DiscreteDesign, _point_array, make_design, unit_weight
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class RegressionExperiment:
         if th.shape[0] != n:
             raise ValueError(f"theta has length {th.shape[0]}, expected {n}")
         object.__setattr__(self, "theta", th)
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma!r}")
         if self.num_obs < n:
             raise ValueError(f"need at least {n} observations for degree {self.degree}")
         if self.trials < 1:
@@ -238,9 +238,6 @@ def variance_identity_check(exp: RegressionExperiment, eval_points) -> VarianceC
     The check passes when every ratio lies in [0.9, 1.1] and the
     experiment ran at least 10^4 trials.
     """
-    pts = np.asarray(eval_points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    rows = _run(exp, pts)[-1]
+    rows = _run(exp, _point_array(eval_points))[-1]
     ok = all(0.9 <= r.ratio <= 1.1 for r in rows) and exp.trials >= 10**4
     return VarianceCheck(rows=rows, passed=ok)

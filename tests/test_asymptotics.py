@@ -59,6 +59,13 @@ def test_moment_distance_endpoint_design():
     assert moment_distance(d, arcsine(), t_max=6) == pytest.approx(11.0 / 16.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("target", [arcsine(), weighted_ball_measure()], ids=["arcsine", "wball"])
+def test_moment_distance_rejects_a_negative_t_max(target):
+    # a negative t_max compares no monomial: the distance would read 0
+    with pytest.raises(ValueError, match="t_max must be nonnegative, got -3"):
+        moment_distance(make_design([0.5], [1.0]), target, t_max=-3)
+
+
 def test_moment_distance_uniform_ring_vs_weighted_ball():
     # 16th roots of unity scaled to |z| = 1/2; worst mixed moment is |z|^4
     z = 0.5 * np.exp(2j * math.pi * np.arange(16) / 16)

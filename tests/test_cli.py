@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from optdesign import design_from_json
-from optdesign.cli import _build_parser, _resolve_config, main
+from optdesign import design_from_json, design_to_json, disk, make_design
+from optdesign.cli import _build_parser, _make_space, _resolve_config, main
 
 
 def run(tmp_path, *args):
@@ -217,15 +217,49 @@ def test_weight_file_round_trip(tmp_path):
     assert rc2 == 2
 
 
-def test_underflowing_weight_is_a_numerical_failure(tmp_path, capsys):
+def test_underflowing_weight_is_a_validation_error(tmp_path, capsys):
     rc, out = run(
         tmp_path,
         "design", "--domain", "interval", "--a", "30", "--weight", "gaussian", "--degree", "12",
     )
-    assert rc == 3
+    assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: moment matrix lost rank") and err.count("\n") == 1
+    assert err.startswith("validation error: degree-12 design infeasible: weighted Vandermonde rank")
+    assert err.count("\n") == 1
     assert not (out / "certificate.json").exists()
+
+
+def test_fine_unit_disk_design_converges(tmp_path):
+    rc, out = run(tmp_path, "design", "--domain", "disk", "--grid", "32", "--grid-angular", "80", "--degree", "2")
+    assert rc == 0
+    cert = json.loads((out / "certificate.json").read_text())["results"]
+    assert cert["converged"] is True and cert["iterations"] <= 30
+
+
+@pytest.mark.parametrize("target", ["arcsine", "cube", "ball", "simplex", "wball"])
+@pytest.mark.parametrize("command", ["equilibrium", "converge"])
+def test_negative_tmax_is_a_validation_error(tmp_path, capsys, command, target):
+    rc, out = run(tmp_path, command, "--target", target, "--tmax", "-1", "--grid", "51")
+    assert rc == 2
+    assert capsys.readouterr().err == "validation error: --tmax must be nonnegative, got -1\n"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_sigma_is_a_validation_error(tmp_path, capsys, sigma):
+    dfile = tmp_path / "design.json"
+    dfile.write_text(design_to_json(make_design([-1.0, 1.0], [0.5, 0.5]), degree=1))
+    rc, out = run(tmp_path, "simulate", "--design", str(dfile), "--sigma", sigma, "--trials", "10")
+    assert rc == 2
+    assert capsys.readouterr().err == f"validation error: sigma must be nonnegative and finite, got {float(sigma)!r}\n"
+    assert not any(out.iterdir())
+
+
+def test_spacing_reaches_the_disk():
+    args = ["design", "--domain", "disk", "--grid", "24", "--grid-angular", "80", "--spacing", "uniform"]
+    space = _make_space(_resolve_config(_build_parser().parse_args(args)))
+    assert np.array_equal(space.grid, disk(spacing="uniform").grid)
+    assert not np.array_equal(space.grid, disk().grid)
 
 
 def test_non_finite_table_weight_is_a_validation_error(tmp_path):

@@ -10,7 +10,6 @@ from optdesign import (
     basis_for_space,
     cube,
     disk,
-    eval_basis_many,
     gaussian_weight,
     interval,
     simplex,
@@ -21,7 +20,7 @@ from optdesign import (
     unit_weight,
 )
 from optdesign import fekete
-from optdesign.gram import _real_if_real
+from optdesign.measure import weighted_rows
 
 
 def test_degree_one_interval_endpoints():
@@ -103,9 +102,8 @@ def test_tfd_rows_and_csv(cached_solve):
 
 def _weighted_vandermonde(space, weight, s, real=True):
     basis = basis_for_space(space, s)
-    B = eval_basis_many(basis, space.grid)
-    A = (_real_if_real(B) if real else B) * (weight.values(space.grid) ** s)[:, None]
-    return A, basis
+    A = weighted_rows(basis, space.grid, weight.values(space.grid))
+    return (A if real else A.astype(complex)), basis
 
 
 def _log_volume(A, sel, basis):

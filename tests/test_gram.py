@@ -30,8 +30,8 @@ from optdesign.gram import (
     _inverse_factor,
     _orbit_hessian,
     _orbit_rows,
-    _real_if_real,
 )
+from optdesign.measure import weighted_rows
 
 
 def _random_design(rng, m, d=1, complex_atoms=False):
@@ -143,29 +143,41 @@ def test_dimension_mismatch_rejected():
         moment_matrix(design, unit_weight(), 1, monomial_basis(1, 1))
 
 
-def _uniform_grid_factor(B, u):
-    # inverse Cholesky factor of the uniform-mass moment matrix on the grid
-    C, _, pivot = _cholesky_log_det(_assemble(B, u / B.shape[0]))
+def _uniform_grid_factor(A):
+    # inverse Cholesky factor of the uniform-mass moment matrix on the weighted rows A
+    C, _, pivot = _cholesky_log_det(_assemble(A, 1.0 / A.shape[0]))
     assert pivot == 0
     return _inverse_factor(C)
 
 
+def _grid_rows(space, weight, s):
+    return weighted_rows(basis_for_space(space, s), space.grid, weight.values(space.grid))
+
+
+@pytest.mark.parametrize("space", [interval(), cube(2, per_axis=9), disk()], ids=lambda sp: sp.kind)
+def test_weighted_rows_are_w_to_the_s_times_the_basis_values(space):
+    s, weight = 4, gaussian_weight()
+    A = _grid_rows(space, weight, s)
+    B = eval_basis_many(basis_for_space(space, s), space.grid)
+    assert A.dtype == (np.complex128 if space.is_complex else np.float64)
+    assert np.allclose(A, weight.values(space.grid)[:, None] ** s * B, rtol=1e-14, atol=0)
+
+
 def test_orbit_rows_keep_each_orbit_gram_block_and_mean_christoffel():
     space, s = disk(), 4
-    B = eval_basis_many(basis_for_space(space, s), space.grid)
-    u = gaussian_weight().values(space.grid) ** (2 * s)
+    A = _grid_rows(space, gaussian_weight(), s)
     orbits = np.asarray(space.params["orbits"])
     counts = np.bincount(orbits)
-    R, row_orbit = _orbit_rows(B, u, orbits, counts)
-    assert np.bincount(row_orbit).max() <= B.shape[1]
-    assert R.shape[0] == 1 + 24 * B.shape[1]  # the center keeps its one row
-    L = _uniform_grid_factor(B, u)
-    K = _christoffel_rows(B, L, u)
-    K_rows = _christoffel_rows(R, L, 1.0)
+    R, row_orbit = _orbit_rows(A, orbits, counts)
+    assert np.bincount(row_orbit).max() <= A.shape[1]
+    assert R.shape[0] == 1 + 24 * A.shape[1]  # the center keeps its one row
+    L = _uniform_grid_factor(A)
+    K = _christoffel_rows(A, L)
+    K_rows = _christoffel_rows(R, L)
     for o in range(counts.size):
-        A = np.sqrt(u[orbits == o])[:, None] * B[orbits == o]
+        Ao = A[orbits == o]
         Ro = R[row_orbit == o]
-        block = A.conj().T @ A
+        block = Ao.conj().T @ Ao
         assert np.abs(Ro.conj().T @ Ro - block).max() <= 1e-12 * np.abs(block).max()
         assert K_rows[row_orbit == o].sum() / counts[o] == pytest.approx(K[orbits == o].mean(), rel=1e-12)
 
@@ -179,11 +191,10 @@ def test_orbit_hessian_is_minus_the_trace_of_orbit_block_products(kind):
     else:
         space, weight, s, picked = cube(2, per_axis=9), unit_weight(), 3, 30
         orbits = np.arange(space.grid_size)  # every point its own orbit
-    B = _real_if_real(eval_basis_many(basis_for_space(space, s), space.grid))
-    u = weight.values(space.grid) ** (2 * s)
+    A = _grid_rows(space, weight, s)
     counts = np.bincount(orbits)
-    R, row_orbit = _orbit_rows(B, u, orbits, counts)
-    Z = R @ _uniform_grid_factor(B, u).conj().T
+    R, row_orbit = _orbit_rows(A, orbits, counts)
+    Z = R @ _uniform_grid_factor(A).conj().T
     rng = np.random.default_rng(3)
     perm = rng.permutation(Z.shape[0])  # rows in no particular orbit order
     Z, row_orbit = Z[perm], row_orbit[perm]
@@ -199,15 +210,15 @@ def test_orbit_hessian_is_minus_the_trace_of_orbit_block_products(kind):
 
 def test_real_rows_give_the_complex_christoffel_values_on_the_cube():
     space, s = cube(2, per_axis=9), 3
-    B = eval_basis_many(basis_for_space(space, s), space.grid)
-    assert np.iscomplexobj(B) and not np.any(B.imag)
-    u = np.ones(B.shape[0])
-    K_complex = _christoffel_rows(B, _uniform_grid_factor(B, u), u)
-    L_real = _uniform_grid_factor(B.real, u)
+    A = _grid_rows(space, unit_weight(), s)
+    assert A.dtype == np.float64
+    B = A.astype(complex)
+    K_complex = _christoffel_rows(B, _uniform_grid_factor(B))
+    L_real = _uniform_grid_factor(A)
     assert L_real.dtype == np.float64
-    K_real = _christoffel_rows(B.real, L_real, u)
+    K_real = _christoffel_rows(A, L_real)
     assert np.allclose(K_real, K_complex, rtol=1e-12, atol=0)
-    assert float(K_real.mean()) == pytest.approx(B.shape[1], rel=1e-12)
+    assert float(K_real.mean()) == pytest.approx(A.shape[1], rel=1e-12)
 
 
 @pytest.mark.parametrize("space", [interval(), cube(2, per_axis=9), ball(2), simplex(2)], ids=lambda sp: sp.kind)
@@ -224,11 +235,9 @@ def test_one_shot_paths_run_real_on_real_grids(space):
     K = christoffel_many(ev, space.grid)
     assert K.dtype == np.float64
     # the complex path: the same rows held in complex dtype
-    B = eval_basis_many(basis, design.points)
-    assert np.iscomplexobj(B)
-    C, log_det, _ = _cholesky_log_det(_assemble(B, design.weights * gaussian_weight().values(design.points) ** (2 * s)))
+    B = weighted_rows(basis, design.points, gaussian_weight().values(design.points)).astype(complex)
+    C, log_det, _ = _cholesky_log_det(_assemble(B, design.weights))
     L_complex = _inverse_factor(C)
     assert mm.log_det == pytest.approx(log_det, abs=1e-12)
-    u = gaussian_weight().values(space.grid) ** (2 * s)
-    K_complex = _christoffel_rows(eval_basis_many(basis, space.grid), L_complex, u)
+    K_complex = _christoffel_rows(_grid_rows(space, gaussian_weight(), s).astype(complex), L_complex)
     assert np.allclose(K, K_complex, rtol=1e-12, atol=0)

@@ -13,6 +13,7 @@ from optdesign import (
     AdmissibilityError,
     SingularGramError,
     basis_for_space,
+    check_admissible,
     christoffel_many,
     cube,
     d_optimal,
@@ -216,10 +217,26 @@ def test_pruning_every_weight_is_a_numerical_error():
         d_optimal(interval(grid=21), unit_weight(), 1, epsilon=1e3)
 
 
-def test_underflowing_weight_power_is_a_singular_gram_error():
-    # w^24 underflows far from the origin of [-30, 30]: rank is lost at the start
-    with pytest.raises(SingularGramError, match="iteration 0 from a uniform start"):
-        d_optimal(interval(a=30.0), gaussian_weight(), 12)
+def test_underflowing_weight_power_is_an_admissibility_error():
+    # w^24 underflows far from the origin of [-30, 30]: the weighted rows the
+    # solver would factor have rank below n, so it refuses before any step
+    space = interval(a=30.0)
+    report = check_admissible(gaussian_weight(), space, 12)
+    assert not report.passed and report.rank < report.required == 13
+    assert report.positive_count >= 13  # w itself is positive at every grid point
+    with pytest.raises(AdmissibilityError, match=f"weighted Vandermonde rank {report.rank} < 13"):
+        d_optimal(space, gaussian_weight(), 12)
+
+
+@pytest.mark.parametrize("radial, angular, s", [(32, 80, 2), (24, 60, 3)])
+def test_vertex_step_moves_mass_to_a_massless_max_k_ring(radial, angular, s):
+    # Newton empties every ring but one inner ring, then cannot ascend; the
+    # multiplicative step cannot give the massless max-K ring mass (0 K = 0),
+    # so without the vertex step these solves stall at gap 0.19 and 0.45
+    res = d_optimal(disk(radial=radial, angular=angular), unit_weight(), s)
+    assert res.converged and res.iterations <= 30
+    assert res.monotonicity_violation <= 1e-12
+    assert res.mass_identity_residual <= 1e-8 * res.n
 
 
 def test_centerless_disk_orbits_solve_without_warnings(cached_solve):

@@ -53,6 +53,9 @@ def test_experiment_validation():
         experiment(theta=np.ones(2))
     with pytest.raises(ValueError):
         experiment(sigma=-0.1)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"sigma must be nonnegative and finite, got {sigma!r}"):
+            experiment(sigma=sigma)
     with pytest.raises(ValueError):
         experiment(num_obs=2)
     with pytest.raises(ValueError):
