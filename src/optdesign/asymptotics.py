@@ -120,6 +120,11 @@ def kolmogorov_distance(design: DiscreteDesign, target: EquilibriumMeasure) -> f
     return float(max(below.max(), above.max()))
 
 
+def _check_t_max(t_max: int) -> None:
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+
+
 def moment_distance(design: DiscreteDesign, target: EquilibriumMeasure, t_max: int = 6) -> float:
     """max over monomials of degree <= t_max of |design moment - target moment|.
 
@@ -127,8 +132,7 @@ def moment_distance(design: DiscreteDesign, target: EquilibriumMeasure, t_max: i
     ranges over mixed monomials z^beta conj(z)^gamma, which see the
     angular structure that holomorphic moments miss.
     """
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    _check_t_max(t_max)
     w = design.weights
     pts = design.points
     if target.kind == "weighted-ball":
@@ -232,6 +236,7 @@ def convergence_sweep(
     optimal_results: dict[int, OptimalResult] | None = None,
 ) -> ConvergenceReport:
     """Solve (or reuse) the optimal design per degree and measure distances."""
+    _check_t_max(t_max)  # before any solve
     rows = []
     one_dim_real = space.dimension == 1 and not space.is_complex
     for s in sorted(int(v) for v in s_values):

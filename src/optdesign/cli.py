@@ -41,6 +41,7 @@ from .equilibrium import (
 from .fekete import approx_fekete, tfd_table, tfd_to_csv
 from .gram import SingularGramError, christoffel, moment_matrix, orthonormal_factor
 from .measure import (
+    _FEKETE_PASSES,
     ball,
     basis_for_space,
     cube,
@@ -55,7 +56,7 @@ from .measure import (
     weight_from_json,
 )
 from .optimal import d_optimal, g_value, vdm_integral_christoffel, vdm_integral_det
-from .simulate import RegressionExperiment, _prediction_csv, simulate_regression
+from .simulate import RegressionExperiment, _check_settings, _prediction_csv, simulate_regression
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -81,7 +82,7 @@ _OPTIONS = {
     "tmax": {"type": int, "default": 6},
     "epsilon": {"type": float, "default": 1e-5},
     "max_iter": {"type": int, "default": None},
-    "exchange_passes": {"type": int, "default": 2},
+    "exchange_passes": {"type": int, "default": _FEKETE_PASSES},
     "sigma": {"type": float, "default": 0.1},
     "obs": {"type": int, "default": 100},
     "trials": {"type": int, "default": 10000},
@@ -409,6 +410,8 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         design, s = _load_design(cfg)
     else:
         s = cfg["degree"] if cfg["degree"] is not None else 1
+        # refuse bad settings before the solve, not after it
+        _check_settings(space_dimension(space.dimension, s), s, cfg["sigma"], cfg["obs"], cfg["trials"])
         design = d_optimal(space, weight, s, epsilon=cfg["epsilon"], max_iter=cfg["max_iter"]).design
     n = space_dimension(design.dimension, s)
     exp = RegressionExperiment(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import degree_sum
-from .measure import DesignSpace, WeightFunction, _squared_norms, basis_for_space, weighted_rows
+from .measure import _FEKETE_PASSES, DesignSpace, WeightFunction, _exchange, _greedy_rows, basis_for_space, weighted_rows
 from .optimal import OptimalResult, d_optimal
 
 _EXHAUSTIVE_LIMIT = 2 * 10**6
@@ -39,61 +39,12 @@ class FeketeResult:
     method: str
 
 
-def _greedy_rows(A: np.ndarray) -> list[int]:
-    """n rows of the m x n matrix A chosen greedily for volume.
-
-    Each step takes the row with the largest residual norm and projects
-    its direction out of every row (modified Gram-Schmidt on the rows),
-    the pivot order of a column-pivoted QR of A^T, computed elementwise.
-    A residual at or below max(m, n) * eps times the largest row norm
-    means A has rank below n.
-    """
-    R = A.copy()
-    m, n = R.shape
-    norms = _squared_norms(R)
-    tol = (max(m, n) * np.finfo(np.float64).eps) ** 2 * norms.max()
-    sel = []
-    for _ in range(n):
-        j = int(np.argmax(norms))
-        if not norms[j] > tol:
-            raise ValueError("weighted Vandermonde is rank-deficient on this grid")
-        sel.append(j)
-        q = R[j] / math.sqrt(norms[j])
-        R -= np.multiply.outer(np.einsum("ij,j->i", R, q.conj()), q)
-        norms = _squared_norms(R)
-    return sel
-
-
-def _exchange(A: np.ndarray, sel: list[int], passes: int) -> list[int]:
-    """Sweep row exchanges that raise |det A[sel]|, at most ``passes`` times.
-
-    G = A inv(A[sel]) holds the Lagrange polynomials of the selection at
-    every grid point: putting row j in slot k multiplies |det A[sel]| by
-    |G[j, k]|.  After a swap, G follows by the rank-one update
-    G -= G[:, k] (G[j] - e_k) / G[j, k], so each pass inverts once.
-    """
-    n = len(sel)
-    for _ in range(passes):
-        G = A @ np.linalg.inv(A[sel])
-        improved = False
-        for k in range(n):
-            gain = np.abs(G[:, k])
-            j = int(np.argmax(gain))
-            if gain[j] > 1.0 + 1e-10 and j != sel[k]:
-                G -= np.multiply.outer(G[:, k] / G[j, k], G[j] - np.eye(1, n, k)[0])
-                sel[k] = j
-                improved = True
-        if not improved:
-            break
-    return sel
-
-
 def approx_fekete(
     space: DesignSpace,
     weight: WeightFunction,
     s: int,
     *,
-    exchange_passes: int = 2,
+    exchange_passes: int = _FEKETE_PASSES,
     exhaustive: bool = False,
 ) -> FeketeResult:
     """Select an (approximately) extremal n-point configuration on the grid.
@@ -139,7 +90,10 @@ def approx_fekete(
         log_vdm = best_log - basis.log_lead
         method = "exhaustive"
     else:
-        sel = _exchange(A, _greedy_rows(A), exchange_passes)
+        sel = _greedy_rows(A)
+        if len(sel) < n:
+            raise ValueError("weighted Vandermonde is rank-deficient on this grid")
+        sel = _exchange(A, sel, exchange_passes)
         log_vdm = float(np.linalg.slogdet(A[sel])[1]) - basis.log_lead
         method = "greedy+exchange" if exchange_passes > 0 else "greedy"
 
@@ -175,7 +129,7 @@ def tfd_table(
     *,
     epsilon: float = 1e-5,
     max_iter: int | None = None,
-    exchange_passes: int = 2,
+    exchange_passes: int = _FEKETE_PASSES,
     optimal_results: dict[int, OptimalResult] | None = None,
 ) -> list[TfdRow]:
     """Tabulate delta_s against det(M_s)^(1/(2 m_s)) of the optimal design.

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .basis import PolyBasis, as_points
-from .measure import DiscreteDesign, WeightFunction, _squared_norms, weighted_rows
+from .measure import DiscreteDesign, WeightFunction, _matmul, _squared_norms, weighted_rows
 
 _PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||_2
 
@@ -69,7 +69,16 @@ class MomentMatrix:
 
 def _assemble(B: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(B^H * coef) B, symmetrized to kill roundoff."""
-    M = (B.conj().T * coef) @ B
+    if np.iscomplexobj(B):
+        # the real Gram matrix Y of the float64 view X of B (columns interleave
+        # real and imaginary parts) holds Re M = Y_rr + Y_ii and Im M = Y_ri - Y_ir;
+        # one real GEMM, which OpenBLAS keeps on one thread where the complex
+        # one (1921 x 9 rows) would not
+        X = np.ascontiguousarray(B).view(np.float64)
+        Y = ((X.T * coef) @ X).reshape(B.shape[1], 2, B.shape[1], 2)
+        M = (Y[:, 0, :, 0] + Y[:, 1, :, 1]) + 1j * (Y[:, 0, :, 1] - Y[:, 1, :, 0])
+    else:
+        M = (B.T * coef) @ B
     return 0.5 * (M + M.conj().T)
 
 
@@ -105,7 +114,7 @@ def _christoffel_rows(A: np.ndarray, L: np.ndarray) -> np.ndarray:
     """K at the points whose weighted rows (see ``weighted_rows``) are the rows of A."""
     # transpose-conjugate pairing p^T inv(M) conj(p) = ||conj(L) p||^2: keeps
     # the mass identity exact when the moment matrix is genuinely complex
-    return _squared_norms(A @ L.conj().T)
+    return _squared_norms(_matmul(A, L.conj().T))
 
 
 def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -117,14 +126,23 @@ def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> 
     0 .. len(counts) - 1, each of which owns at least one row.
     """
     order = np.argsort(row_orbit, kind="stable")
-    starts = np.searchsorted(row_orbit[order], np.arange(counts.size))
     Zs = Z[order]
-    X = (Zs.conj()[:, :, None] * Zs[:, None, :]).reshape(Zs.shape[0], -1)  # row r: vec(z_r^H z_r)
-    G = np.add.reduceat(X, starts)  # row o: vec(A_o)
-    # tr(A_o A_p) = Re vec(A_o) . conj(vec(A_p)) for Hermitian A_p: a real
-    # product of the float64 views
-    F = G.view(np.float64) if np.iscomplexobj(G) else G
-    return -(F @ F.T) / np.outer(counts, counts)
+    if Zs.shape[0] == counts.size:
+        # one row per orbit: tr(A_o A_p) = |z_o z_p^H|^2, from a product n
+        # times smaller than the Gram matrix of the vec(A_o) below
+        P = Zs @ Zs.conj().T
+        T = P.real**2 + P.imag**2 if np.iscomplexobj(P) else P * P
+    else:
+        # tr(A_o A_p) = Re sum_ij A_o[i, j] conj(A_p[i, j]) over the upper
+        # triangle, off-diagonal terms counted twice: a real product of the
+        # float64 views of the packed triangles
+        i, j = np.triu_indices(Z.shape[1])
+        X = Zs.conj()[:, i] * Zs[:, j]  # row r: the upper triangle of z_r^H z_r
+        X[:, i < j] *= math.sqrt(2.0)
+        G = np.add.reduceat(X, np.searchsorted(row_orbit[order], np.arange(counts.size)))
+        F = G.view(np.float64) if np.iscomplexobj(G) else G
+        T = F @ F.T
+    return -T / np.outer(counts, counts)
 
 
 def _orbit_rows(A: np.ndarray, orbits: np.ndarray, counts: np.ndarray):

@@ -23,6 +23,7 @@ from .basis import PolyBasis, as_points, eval_basis_many, monomial_basis, stabil
 
 _ATOM_TOL = 1e-12  # two atoms closer than this are considered identical
 _SUM_TOL = 1e-9  # admissible drift of a weight vector's total mass
+_FEKETE_PASSES = 2  # exchange passes after the greedy pick of approximate Fekete rows
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +125,12 @@ def interval(a: float = 1.0, grid: int = 401, spacing: str = "chebyshev") -> Des
 
 
 def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
-    """The cube [-a, a]^d with a tensor Chebyshev-mapped grid."""
+    """The cube [-a, a]^d with a tensor Chebyshev-mapped grid.
+
+    The grid is invariant under sign flips and permutations of the axes;
+    those orbits (1, 4 or 8 points each for d = 2) are recorded in
+    params["orbits"], as the disk records its rings.
+    """
     if dimension < 1:
         raise ValueError("cube dimension must be >= 1")
     if a <= 0 or per_axis < 2:
@@ -133,12 +139,18 @@ def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
     axis = -a * np.cos(np.pi * k / (per_axis - 1))
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1).astype(complex)
+    # node k and node per_axis - 1 - k are mirror images; a point's orbit is
+    # the sorted tuple of its folded node indices
+    folded = np.meshgrid(*([np.minimum(k, per_axis - 1 - k)] * dimension), indexing="ij")
+    keys = np.sort(np.stack([g.ravel() for g in folded], axis=1), axis=1)
+    orbit = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1).astype(np.intp)
+    orbit.setflags(write=False)
     tol = 1e-12 * max(1.0, a)
 
     def member(p: np.ndarray) -> bool:
         return bool(np.all(np.abs(p.imag) <= tol) and np.all(np.abs(p.real) <= a + tol))
 
-    return DesignSpace("cube", dimension, a, _freeze(pts), member, {"per_axis": per_axis})
+    return DesignSpace("cube", dimension, a, _freeze(pts), member, {"per_axis": per_axis, "orbits": orbit})
 
 
 def ball(dimension: int = 2, a: float = 1.0, radial: int = 12, angular: int = 48) -> DesignSpace:
@@ -491,14 +503,83 @@ def _squared_norms(Z: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", F, F)
 
 
-def _admissibility(A: np.ndarray) -> AdmissibilityReport:
-    """Whether at least n weighted rows A are nonzero (w^{2s} > 0: the basis holds a constant) with rank n."""
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B, a complex product run as one real GEMM of twice the width.
+
+    (a + ib)(c + id) = (ac - bd) + i(ad + bc): the float64 view of A, whose
+    columns interleave real and imaginary parts, times the real 2k x 2n
+    image of B is the float64 view of A @ B.  OpenBLAS threads complex
+    GEMMs from a much smaller size than real ones: a 1921 x 9 by 9 x 9
+    complex product wakes a second thread, its 1921 x 18 by 18 x 18 real
+    image does not.
+    """
+    if not (np.iscomplexobj(A) or np.iscomplexobj(B)):
+        return A @ B
+    A = np.ascontiguousarray(A, dtype=complex)
+    k, n = B.shape
+    W = np.array([[B.real, B.imag], [-B.imag, B.real]]).transpose(2, 0, 3, 1).reshape(2 * k, 2 * n)
+    return (A.view(np.float64) @ W).view(complex)
+
+
+def _greedy_rows(A: np.ndarray) -> list[int]:
+    """Up to n rows of the m x n matrix A chosen greedily for volume.
+
+    Each step takes the row with the largest residual norm and projects
+    its direction out of every row (modified Gram-Schmidt on the rows),
+    the pivot order of a column-pivoted QR of A^T, computed elementwise.
+    The pick stops early once no residual exceeds max(m, n) * eps times
+    the largest row norm, so it returns rank(A) rows.
+    """
+    R = A.copy()
+    m, n = R.shape
+    norms = _squared_norms(R)
+    tol = (max(m, n) * np.finfo(np.float64).eps) ** 2 * norms.max()
+    sel = []
+    for _ in range(n):
+        j = int(np.argmax(norms))
+        if not norms[j] > tol:
+            break
+        sel.append(j)
+        q = R[j] / math.sqrt(norms[j])
+        R -= np.multiply.outer(np.einsum("ij,j->i", R, q.conj()), q)
+        norms = _squared_norms(R)
+    return sel
+
+
+def _exchange(A: np.ndarray, sel: list[int], passes: int) -> list[int]:
+    """Sweep row exchanges that raise |det A[sel]|, at most ``passes`` times.
+
+    G = A inv(A[sel]) holds the Lagrange polynomials of the selection at
+    every grid point: putting row j in slot k multiplies |det A[sel]| by
+    |G[j, k]|.  After a swap, G follows by the rank-one update
+    G -= G[:, k] (G[j] - e_k) / G[j, k], so each pass inverts once.
+    """
+    n = len(sel)
+    for _ in range(passes):
+        G = _matmul(A, np.linalg.inv(A[sel]))
+        improved = False
+        for k in range(n):
+            gain = np.abs(G[:, k])
+            j = int(np.argmax(gain))
+            if gain[j] > 1.0 + 1e-10 and j != sel[k]:
+                G -= np.multiply.outer(G[:, k] / G[j, k], G[j] - np.eye(1, n, k)[0])
+                sel[k] = j
+                improved = True
+        if not improved:
+            break
+    return sel
+
+
+def _admissibility(A: np.ndarray, picks: list[int]) -> AdmissibilityReport:
+    """Whether at least n weighted rows A are nonzero (w^{2s} > 0: the basis holds a constant) with rank n.
+
+    ``picks`` are the rows ``_greedy_rows(A)`` chose; there are rank(A) of them.
+    """
     n = A.shape[1]
-    pos = np.any(A != 0, axis=1)
-    count = int(pos.sum())
+    count = int(np.count_nonzero(np.any(A != 0, axis=1)))
     if count < n:
         return AdmissibilityReport(False, count, n, None, f"only {count} positive-weight grid points, need {n}")
-    rank = int(np.linalg.matrix_rank(A[pos]))
+    rank = len(picks)
     reason = None if rank == n else f"weighted Vandermonde rank {rank} < {n} on positive-weight points"
     return AdmissibilityReport(rank == n, count, n, rank, reason)
 
@@ -509,7 +590,8 @@ def check_admissible(weight: WeightFunction, space: DesignSpace, s: int) -> Admi
     Requires at least n = C(s+d, d) grid points where w^{2s} is positive
     and a full-rank weighted Vandermonde matrix on those points.
     """
-    return _admissibility(weighted_rows(basis_for_space(space, s), space.grid, weight.values(space.grid)))
+    A = weighted_rows(basis_for_space(space, s), space.grid, weight.values(space.grid))
+    return _admissibility(A, _greedy_rows(A))
 
 
 # ---------------------------------------------------------------------------

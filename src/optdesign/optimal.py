@@ -4,7 +4,12 @@
 orbits (every point is its own orbit when the grid records none).  The
 gradient of log det in the mass of orbit o is its mean Christoffel value
 K_o, and the Kiefer-Wolfowitz gap max K - n certifies distance from
-optimality.  The solve runs in two phases:
+optimality.  The default start is equal mass 1/n on the approximate
+Fekete points of the weighted rows (Bos, De Marchi, Sommariva & Vianello
+2010), spread evenly over each point's orbit.  D-optimal designs and
+Fekete points share their limit, the equilibrium measure, and on the
+interval the optimum is equal mass on the Fekete points, so the start is
+close and carries at most n masses.  The solve runs in two phases:
 
 1. Multiplicative steps mass_o <- mass_o * K_o / n, which never lower log
    det.  Each step also applies Harman & Pronzato's (2007) elimination:
@@ -12,15 +17,21 @@ optimality.  The solve runs in two phases:
    orbit whose K is below n h(e) carries no mass in any optimum, so it is
    dropped and its Gram rows leave the assembly.
 2. Once at most max(3 n, 40) orbits carry mass (or the orbit with the
-   largest K carries none), active-set Newton steps on the masses over
-   the simplex, with a backtracking line search on log det itself, so
-   every accepted step raises it.  A step that cannot ascend is replaced
-   by a multiplicative one, or by the Wynn-Fedorov vertex step when the
-   orbit with the largest K carries no mass.
+   largest K carries none), and then for as long as Newton steps ascend,
+   active-set Newton steps on the masses over the simplex, with a
+   backtracking line search on log det itself, so every accepted step
+   raises it.  The KKT system adds 1e-12 of the largest diagonal of -H
+   to -H, which is only semidefinite, so the step does not depend on
+   rounding.  A step that cannot ascend is replaced by a multiplicative
+   one, or by the Wynn-Fedorov vertex step when the orbit with the
+   largest K carries no mass.
 
-Steps of both kinds count as iterations against ``max_iter``.  The
-certificate is always taken on every orbit of the full grid: if an
-eliminated orbit fails it, every orbit comes back and the solve goes on.
+From the default start phase 2 runs from the first step.  Steps of both
+kinds count as iterations against ``max_iter``.  The certificate is
+always taken on every orbit of the full grid: if an eliminated orbit
+fails it, every orbit comes back and the solve goes on.  A certified
+iterate whose mass identity sum(mass K) = n or gap >= 0 fails by more
+than 1e-8 n is refused with ``SingularGramError``, not returned.
 
 Brute-force oracles re-derive the determinant and the Christoffel
 function from sums of squared Vandermonde determinants, providing an
@@ -40,10 +51,14 @@ from .basis import eval_basis, eval_basis_many, monomial_basis, space_dimension
 from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
 from .gram import _assemble, _cholesky_log_det, _christoffel_rows, _inverse_factor, _orbit_hessian, _orbit_rows
 from .measure import (
+    _FEKETE_PASSES,
     DesignSpace,
     DiscreteDesign,
     WeightFunction,
     _admissibility,
+    _exchange,
+    _greedy_rows,
+    _matmul,
     _squared_norms,
     basis_for_space,
     make_design,
@@ -55,21 +70,24 @@ _NEWTON_ORBITS = 40  # Newton takes over once at most max(3 n, this) orbits carr
 _ARMIJO = 1e-4  # share of its first-order gain a Newton step must realize in log det
 _BACKTRACKS = 30  # step halvings before a Newton step is given up
 _NEGLIGIBLE_MASS = 1e-12  # orbit masses at or below this count as zero in a Newton step
+_KKT_RIDGE = 1e-12  # share of the largest diagonal of -H added to its diagonal in the KKT solve
+_CERTIFIED_TOL = 1e-8  # a certified design's mass identity residual and negative gap stay within this * n
 
 
 class AdmissibilityError(ValueError):
     """The weight does not admit a nonsingular design on this grid."""
 
 
-def _symmetry_orbits(space, wvals: np.ndarray, w0: np.ndarray):
+def _symmetry_orbits(space, wvals: np.ndarray, w0: np.ndarray | None = None):
     """Return (orbit id per point, orbit sizes) for the solver to iterate on.
 
-    A space may record symmetry orbits of its grid (e.g. the rings of a
-    disk).  If the weight values and the starting measure are constant on
-    every orbit, the exact iteration stays orbit-constant forever, so the
-    solver keeps one weight per orbit and averages K over each orbit.
-    Otherwise (no recorded orbits, or wvals or w0 depend on more than the
-    orbit) every point is its own orbit.
+    A space may record symmetry orbits of its grid (the rings of a disk,
+    the signed axis permutations of a cube).  If the weight values and the
+    starting measure (when given) are constant on every orbit, the exact
+    iteration stays orbit-constant forever, so the solver keeps one weight
+    per orbit and averages K over each orbit.  Otherwise (no recorded
+    orbits, or wvals or w0 depend on more than the orbit) every point is
+    its own orbit.
     """
     m = wvals.shape[0]
     trivial = np.arange(m), np.ones(m, dtype=np.intp)
@@ -77,7 +95,7 @@ def _symmetry_orbits(space, wvals: np.ndarray, w0: np.ndarray):
     if orbits is None:
         return trivial
     _, orbits, counts = np.unique(orbits, return_inverse=True, return_counts=True)
-    for vals in (wvals, w0):
+    for vals in (wvals,) if w0 is None else (wvals, w0):
         means = np.bincount(orbits, weights=vals) / counts
         if np.max(np.abs(vals - means[orbits])) > 1e-9 * max(np.max(np.abs(vals)), 1e-300):
             return trivial
@@ -143,7 +161,7 @@ def _evaluate(R: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray, mass: np
     if pivot:
         return pivot
     L = _inverse_factor(C)
-    Z = R @ L.conj().T
+    Z = _matmul(R, L.conj().T)
     K = np.bincount(row_orbit, weights=_squared_norms(Z), minlength=counts.size) / counts
     return _Iterate(mass, log_det, L, Z, row_orbit, K)
 
@@ -167,10 +185,14 @@ def _newton_step(it: _Iterate, evaluate, counts: np.ndarray, n: int) -> _Iterate
     slot[free] = np.arange(free.size)
     rows = slot[it.row_orbit] >= 0
     H = _orbit_hessian(it.Z[rows], slot[it.row_orbit[rows]], counts[free])
+    # -H is only semidefinite (rank n on the disk with up to 25 free orbits):
+    # a small ridge picks one well-defined step instead of a rounding-driven one
+    ridge = _KKT_RIDGE * float(np.max(-H.diagonal()))
     f = np.arange(free.size)  # positions in ``free`` still on the face
     while True:
         kkt = np.ones((f.size + 1, f.size + 1))
         kkt[:-1, :-1] = -H[np.ix_(f, f)]
+        kkt[np.arange(f.size), np.arange(f.size)] += ridge
         kkt[-1, -1] = 0.0
         try:
             sol = np.linalg.solve(kkt, np.append(K[free[f]], 0.0))[:-1]
@@ -228,7 +250,13 @@ def d_optimal(
         the multiplicative update, so tighter tolerances automatically get
         a larger budget.
     init
-        Optional starting weights over the grid (default uniform).
+        Optional starting weights over the grid.  The default is equal
+        mass 1/n on the approximate Fekete points of the weighted rows
+        (greedy pick plus exchange passes, as ``approx_fekete``), spread
+        evenly over each point's symmetry orbit.  On the interval the
+        optimum is equal mass on the Fekete points, so that start is
+        nearly optimal, and with at most n masses Newton steps start at
+        once.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -240,21 +268,23 @@ def d_optimal(
     m = grid.shape[0]
     wvals = weight.values(grid)
     A = weighted_rows(basis, grid, wvals)
-    report = _admissibility(A)
+    picks = _greedy_rows(A)
+    report = _admissibility(A, picks)
     if not report.passed:
         raise AdmissibilityError(f"degree-{s} design infeasible: {report.reason}")
     if max_iter is None:
         max_iter = min(1_000_000, 50 * m + math.ceil(4.0 / (epsilon * n)))
 
     if init is None:
-        w = np.full(m, 1.0 / m)
+        orbits, counts = _symmetry_orbits(space, wvals)
+        picks = _exchange(A, picks, _FEKETE_PASSES)
+        start = np.bincount(orbits[picks], minlength=counts.size) / n
     else:
-        w = np.asarray(init, dtype=float).copy()
+        w = np.asarray(init, dtype=float)
         if w.shape != (m,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("init must be a nonnegative weight vector over the grid")
-        w /= w.sum()
-
-    orbits, counts = _symmetry_orbits(space, wvals, w)
+        orbits, counts = _symmetry_orbits(space, wvals, w)
+        start = np.bincount(orbits, weights=w / w.sum(), minlength=counts.size)
     # one mass per orbit, one Gram row set per orbit; exact under the
     # grid's symmetry, and it stops rounding noise from drifting along
     # det-flat angular modes
@@ -269,18 +299,19 @@ def d_optimal(
     def evaluate_or_raise(mass, step):
         new = evaluate(mass)
         if isinstance(new, int):
-            origin = "a uniform start" if init is None else "the initial design"
+            origin = "the approximate Fekete start" if init is None else "the initial design"
             raise SingularGramError(f"moment matrix lost rank at iteration {step} from {origin}", new)
         return new
 
     def grid_christoffel(L):
         return np.bincount(row_orbit, weights=_christoffel_rows(R, L), minlength=counts.size) / counts
 
-    it = evaluate_or_raise(np.bincount(orbits, weights=w, minlength=counts.size), 0)
+    it = evaluate_or_raise(start, 0)
     mass_resid = 0.0
     mono_viol = 0.0
     converged = False
     steps = 0
+    newton = False  # the last step was an ascending Newton step
 
     while True:
         mass_resid = max(mass_resid, abs(float(it.mass @ it.K) - n))
@@ -300,10 +331,11 @@ def d_optimal(
         out = live & (it.K < _hp_bound(gap, n))
         new = None
         j = int(np.argmax(it.K))
-        if np.count_nonzero(it.mass) <= newton_at or it.mass[j] == 0:
+        if newton or np.count_nonzero(it.mass) <= newton_at or it.mass[j] == 0:
             new = _newton_step(it, evaluate, counts, n)
             if new is not None:
                 out &= new.mass == 0
+        newton = new is not None
         if new is None:
             if it.mass[j] == 0:  # no multiplicative step gives it mass: Wynn-Fedorov vertex step
                 a = (it.K[j] - n) / (n * (it.K[j] - 1.0))
@@ -326,6 +358,15 @@ def d_optimal(
         it = new
 
     K = it.K if live.all() else grid_christoffel(it.L)
+    resid, gap = abs(float(it.mass @ K) - n), float(K.max()) - n
+    if converged and (resid > _CERTIFIED_TOL * n or gap < -_CERTIFIED_TOL * n):
+        # a certificate that only looks valid: rounding broke sum(mass K) = n
+        weakest = 1 + int(np.argmax(np.abs(it.L.diagonal())))
+        raise SingularGramError(
+            f"certificate does not hold at iteration {steps}: mass identity residual {resid:.3e} "
+            f"and KW gap {gap:.3e}, limits {_CERTIFIED_TOL * n:.1e} and {-_CERTIFIED_TOL * n:.1e} (n = {n})",
+            weakest,
+        )
     K, w = K[orbits], (it.mass / counts)[orbits]
     log_det = it.log_det
     g_idx = int(np.argmax(K))

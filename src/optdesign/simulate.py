@@ -47,12 +47,17 @@ class RegressionExperiment:
         if th.shape[0] != n:
             raise ValueError(f"theta has length {th.shape[0]}, expected {n}")
         object.__setattr__(self, "theta", th)
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma!r}")
-        if self.num_obs < n:
-            raise ValueError(f"need at least {n} observations for degree {self.degree}")
-        if self.trials < 1:
-            raise ValueError("at least one trial is required")
+        _check_settings(n, self.degree, self.sigma, self.num_obs, self.trials)
+
+
+def _check_settings(n: int, degree: int, sigma: float, num_obs: int, trials: int) -> None:
+    """Refuse a noise level, observation count or trial count no degree-``degree`` experiment can use."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma!r}")
+    if num_obs < n:
+        raise ValueError(f"need at least {n} observations for degree {degree}")
+    if trials < 1:
+        raise ValueError("at least one trial is required")
 
 
 def apportion(weights, num_obs: int) -> np.ndarray:

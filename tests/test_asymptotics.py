@@ -23,6 +23,7 @@ from optdesign import (
     unit_weight,
     weighted_ball_measure,
 )
+from optdesign import asymptotics
 
 SPACE = interval(a=1.0, grid=401, spacing="chebyshev")
 
@@ -126,6 +127,15 @@ def test_perturbed_singular_matrix_raises():
     design = make_design([-1.0, 1.0], [0.5, 0.5])  # rank 2 < 3 at degree 2
     with pytest.raises(ArithmeticError):
         f_of_t(SPACE, unit_weight(), 2, lambda z: 0.0, 0.0, design)
+
+
+def test_convergence_sweep_checks_t_max_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("d_optimal called before t_max was checked")
+
+    monkeypatch.setattr(asymptotics, "d_optimal", no_solve)
+    with pytest.raises(ValueError, match="t_max must be nonnegative, got -1"):
+        convergence_sweep(interval(), unit_weight(), [8, 16], arcsine(), t_max=-1)
 
 
 def test_convergence_sweep_rows(cached_solve):

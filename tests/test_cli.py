@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from optdesign import design_from_json, design_to_json, disk, make_design
+from optdesign import cli
 from optdesign.cli import _build_parser, _make_space, _resolve_config, main
 
 
@@ -35,12 +36,20 @@ def test_design_writes_design_and_certificate(tmp_path):
 
 
 def test_design_exit_three_when_budget_too_small(tmp_path):
+    # from the approximate Fekete start degree 12 needs 15 steps at 1e-9
     rc, out = run(
-        tmp_path, "design", "--degree", "2", "--epsilon", "1e-9", "--max-iter", "5"
+        tmp_path, "design", "--degree", "12", "--epsilon", "1e-9", "--max-iter", "5"
     )
     assert rc == 3
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["results"]["converged"] is False
+
+
+def test_design_exit_three_when_the_certificate_only_looks_valid(tmp_path, capsys):
+    rc, out = run(tmp_path, "design", "--weight", "gaussian", "--a", "2", "--grid", "201", "--degree", "8")
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: certificate does not hold at iteration")
+    assert not (out / "certificate.json").exists()
 
 
 def test_gvalue_requires_design_file(tmp_path):
@@ -252,6 +261,17 @@ def test_non_finite_sigma_is_a_validation_error(tmp_path, capsys, sigma):
     rc, out = run(tmp_path, "simulate", "--design", str(dfile), "--sigma", sigma, "--trials", "10")
     assert rc == 2
     assert capsys.readouterr().err == f"validation error: sigma must be nonnegative and finite, got {float(sigma)!r}\n"
+    assert not any(out.iterdir())
+
+
+def test_non_finite_sigma_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("d_optimal called before sigma was checked")
+
+    monkeypatch.setattr(cli, "d_optimal", no_solve)
+    rc, out = run(tmp_path, "simulate", "--degree", "8", "--sigma", "nan", "--trials", "10")
+    assert rc == 2
+    assert capsys.readouterr().err == "validation error: sigma must be nonnegative and finite, got nan\n"
     assert not any(out.iterdir())
 
 

@@ -56,6 +56,21 @@ def test_cube_grid_is_tensor_product():
     assert not sp.contains(np.array([1.5, 0.0]))
 
 
+@pytest.mark.parametrize("per_axis", [5, 33])
+def test_cube_records_its_signed_permutation_orbits(per_axis):
+    sp = cube(dimension=2, per_axis=per_axis)
+    orbits = sp.params["orbits"]
+    counts = np.bincount(orbits)
+    half = (per_axis + 1) // 2  # folded node indices per axis
+    assert counts.size == half * (half + 1) // 2
+    assert set(counts.tolist()) == {1, 4, 8}
+    x = np.round(sp.grid.real, 12)
+    for o in range(counts.size):
+        pts = {tuple(p) for p in x[orbits == o]}
+        # closed under the axis swap and both sign flips
+        assert pts == {(sx * b, sy * a) for a, b in pts for sx in (1, -1) for sy in (1, -1)}
+
+
 def test_ball_grid_inside_and_center():
     sp = ball(dimension=2, radial=6, angular=24)
     radii = np.linalg.norm(sp.grid.real, axis=1)

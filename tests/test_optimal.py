@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from optdesign import (
     AdmissibilityError,
     SingularGramError,
+    ball,
     basis_for_space,
     check_admissible,
     christoffel_many,
@@ -25,6 +26,7 @@ from optdesign import (
     moment_matrix,
     orthonormal_factor,
     prune_and_merge,
+    simplex,
     table_weight,
     unit_weight,
     vdm_integral_christoffel,
@@ -35,6 +37,10 @@ from optdesign import optimal
 
 def _without_orbits(space):
     return dataclasses.replace(space, params={k: v for k, v in space.params.items() if k != "orbits"})
+
+
+def _uniform(space):
+    return np.full(space.grid_size, 1.0 / space.grid_size)
 
 
 def _grid_christoffel(res, space, weight, s):
@@ -122,7 +128,8 @@ def test_negative_iteration_budget_rejected():
 
 def test_zero_iteration_budget_certifies_the_starting_design():
     # the loop still evaluates K once, so the reported gap is a real one
-    res = d_optimal(interval(grid=21), unit_weight(), 2, epsilon=1e-9, max_iter=0)
+    space = interval(grid=21)
+    res = d_optimal(space, unit_weight(), 2, epsilon=1e-9, max_iter=0, init=_uniform(space))
     assert res.iterations == 0 and not res.converged
     assert res.g_value >= res.n
     assert res.kw_gap == pytest.approx(res.g_value - res.n)
@@ -138,7 +145,8 @@ def test_infeasible_weight_raises_admissibility_error():
 
 
 def test_iteration_budget_reported_when_hit():
-    res = d_optimal(interval(grid=51), unit_weight(), 2, epsilon=1e-9, max_iter=10)
+    space = interval(grid=51)
+    res = d_optimal(space, unit_weight(), 2, epsilon=1e-9, max_iter=10, init=_uniform(space))
     assert not res.converged
     assert res.iterations == 10
     assert res.kw_gap > 1e-9 * res.n
@@ -186,21 +194,21 @@ def test_brute_force_guard_refuses_huge_enumerations():
         vdm_integral_det(design, unit_weight(), 9)
 
 
-def test_orbit_compression_matches_the_per_point_solve(cached_solve, gauss_disk):
-    # compression is exact: on 96 rings more than 40 orbits carry mass for
-    # the first 200 steps, so both solves take only multiplicative steps,
-    # the flat one on all 3841 points
+def test_orbit_compression_matches_the_per_point_solve(gauss_disk):
+    # compression is exact: from the uniform start on 96 rings more than 40
+    # orbits carry mass for the first 200 steps, so both solves take only
+    # multiplicative steps, the flat one on all 3841 points
     fine = disk(radial=96, angular=40)
-    rings = d_optimal(fine, gaussian_weight(), 4, epsilon=1e-5, max_iter=200)
-    points = d_optimal(_without_orbits(fine), gaussian_weight(), 4, epsilon=1e-5, max_iter=200)
+    rings = d_optimal(fine, gaussian_weight(), 4, epsilon=1e-5, max_iter=200, init=_uniform(fine))
+    points = d_optimal(_without_orbits(fine), gaussian_weight(), 4, epsilon=1e-5, max_iter=200, init=_uniform(fine))
     assert rings.iterations == points.iterations == 200
     assert points.log_det == pytest.approx(rings.log_det, abs=1e-12)
     assert np.array_equal(points.design.points, rings.design.points)
     # certified, both reach the optimum within epsilon * n; every atom of
     # the orbit design is an atom of the flat one, whose other atoms sit
     # where K < n at the optimum and carry only its multiplicative tail
-    res, _ = cached_solve("disk", 4, 1e-5)
-    flat = d_optimal(_without_orbits(gauss_disk), gaussian_weight(), 4, epsilon=1e-5)
+    res = d_optimal(gauss_disk, gaussian_weight(), 4, epsilon=1e-5, init=_uniform(gauss_disk))
+    flat = d_optimal(_without_orbits(gauss_disk), gaussian_weight(), 4, epsilon=1e-5, init=_uniform(gauss_disk))
     assert res.converged and flat.converged
     assert abs(flat.log_det - res.log_det) <= res.epsilon * res.n
     orbit_atoms = set(res.design.points[:, 0].tolist())
@@ -239,14 +247,16 @@ def test_vertex_step_moves_mass_to_a_massless_max_k_ring(radial, angular, s):
     assert res.mass_identity_residual <= 1e-8 * res.n
 
 
-def test_centerless_disk_orbits_solve_without_warnings(cached_solve):
+def test_centerless_disk_orbits_solve_without_warnings(gauss_disk):
     # its rings are numbered from 1, so orbit id 0 has no points; the s = 2
-    # optimum puts no mass on the center, and the solve takes one step fewer
-    # than on the full disk and reaches the same design
+    # optimum puts no mass on the center, and from the uniform start the
+    # solve takes one step fewer than on the full disk and reaches the same
+    # design
+    centerless, full_disk = disk(include_center=False), gauss_disk
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = d_optimal(disk(include_center=False), gaussian_weight(), 2, epsilon=1e-5)
-    full = cached_solve("disk", 2, 1e-5)[0]
+        res = d_optimal(centerless, gaussian_weight(), 2, epsilon=1e-5, init=_uniform(centerless))
+    full = d_optimal(full_disk, gaussian_weight(), 2, epsilon=1e-5, init=_uniform(full_disk))
     assert res.converged and res.iterations == full.iterations - 1
     assert res.log_det == pytest.approx(full.log_det, abs=1e-12)
     assert np.array_equal(res.design.points, full.design.points)
@@ -261,17 +271,21 @@ def test_tight_interval_and_fine_disk_take_a_tenth_of_the_multiplicative_steps(c
 
 
 @pytest.mark.parametrize(
-    "space, weight, s, epsilon",
+    "space, weight, s, epsilon, uniform_start",
     [
-        (disk(), gaussian_weight(), 2, 1e-5),
-        (disk(), gaussian_weight(), 8, 1e-5),
-        (interval(grid=401), unit_weight(), 1, 1e-5),
-        (interval(grid=401), unit_weight(), 4, 1e-5),
-        (cube(2, per_axis=33), unit_weight(), 4, 1e-5),
+        (disk(), gaussian_weight(), 2, 1e-5, True),
+        (disk(), gaussian_weight(), 8, 1e-5, False),
+        (interval(grid=401), unit_weight(), 1, 1e-5, True),
+        (interval(grid=401), unit_weight(), 4, 1e-5, True),
+        (interval(grid=401), unit_weight(), 16, 1e-5, False),
+        (cube(2, per_axis=33), unit_weight(), 4, 1e-5, False),
+        (ball(2), unit_weight(), 8, 1e-5, False),
     ],
-    ids=["disk-s2", "disk-s8", "interval-s1", "interval-s4", "cube-s4"],
+    ids=["disk-s2", "disk-s8", "interval-s1", "interval-s4", "interval-s16", "cube-s4", "ball-s8"],
 )
-def test_newton_steps_never_lower_log_det(monkeypatch, space, weight, s, epsilon):
+def test_newton_steps_never_lower_log_det(monkeypatch, space, weight, s, epsilon, uniform_start):
+    # the default start certifies disk s=2 and interval s=1, 4 before any
+    # step, so those cases start from the uniform measure
     taken = []
 
     def counted(*args):
@@ -281,7 +295,7 @@ def test_newton_steps_never_lower_log_det(monkeypatch, space, weight, s, epsilon
 
     newton_step = optimal._newton_step
     monkeypatch.setattr(optimal, "_newton_step", counted)
-    res = d_optimal(space, weight, s, epsilon=epsilon)
+    res = d_optimal(space, weight, s, epsilon=epsilon, init=_uniform(space) if uniform_start else None)
     assert res.converged and any(taken)
     assert res.monotonicity_violation <= 1e-10
     assert res.mass_identity_residual <= 1e-8 * res.n
@@ -334,7 +348,7 @@ def test_orbits_eliminated_by_mistake_come_back(monkeypatch):
     # needs; the full-grid certificate catches it, every orbit comes back
     # (the live rows grow again) and the solve still reaches the optimum
     space = interval(grid=101)
-    ref = d_optimal(space, unit_weight(), 3, epsilon=1e-6)
+    ref = d_optimal(space, unit_weight(), 3, epsilon=1e-6, init=_uniform(space))
     rows = []
     evaluate = optimal._evaluate
 
@@ -344,7 +358,7 @@ def test_orbits_eliminated_by_mistake_come_back(monkeypatch):
 
     monkeypatch.setattr(optimal, "_evaluate", recorded)
     monkeypatch.setattr(optimal, "_hp_bound", lambda gap, n: float(n))
-    res = d_optimal(space, unit_weight(), 3, epsilon=1e-6)
+    res = d_optimal(space, unit_weight(), 3, epsilon=1e-6, init=_uniform(space))
     assert any(a < b == space.grid_size for a, b in zip(rows, rows[1:]))
     assert res.converged and abs(res.log_det - ref.log_det) <= res.epsilon * res.n
     K_grid, _ = _grid_christoffel(res, space, unit_weight(), 3)
@@ -360,3 +374,65 @@ def test_start_without_mass_on_the_optimal_support_still_certifies():
     assert res.converged
     assert np.allclose(np.sort(res.design.points[:, 0].real), [-1.0, 1.0])
     assert np.allclose(res.design.weights, 0.5, atol=1e-6)
+
+
+_START_CASES = (
+    [(f"interval-s{s}", interval(grid=401), unit_weight(), s) for s in range(1, 17)]
+    + [(f"disk-s{s}", disk(), gaussian_weight(), s) for s in (2, 4, 8)]
+    + [("fine-disk-s8", disk(radial=96, angular=40), gaussian_weight(), 8)]
+    + [(f"ball-s{s}", ball(2), unit_weight(), s) for s in (2, 4, 8)]
+    + [(f"simplex-s{s}", simplex(2), unit_weight(), s) for s in (2, 4, 6)]
+    + [(f"cube3-s{s}", cube(3, per_axis=9), unit_weight(), s) for s in (2, 3, 6)]
+)
+
+
+@pytest.mark.parametrize("space, weight, s", [c[1:] for c in _START_CASES], ids=[c[0] for c in _START_CASES])
+def test_fekete_start_certifies_within_thirty_steps(space, weight, s):
+    # the uniform start took 467-12,563 steps on the interval at this epsilon
+    res = d_optimal(space, weight, s, epsilon=1e-5)
+    assert res.converged and res.iterations <= 30
+    assert res.monotonicity_violation <= 1e-10
+    assert res.mass_identity_residual <= 1e-8 * res.n
+
+
+def test_cube_orbit_solve_matches_the_per_point_solve():
+    space = cube(2, per_axis=33)
+    orbits = d_optimal(space, unit_weight(), 4, epsilon=1e-5)
+    points = d_optimal(_without_orbits(space), unit_weight(), 4, epsilon=1e-5)
+    assert orbits.converged and points.converged
+    assert abs(orbits.log_det - points.log_det) <= orbits.epsilon * orbits.n
+    # the symmetric design is symmetric: its atoms are closed under x <-> y
+    # and sign flips
+    atoms = {tuple(np.round(p.real, 12)) for p in orbits.design.points}
+    assert atoms == {(sx * b, sy * a) for a, b in atoms for sx in (1, -1) for sy in (1, -1)}
+
+
+def _einsum_hessian(Z, row_orbit, counts):
+    # H[o, p] = -tr(A_o A_p) / (c_o c_p), every orbit block A_o summed by einsum
+    onehot = (row_orbit[:, None] == np.arange(counts.size)).astype(float)
+    A = np.einsum("ro,ri,rj->oij", onehot, Z.conj(), Z)
+    return -np.einsum("oij,pji->op", A, A).real / np.outer(counts, counts)
+
+
+@pytest.mark.parametrize(
+    "space, weight, s",
+    [(disk(), gaussian_weight(), s) for s in (2, 4, 8)] + [(cube(2, per_axis=33), unit_weight(), 4)],
+    ids=["disk-s2", "disk-s4", "disk-s8", "cube-s4"],
+)
+def test_step_count_does_not_depend_on_how_the_hessian_is_rounded(monkeypatch, space, weight, s):
+    # a singular KKT system let a 2e-16 change in H change the step count;
+    # the ridge makes the Newton direction well defined
+    ref = d_optimal(space, weight, s, epsilon=1e-5)
+    monkeypatch.setattr(optimal, "_orbit_hessian", _einsum_hessian)
+    other = d_optimal(space, weight, s, epsilon=1e-5)
+    assert ref.converged and other.converged
+    assert other.iterations == ref.iterations
+    assert other.log_det == pytest.approx(ref.log_det, abs=1e-9)
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0])
+def test_certificate_that_only_looks_valid_is_refused(a):
+    # w^16 spans 40-70 decades on [-a, a]: the iterate that passes the gap
+    # test has lost the mass identity sum(mass K) = n to rounding
+    with pytest.raises(SingularGramError, match="mass identity residual"):
+        d_optimal(interval(a=a, grid=201), gaussian_weight(), 8, epsilon=1e-5)
