@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import math
 import os
@@ -97,6 +98,7 @@ def _command_defaults(cmd: str) -> dict:
     return {key: differing.get(key, _OPTIONS[key]["default"]) for key in (*_COMMON, *own.split())}
 
 
+@functools.cache  # main() is called many times in one process; argparse keeps no state between parses
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="optdesign", description=__doc__)
     ap.add_argument("--version", action="version", version=f"optdesign {__version__}")

@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .basis import PolyBasis, as_points, eval_basis_many, monomial_basis, stabilized_basis
 
@@ -41,6 +40,13 @@ def _real_coordinates(pts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pts).view(np.float64)
 
 
+def _kdtree(pts: np.ndarray):
+    """A k-d tree over the real coordinates of pts; scipy.spatial (which loads scipy.special) loads on first use."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(_real_coordinates(pts))
+
+
 def _point_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise distance max_k |a_k - b_k| between (m, d) complex point sets."""
     return np.max(np.abs(a - b), axis=1)
@@ -53,7 +59,7 @@ def _require_distinct(pts: np.ndarray, tol: float, what: str) -> None:
     the max-norm distance of the real coordinates, so one k-d tree query at
     radius ``tol`` finds every candidate pair.
     """
-    pairs = cKDTree(_real_coordinates(pts)).query_pairs(tol, p=np.inf, output_type="ndarray")
+    pairs = _kdtree(pts).query_pairs(tol, p=np.inf, output_type="ndarray")
     if not len(pairs):
         return
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -352,7 +358,7 @@ class WeightFunction:
 
     def _lookup(self, pts: np.ndarray) -> np.ndarray:
         ref = self.table_points
-        _, j = cKDTree(_real_coordinates(ref)).query(_real_coordinates(pts))
+        _, j = _kdtree(ref).query(_real_coordinates(pts))
         if np.any(_point_distance(ref[j], pts) > 1e-9):
             raise ValueError("tabulated weight queried off its grid")
         return self.table_values[j]
@@ -467,7 +473,7 @@ def prune_and_merge(design: DiscreteDesign, weight_tol: float = 0.0, merge_radiu
     if merge_radius > 0 and pts.shape[0] > 1:
         m = pts.shape[0]
         xy = _real_coordinates(pts)
-        pairs = cKDTree(xy).query_pairs(merge_radius, output_type="ndarray")
+        pairs = _kdtree(pts).query_pairs(merge_radius, output_type="ndarray")
         # components are numbered in order of their lowest member
         _, label = connected_components(coo_matrix((np.ones(len(pairs)), pairs.T), shape=(m, m)), directed=False)
         mass = np.bincount(label, weights=w)
@@ -503,22 +509,34 @@ def _squared_norms(Z: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", F, F)
 
 
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B, a complex product run as one real GEMM of twice the width.
+# Most multiply-adds _matmul hands to one BLAS call.  numpy 2.4.6's bundled
+# OpenBLAS runs dgemm on one thread up to this size: on 2 cores a 2000 x 100
+# by 100 x 5 product (1.0e6) left the worker thread idle, a 2097 x 100 by
+# 100 x 5 one (1.05e6) woke it, and it then spun through the calls after it.
+_GEMM_MAX_MACS = 10**6
 
-    (a + ib)(c + id) = (ac - bd) + i(ad + bc): the float64 view of A, whose
-    columns interleave real and imaginary parts, times the real 2k x 2n
-    image of B is the float64 view of A @ B.  OpenBLAS threads complex
-    GEMMs from a much smaller size than real ones: a 1921 x 9 by 9 x 9
-    complex product wakes a second thread, its 1921 x 18 by 18 x 18 real
-    image does not.
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B in row blocks of A small enough that OpenBLAS stays on one thread.
+
+    A complex product runs as a real one of twice the width, since OpenBLAS
+    threads complex GEMMs from a much smaller size: (a + ib)(c + id) =
+    (ac - bd) + i(ad + bc), so the float64 view of A, whose columns
+    interleave real and imaginary parts, times the real 2k x 2n image of B
+    is the float64 view of A @ B.
     """
-    if not (np.iscomplexobj(A) or np.iscomplexobj(B)):
-        return A @ B
-    A = np.ascontiguousarray(A, dtype=complex)
-    k, n = B.shape
-    W = np.array([[B.real, B.imag], [-B.imag, B.real]]).transpose(2, 0, 3, 1).reshape(2 * k, 2 * n)
-    return (A.view(np.float64) @ W).view(complex)
+    if np.iscomplexobj(A) or np.iscomplexobj(B):
+        A = np.ascontiguousarray(A, dtype=complex)
+        k, n = B.shape
+        W = np.array([[B.real, B.imag], [-B.imag, B.real]]).transpose(2, 0, 3, 1).reshape(2 * k, 2 * n)
+        return _matmul(A.view(np.float64), W).view(complex)
+    if A.shape[0] * A.shape[1] * B.shape[1] <= _GEMM_MAX_MACS:
+        return np.matmul(A, B)
+    rows = max(1, _GEMM_MAX_MACS // (A.shape[1] * B.shape[1]))
+    out = np.empty((A.shape[0], B.shape[1]), dtype=np.result_type(A, B))
+    for i in range(0, A.shape[0], rows):
+        np.matmul(A[i : i + rows], B, out=out[i : i + rows])
+    return out
 
 
 def _greedy_rows(A: np.ndarray) -> list[int]:

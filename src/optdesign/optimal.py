@@ -66,6 +66,7 @@ from .measure import (
 )
 
 _ORACLE_LIMIT = 10**7  # cap on the number of index tuples a brute-force sum may touch
+_ORACLE_BLOCK = 4096  # index subsets per stacked determinant call of a brute-force sum
 _NEWTON_ORBITS = 40  # Newton takes over once at most max(3 n, this) orbits carry mass
 _ARMIJO = 1e-4  # share of its first-order gain a Newton step must realize in log det
 _BACKTRACKS = 30  # step halvings before a Newton step is given up
@@ -413,6 +414,18 @@ def _oracle_guard(count: float) -> None:
         )
 
 
+def _subset_sum(B: np.ndarray, wf: np.ndarray, mu: np.ndarray, k: int, head: np.ndarray | None = None) -> float:
+    """Sum over k-subsets S of rows of |det [head; B[S]]|^2 prod wf[S] prod mu[S], one det call per block of S."""
+    combos = itertools.combinations(range(B.shape[0]), k)
+    total = 0.0
+    while len(idx := np.array(list(itertools.islice(combos, _ORACLE_BLOCK)), dtype=np.intp)):
+        sub = B[idx]
+        if head is not None:
+            sub = np.concatenate([np.broadcast_to(head, (len(idx), 1, B.shape[1])), sub], axis=1)
+        total += float(np.sum(np.abs(np.linalg.det(sub)) ** 2 * np.prod(wf[idx], axis=1) * np.prod(mu[idx], axis=1)))
+    return total
+
+
 def vdm_integral_det(design: DiscreteDesign, weight: WeightFunction, s: int) -> float:
     """det M recomputed as a sum of squared Vandermonde determinants.
 
@@ -429,16 +442,8 @@ def vdm_integral_det(design: DiscreteDesign, weight: WeightFunction, s: int) -> 
     _oracle_guard(float(m) ** n)
     if m < n:
         return 0.0
-    basis = monomial_basis(d, s)
-    B = eval_basis_many(basis, design.points)
-    wf = weight.values(design.points) ** (2 * s)
-    mu = design.weights
-    total = 0.0
-    for combo in itertools.combinations(range(m), n):
-        sub = B[list(combo), :]
-        det = np.linalg.det(sub)
-        total += float(abs(det) ** 2 * np.prod(wf[list(combo)]) * np.prod(mu[list(combo)]))
-    return total
+    B = eval_basis_many(monomial_basis(d, s), design.points)
+    return _subset_sum(B, weight.values(design.points) ** (2 * s), design.weights, n)
 
 
 def vdm_integral_christoffel(design: DiscreteDesign, weight: WeightFunction, s: int, z) -> float:
@@ -458,16 +463,8 @@ def vdm_integral_christoffel(design: DiscreteDesign, weight: WeightFunction, s: 
         raise SingularGramError("oracle Christoffel needs a nonsingular design", n)
     basis = monomial_basis(d, s)
     B = eval_basis_many(basis, design.points)
-    wf = weight.values(design.points) ** (2 * s)
-    mu = design.weights
-    row_z = eval_basis(basis, z).reshape(1, -1)
-    wz = float(weight(z)) ** (2 * s)
-    total = 0.0
-    for combo in itertools.combinations(range(m), n - 1):
-        sub = np.vstack([row_z, B[list(combo), :]])
-        det_v = np.linalg.det(sub)
-        total += float(abs(det_v) ** 2 * np.prod(wf[list(combo)]) * np.prod(mu[list(combo)]))
+    total = _subset_sum(B, weight.values(design.points) ** (2 * s), design.weights, n - 1, eval_basis(basis, z))
     # ordered (n-1)-tuples of distinct atoms contribute (n-1)! times each subset
-    total *= math.factorial(n - 1) * wz
+    total *= math.factorial(n - 1) * float(weight(z)) ** (2 * s)
     z_n = math.factorial(n) * det
     return n / z_n * total

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .basis import eval_basis_many, monomial_basis, space_dimension
 from .gram import christoffel_many, moment_matrix, orthonormal_factor
-from .measure import DiscreteDesign, _point_array, make_design, unit_weight
+from .measure import DiscreteDesign, _matmul, _point_array, make_design, unit_weight
 
 
 @dataclass(frozen=True)
@@ -91,28 +90,30 @@ def _is_complex_design(design: DiscreteDesign) -> bool:
 
 
 def _trial_estimates(exp: RegressionExperiment, V: np.ndarray) -> np.ndarray:
-    """Least-squares estimates for every trial, stacked (trials, n)."""
+    """Least-squares estimates for every trial, stacked (trials, n); real when the design and theta are."""
     m = V.shape[0]
     complex_noise = _is_complex_design(exp.design)
-    y0 = V @ exp.theta
-    noise = np.empty((exp.trials, m), dtype=complex)
+    theta = exp.theta
+    if not (complex_noise or np.any(theta.imag)):
+        V, theta = V.real, theta.real
+    noise = np.empty((exp.trials, 2 if complex_noise else 1, m))
     bitgen = np.random.Philox(key=np.array([exp.seed, 0], dtype=np.uint64))
     fresh = bitgen.state  # counter 0, empty buffer
     rng = np.random.Generator(bitgen)
     for t in range(exp.trials):
-        # trial t draws what a new Generator(Philox(key=(seed, t))) would
+        # trial t draws what a new Generator(Philox(key=(seed, t))) would: m real parts, then m imaginary ones
         fresh["state"]["key"][1] = t
         bitgen.state = fresh
-        if complex_noise:
-            re = rng.standard_normal(m)
-            im = rng.standard_normal(m)
-            noise[t] = exp.sigma / math.sqrt(2.0) * (re + 1j * im)
-        else:
-            noise[t] = exp.sigma * rng.standard_normal(m)
-    Y = y0[None, :] + noise
+        rng.standard_normal(out=noise[t])
+    noise *= exp.sigma / math.sqrt(2.0) if complex_noise else exp.sigma
+    Y = noise[:, 0].astype(V.dtype, copy=False)
+    if complex_noise:
+        Y.imag = noise[:, 1]
+    Y += V @ theta
+    # theta_hat = inv(R) (Q^H y): trsm threads even at n = 5, and folding inv(R) into Q
+    # first rounds the same way in every trial, which shifts the variances by about 1e-13
     Q, R = np.linalg.qr(V)
-    rhs = Y @ Q.conj()
-    return sla.solve_triangular(R, rhs.T, lower=False).T
+    return _matmul(_matmul(Y, Q.conj()), np.linalg.inv(R).T)
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,8 @@ def _run(exp: RegressionExperiment, points: np.ndarray):
     mm = moment_matrix(mu_x, unit_weight(), exp.degree, basis)
     ev = orthonormal_factor(mm, unit_weight())
     # plain transpose: sum_j p_j(z) theta_hat_j; one row per point, so each sum runs pairwise over the trials
-    vals = np.ascontiguousarray((theta_hats @ eval_basis_many(basis, points).T).T)
+    P = eval_basis_many(basis, points)
+    vals = np.ascontiguousarray(_matmul(theta_hats, (P if np.any(P.imag) else P.real).T).T)
     emp = np.sum(np.abs(vals - vals.mean(axis=1)[:, None]) ** 2, axis=1) / max(exp.trials - 1, 1)
     theo = exp.sigma**2 / exp.num_obs * christoffel_many(ev, points)
     rows = tuple(

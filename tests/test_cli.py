@@ -413,3 +413,17 @@ def test_malformed_design_or_weight_file_is_a_validation_error(tmp_path, capsys,
     assert rc == 2
     assert capsys.readouterr().err == f"validation error: {message}\n"
     assert not any(out.iterdir())
+
+
+def test_successive_calls_share_one_parser_and_resolve_their_own_flags(tmp_path):
+    def config(out):
+        header = (out / "moments.csv").read_text().splitlines()[1]
+        return json.loads(header.removeprefix("# config "))
+
+    assert _build_parser() is _build_parser()
+    assert main(["equilibrium", "--target", "simplex", "--tmax", "3", "--out", str(tmp_path / "a")]) == 0
+    assert main(["equilibrium", "--out", str(tmp_path / "b")]) == 0
+    first, second = config(tmp_path / "a"), config(tmp_path / "b")
+    assert (first["target"], first["tmax"]) == ("simplex", 3)
+    assert (second["target"], second["tmax"]) == ("arcsine", 6)
+    assert first["out"] != second["out"]

@@ -1,11 +1,16 @@
 """Closed-form limiting measures: densities, moments, Green function."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import nquad, quad
 
+import optdesign
 from optdesign import (
     arcsine,
     ball_measure,
@@ -144,3 +149,37 @@ def test_moment_argument_validation():
         eq_cdf(weighted_ball_measure(), 0.5)
     with pytest.raises(ValueError):
         arcsine(a=-1.0)
+
+
+def _gamma_ratio(num, den):
+    """prod Gamma(num) / prod Gamma(den), through log-gamma."""
+    return math.exp(sum(map(math.lgamma, num)) - sum(map(math.lgamma, den)))
+
+
+def test_moment_tables_match_their_closed_forms_up_to_degree_forty():
+    arc, sim, disk_m, wball = arcsine(), simplex_measure(2), ball_measure(2), weighted_ball_measure()
+    worst = 0.0
+    for k in range(41):
+        want = 0.0 if k % 2 else math.comb(k, k // 2) / 2.0**k
+        worst = max(worst, abs(eq_moment(arc, (k,)) - want))
+        worst = max(worst, abs(eq_moment_mixed(wball, k // 2, k // 2) - 0.5 ** (k // 2) / (k // 2 + 1)))
+        for a in range(k + 1):
+            b = k - a
+            # Dirichlet(1/2, 1/2, 1/2) on the unit simplex
+            want = _gamma_ratio([1.5, a + 0.5, b + 0.5], [1.5 + k, 0.5, 0.5])
+            worst = max(worst, abs(eq_moment(sim, (a, b)) - want))
+            # density (1 - r^2)^(-1/2) / (2 pi) on the unit disk: radial times angular average
+            want = 0.0
+            if a % 2 == 0 and b % 2 == 0:
+                radial = 0.5 * _gamma_ratio([k / 2 + 1, 0.5], [k / 2 + 1.5])
+                want = radial * _gamma_ratio([(a + 1) / 2, (b + 1) / 2], [k / 2 + 1]) / math.pi
+            worst = max(worst, abs(eq_moment(disk_m, (a, b)) - want))
+    assert worst <= 1e-12
+
+
+def test_import_loads_no_scipy_quadrature_or_special_functions():
+    src = str(Path(optdesign.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, optdesign; print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -336,3 +336,38 @@ def test_non_finite_weight_values_rejected(bad):
     w = callable_weight(lambda z: bad)
     with pytest.raises(ValueError, match="non-finite"):
         w.values([[0.5]])
+
+
+@pytest.mark.parametrize(
+    "rows, k, n, dtype, calls",
+    [
+        (2501, 40, 30, float, 4),  # 833 rows per call: three full blocks and 2 rows
+        (1000, 26, 26, complex, 3),  # the real 52 x 52 image: 369 rows per call
+        (1, 40, 30, complex, 1),
+        (100, 40, 30, float, 1),  # 1.2e5 multiply-adds: below the limit, one call
+    ],
+)
+def test_matmul_keeps_each_blas_call_below_the_threading_size(monkeypatch, rows, k, n, dtype, calls):
+    from optdesign import measure
+
+    rng = np.random.default_rng(rows)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    A, B = draw(rows, k), draw(k, n)
+    sizes = []
+    matmul = np.matmul
+
+    def record(a, b, **kw):
+        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", record)
+    got = measure._matmul(A, B)
+    monkeypatch.undo()
+    assert len(sizes) == calls
+    assert max(sizes) <= measure._GEMM_MAX_MACS
+    assert got.dtype == np.result_type(A, B) and got.shape == (rows, n)
+    np.testing.assert_allclose(got, A @ B, rtol=1e-12, atol=1e-12 * np.abs(A @ B).max())

@@ -1,6 +1,7 @@
 """D-optimal solver, certificates, and brute-force cross-checks."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -19,11 +20,14 @@ from optdesign import (
     cube,
     d_optimal,
     disk,
+    eval_basis,
+    eval_basis_many,
     g_value,
     gaussian_weight,
     interval,
     make_design,
     moment_matrix,
+    monomial_basis,
     orthonormal_factor,
     prune_and_merge,
     simplex,
@@ -186,6 +190,34 @@ def test_brute_force_det_vanishes_without_enough_atoms():
     assert vdm_integral_det(design, unit_weight(), 2) == 0.0
     with pytest.raises(SingularGramError):
         vdm_integral_christoffel(design, unit_weight(), 2, 0.5)
+
+
+def _per_subset_oracles(design, weight, s, z):
+    """det M and K(z) by the textbook sums, one determinant per index subset."""
+    basis = monomial_basis(design.dimension, s)
+    B = eval_basis_many(basis, design.points)
+    c = weight.values(design.points) ** (2 * s) * design.weights
+    n = B.shape[1]
+    subsets = list(itertools.combinations(range(len(c)), n))
+    det = sum(abs(np.linalg.det(B[list(S)])) ** 2 * np.prod(c[list(S)]) for S in subsets)
+    row = eval_basis(basis, z)
+    tot = sum(
+        abs(np.linalg.det(np.vstack([row, B[list(S)]]))) ** 2 * np.prod(c[list(S)])
+        for S in itertools.combinations(range(len(c)), n - 1)
+    )
+    return det, n / (math.factorial(n) * det) * math.factorial(n - 1) * float(weight(z)) ** (2 * s) * tot
+
+
+@pytest.mark.parametrize("space, s, atoms", [(interval(), 3, 9), (disk(), 4, 8)], ids=["interval-s3", "disk-s4"])
+def test_stacked_oracles_match_a_per_subset_loop(space, s, atoms):
+    # the designs of `optdesign oracle --degree 3 --atoms 9` and of its disk case
+    idx = np.unique(np.linspace(0, space.grid_size - 1, atoms).round().astype(int))
+    w = np.arange(1.0, idx.size + 1)
+    design = make_design(space.grid[idx], w / w.sum())
+    for z in [*design.points[:3], space.grid[space.grid_size // 2]]:
+        det, K = _per_subset_oracles(design, unit_weight(), s, z)
+        assert vdm_integral_det(design, unit_weight(), s) == pytest.approx(det, rel=1e-13)
+        assert vdm_integral_christoffel(design, unit_weight(), s, z) == pytest.approx(K, rel=1e-13)
 
 
 def test_brute_force_guard_refuses_huge_enumerations():

@@ -218,3 +218,30 @@ def test_prediction_rows_match_a_per_point_loop(kind):
         assert row.empirical_var == pytest.approx(emp, rel=1e-13)
         assert row.theoretical_var == pytest.approx(theo, rel=1e-13)
         assert np.array_equal(row.point, z)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_many_trials_match_least_squares_and_stay_real_on_real_designs(kind):
+    from optdesign.simulate import _observation_matrix, _trial_estimates
+
+    if kind == "real":  # 99 x 3 rows: the 4000 trials take two row blocks of the estimator product
+        exp = experiment(sigma=1.0, trials=4000)
+    else:
+        z = 0.75 * np.exp(2j * math.pi * np.arange(4) / 4)
+        exp = RegressionExperiment(
+            design=uniform_design(z), degree=1, theta=np.array([1.0 + 0.5j, -0.25j]),
+            sigma=1.0, num_obs=400, trials=4000, seed=7,
+        )
+    V, _ = _observation_matrix(exp)
+    theta_hats = _trial_estimates(exp, V)
+    assert theta_hats.dtype == (np.float64 if kind == "real" else np.complex128)
+    m = V.shape[0]
+    Y = np.empty((exp.trials, m), dtype=complex)
+    for t in range(exp.trials):
+        rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, t], dtype=np.uint64)))
+        if kind == "real":
+            Y[t] = rng.standard_normal(m)
+        else:
+            Y[t] = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+    ref = np.linalg.lstsq(V, (V @ exp.theta)[:, None] + exp.sigma * Y.T, rcond=None)[0].T
+    np.testing.assert_allclose(theta_hats, ref, rtol=0, atol=1e-12)
