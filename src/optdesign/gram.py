@@ -18,12 +18,10 @@ exact for complex atoms; the two coincide whenever M is real.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .basis import PolyBasis, as_points
 from .measure import DiscreteDesign, WeightFunction, _matmul, _squared_norms, weighted_rows
@@ -82,32 +80,36 @@ def _assemble(B: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-@functools.cache
-def _lapack(dtype: np.dtype):
-    """The (potrf, trtri) pair for one dtype, looked up once per process."""
-    return sla.get_lapack_funcs(("potrf", "trtri"), dtype=dtype)
-
-
 def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float, int]:
     """Attempt a Cholesky factorization; returns (lower factor, log det, pivot).
 
     ``pivot`` is 0 on success, else the 1-based index where the
-    factorization lost positivity (log det is then -inf).
+    factorization lost positivity (log det is then -inf): the order of the
+    smallest leading block that has no Cholesky factor, found by bisection.
     """
-    potrf, _ = _lapack(M.dtype)
-    C, info = potrf(M, lower=True, clean=True, overwrite_a=False)
-    if info > 0:
-        return None, -math.inf, int(info)
-    if info < 0:
-        raise ValueError(f"illegal moment matrix passed to potrf (argument {-info})")
+    try:
+        C = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        ok, bad = 0, M.shape[0]  # leading blocks of these orders do and do not factor
+        while bad - ok > 1:
+            mid = (ok + bad) // 2
+            try:
+                np.linalg.cholesky(M[:mid, :mid])
+                ok = mid
+            except np.linalg.LinAlgError:
+                bad = mid
+        return None, -math.inf, bad
     return C, 2.0 * float(np.log(C.diagonal().real).sum()), 0
 
 
 def _inverse_factor(C: np.ndarray) -> np.ndarray:
-    """L = inv(C) for a lower Cholesky factor C, so that inv(M) = L* L."""
-    _, trtri = _lapack(C.dtype)
-    L, _ = trtri(C, lower=True)  # cannot fail: potrf left a positive diagonal
-    return L
+    """L = inv(C) for a lower Cholesky factor C, so that inv(M) = L* L.
+
+    ``inv`` solves with the upper-triangular C^H: its LU factorization
+    pivots no row, so the solve is plain back substitution, exactly
+    triangular and as accurate as a triangular inverse.
+    """
+    return np.linalg.inv(C.conj().T).conj().T
 
 
 def _christoffel_rows(A: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -208,7 +210,7 @@ def orthonormal_factor(mm: MomentMatrix, weight: WeightFunction) -> ChristoffelE
     C, _, pivot = _cholesky_log_det(mm.matrix)
     if pivot:
         raise SingularGramError(f"moment matrix is not positive definite at pivot {pivot}", pivot)
-    sv = sla.svdvals(C)
+    sv = np.linalg.svd(C, compute_uv=False)
     eig_min, threshold = float(sv[-1]) ** 2, mm.n * _PIVOT_REL_TOL * float(sv[0]) ** 2
     if eig_min <= threshold:
         weakest = 1 + int(np.argmin(np.real(np.diag(C))))

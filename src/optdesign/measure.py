@@ -9,14 +9,13 @@ probability measures stored as (points, weights) arrays.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .basis import PolyBasis, as_points, eval_basis_many, monomial_basis, stabilized_basis
 
@@ -40,34 +39,64 @@ def _real_coordinates(pts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pts).view(np.float64)
 
 
-def _kdtree(pts: np.ndarray):
-    """A k-d tree over the real coordinates of pts; scipy.spatial (which loads scipy.special) loads on first use."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree(_real_coordinates(pts))
-
-
 def _point_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise distance max_k |a_k - b_k| between (m, d) complex point sets."""
     return np.max(np.abs(a - b), axis=1)
 
 
+@functools.cache
+def _direction(dim: int) -> tuple[np.ndarray, float, float]:
+    """A fixed generic direction u > 0 in R^dim (golden-ratio fractions), with |u| and sum(u)."""
+    u = _freeze(0.5 + np.modf(np.arange(1, dim + 1) * (math.sqrt(5.0) - 1.0) / 2.0)[0])
+    return u, math.sqrt(u @ u), float(u.sum())
+
+
+def _near_pairs(X: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of rows of the real point set X that may lie within ``radius``.
+
+    Every pair at Euclidean distance at most ``radius`` is among them;
+    callers test the candidates with their own distance.  The rows are
+    sorted by their projection y = X u onto a fixed generic direction:
+    |y_i - y_j| <= |x_i - x_j| |u|, so partners sit at most radius |u|
+    apart in y, plus a bound on the rounding of the projections.  The scan
+    takes the pairs k = 1, 2, ... places apart in that order until no pair
+    at distance k is that close.
+    """
+    if not np.isfinite(X).all():
+        raise ValueError("point coordinates must be finite")
+    u, norm, total = _direction(X.shape[1])
+    y = X @ u
+    # |fl(y_i) - y_i| <= dim eps sum_k |x_ik| u_k <= dim eps max|X| sum(u); 8 (dim + 2) covers
+    # both projections, the subtraction and the window's own rounding
+    rounding = 8.0 * (X.shape[1] + 2) * np.finfo(np.float64).eps * float(np.abs(X).max(initial=0.0)) * total
+    half = radius * norm * (1.0 + 1e-12) + rounding
+    order = np.argsort(y, kind="stable")
+    y = y[order]
+    i, j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for k in range(1, y.size):
+        close = np.flatnonzero(y[k:] - y[:-k] <= half)
+        if not close.size:
+            break
+        i.append(order[close])
+        j.append(order[close + k])
+    i, j = np.concatenate(i), np.concatenate(j)
+    return np.minimum(i, j), np.maximum(i, j)
+
+
 def _require_distinct(pts: np.ndarray, tol: float, what: str) -> None:
     """Raise ValueError naming the closest pair of points within ``tol``.
 
-    Distance is max over coordinates of |z_k - z'_k|, which is never below
-    the max-norm distance of the real coordinates, so one k-d tree query at
-    radius ``tol`` finds every candidate pair.
+    Distance is max over coordinates of |z_k - z'_k|; ties go to the
+    lowest (i, j).  Two points within ``tol`` lie within sqrt(d) tol of
+    each other in the real coordinates, where ``_near_pairs`` searches.
     """
-    pairs = _kdtree(pts).query_pairs(tol, p=np.inf, output_type="ndarray")
-    if not len(pairs):
+    i, j = _near_pairs(_real_coordinates(pts), math.sqrt(pts.shape[1]) * tol)
+    dist = _point_distance(pts[i], pts[j])
+    near = np.flatnonzero(dist <= tol)
+    if not near.size:
         return
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    dist = _point_distance(pts[pairs[:, 0]], pts[pairs[:, 1]])
-    k = int(np.argmin(dist))
-    if dist[k] <= tol:
-        i, j = pairs[k]
-        raise ValueError(f"{what} {i} and {j} coincide" + (f" within {tol}" if tol else ""))
+    k = near[np.lexsort((j[near], i[near], dist[near]))[0]]
+    raise ValueError(f"{what} {i[k]} and {j[k]} coincide" + (f" within {tol}" if tol else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +386,21 @@ class WeightFunction:
         return vals
 
     def _lookup(self, pts: np.ndarray) -> np.ndarray:
+        """The value at the table point nearest each query point (ties: lowest index), within 1e-9."""
         ref = self.table_points
-        _, j = _kdtree(ref).query(_real_coordinates(pts))
-        if np.any(_point_distance(ref[j], pts) > 1e-9):
+        X = _real_coordinates(np.concatenate([ref, pts]))
+        i, j = _near_pairs(X, math.sqrt(pts.shape[1]) * 1e-9)
+        cross = (i < len(ref)) & (j >= len(ref))  # i a table point, j a query point
+        i, j = i[cross], j[cross]
+        gap = X[i] - X[j]
+        order = np.lexsort((i, np.einsum("ij,ij->i", gap, gap), j))
+        i, j = i[order], j[order] - len(ref)
+        first = np.flatnonzero(np.diff(j, prepend=-1))  # each query point's nearest candidate
+        nearest = np.full(pts.shape[0], -1)
+        nearest[j[first]] = i[first]
+        if np.any(nearest < 0) or np.any(_point_distance(ref[nearest], pts) > 1e-9):
             raise ValueError("tabulated weight queried off its grid")
-        return self.table_values[j]
+        return self.table_values[nearest]
 
     def __call__(self, z) -> float:
         arr = np.asarray(z, dtype=complex)
@@ -471,11 +510,24 @@ def prune_and_merge(design: DiscreteDesign, weight_tol: float = 0.0, merge_radiu
     if pts.shape[0] == 0:
         raise ValueError("pruning removed every atom")
     if merge_radius > 0 and pts.shape[0] > 1:
-        m = pts.shape[0]
         xy = _real_coordinates(pts)
-        pairs = _kdtree(pts).query_pairs(merge_radius, output_type="ndarray")
-        # components are numbered in order of their lowest member
-        _, label = connected_components(coo_matrix((np.ones(len(pairs)), pairs.T), shape=(m, m)), directed=False)
+        i, j = _near_pairs(xy, merge_radius)
+        near = np.linalg.norm(xy[i] - xy[j], axis=1) <= merge_radius
+        i, j = i[near], j[near]
+        # each atom takes the lowest index in its cluster: propagate the
+        # smaller label across every close pair, then follow labels to their roots
+        label = np.arange(pts.shape[0])
+        while True:
+            new = label.copy()
+            low = np.minimum(label[i], label[j])
+            np.minimum.at(new, i, low)
+            np.minimum.at(new, j, low)
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        # clusters are numbered in order of their lowest member
+        label = np.unique(label, return_inverse=True)[1]
         mass = np.bincount(label, weights=w)
         centre = np.stack([np.bincount(label, weights=w * c) for c in xy.T], axis=1) / mass[:, None]
         order = np.argsort(centre[:, 0], kind="stable")
@@ -513,7 +565,10 @@ def _squared_norms(Z: np.ndarray) -> np.ndarray:
 # OpenBLAS runs dgemm on one thread up to this size: on 2 cores a 2000 x 100
 # by 100 x 5 product (1.0e6) left the worker thread idle, a 2097 x 100 by
 # 100 x 5 one (1.05e6) woke it, and it then spun through the calls after it.
+# A one-column B goes to dgemv, which threads from a smaller size: 60000 x 5
+# by 5 x 1 (3e5) stayed on one thread, 100000 x 5 by 5 x 1 (5e5) woke it.
 _GEMM_MAX_MACS = 10**6
+_GEMV_MAX_MACS = 2 * 10**5
 
 
 def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -530,9 +585,10 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         k, n = B.shape
         W = np.array([[B.real, B.imag], [-B.imag, B.real]]).transpose(2, 0, 3, 1).reshape(2 * k, 2 * n)
         return _matmul(A.view(np.float64), W).view(complex)
-    if A.shape[0] * A.shape[1] * B.shape[1] <= _GEMM_MAX_MACS:
+    cap = _GEMV_MAX_MACS if B.shape[1] == 1 else _GEMM_MAX_MACS
+    if A.shape[0] * A.shape[1] * B.shape[1] <= cap:
         return np.matmul(A, B)
-    rows = max(1, _GEMM_MAX_MACS // (A.shape[1] * B.shape[1]))
+    rows = max(1, cap // (A.shape[1] * B.shape[1]))
     out = np.empty((A.shape[0], B.shape[1]), dtype=np.result_type(A, B))
     for i in range(0, A.shape[0], rows):
         np.matmul(A[i : i + rows], B, out=out[i : i + rows])

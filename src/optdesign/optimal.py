@@ -20,7 +20,9 @@ close and carries at most n masses.  The solve runs in two phases:
    largest K carries none), and then for as long as Newton steps ascend,
    active-set Newton steps on the masses over the simplex, with a
    backtracking line search on log det itself, so every accepted step
-   raises it.  The KKT system adds 1e-12 of the largest diagonal of -H
+   raises it.  The search reads each trial in the iterate's orthonormal
+   frame, one n x n Cholesky per trial, and assembles and factors only
+   the trial it accepts.  The KKT system adds 1e-12 of the largest diagonal of -H
    to -H, which is only semidefinite, so the step does not depend on
    rounding.  A step that cannot ascend is replaced by a multiplicative
    one, or by the Wynn-Fedorov vertex step when the orbit with the
@@ -167,6 +169,31 @@ def _evaluate(R: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray, mass: np
     return _Iterate(mass, log_det, L, Z, row_orbit, K)
 
 
+def _frame_log_det(it: _Iterate, counts: np.ndarray, moving: np.ndarray):
+    """log det M at trial masses q, read in the orthonormal frame of an iterate.
+
+    The iterate's L gives L M L^H = I and its rows Z = R L^H give
+    L R_o^H R_o L^H = Z_o^H Z_o, so for masses q that differ from the
+    iterate's only on the ``moving`` orbits
+
+        log det M(q / sum q) = log det M + log det(I + E) - n log(sum q),
+        E = sum_o (q_o - mass_o) / c_o Z_o^H Z_o,
+
+    one n x n Cholesky per trial instead of a full re-assembly; -inf where
+    I + E has no Cholesky factor.
+    """
+    rows = moving[it.row_orbit]
+    Z, row_orbit = it.Z[rows], it.row_orbit[rows]
+    n = Z.shape[1]
+
+    def log_det(q: np.ndarray) -> float:
+        E = _assemble(Z, ((q - it.mass) / counts)[row_orbit])
+        E.flat[:: n + 1] += 1.0
+        return it.log_det + _cholesky_log_det(E)[1] - n * math.log(float(q.sum()))
+
+    return log_det
+
+
 def _newton_step(it: _Iterate, evaluate, counts: np.ndarray, n: int) -> _Iterate | None:
     """An active-set Newton step on the orbit masses, or None if it cannot ascend.
 
@@ -175,7 +202,9 @@ def _newton_step(it: _Iterate, evaluate, counts: np.ndarray, n: int) -> _Iterate
     its mass negative.  The step solves the KKT system of the quadratic
     model of log det on the free face under sum(mass) = 1.  The line
     search accepts the first step length whose log det rises, and by at
-    least _ARMIJO of the first-order gain K . (trial - mass).
+    least _ARMIJO of the first-order gain K . (trial - mass).  It judges
+    each trial in the iterate's frame (``_frame_log_det``) and evaluates
+    only the trial that passes there, which must pass again.
     """
     K = it.K
     # rounding-level masses that K says to shed are shed outright, so they
@@ -215,14 +244,17 @@ def _newton_step(it: _Iterate, evaluate, counts: np.ndarray, n: int) -> _Iterate
     # orbit it overshoots at once; past the first face, step to that face
     # exactly (ratio test) and keep halving
     arc = [0.5**k for k in range(2 * _BACKTRACKS) if 0.5**k > t_max]
+    frame_log_det = _frame_log_det(it, counts, (it.mass > 0) | (K > n))  # the free orbits and the shed ones
     for t in arc + [t_max * 0.5**k for k in range(_BACKTRACKS)]:
-        trial = np.maximum(p + t * d, 0.0)
+        q = np.maximum(p + t * d, 0.0)
         if t == t_max < 1.0:
-            trial[shrink[np.argmin(ratios)]] = 0.0  # the blocking orbit leaves the face exactly
-        trial /= trial.sum()
-        new = evaluate(trial)
-        if not isinstance(new, int) and new.log_det > it.log_det + _ARMIJO * max(float(K @ (trial - p)), 0.0):
-            return new
+            q[shrink[np.argmin(ratios)]] = 0.0  # the blocking orbit leaves the face exactly
+        trial = q / q.sum()
+        floor = it.log_det + _ARMIJO * max(float(K @ (trial - p)), 0.0)
+        if frame_log_det(q) > floor:
+            new = evaluate(trial)
+            if not isinstance(new, int) and new.log_det > floor:
+                return new
     return None
 
 

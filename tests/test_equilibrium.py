@@ -180,6 +180,6 @@ def test_moment_tables_match_their_closed_forms_up_to_degree_forty():
 def test_import_loads_no_scipy_quadrature_or_special_functions():
     src = str(Path(optdesign.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, optdesign; print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+    code = "import sys, optdesign; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -241,3 +241,46 @@ def test_one_shot_paths_run_real_on_real_grids(space):
     assert mm.log_det == pytest.approx(log_det, abs=1e-12)
     K_complex = _christoffel_rows(_grid_rows(space, gaussian_weight(), s).astype(complex), L_complex)
     assert np.allclose(K, K_complex, rtol=1e-12, atol=0)
+
+
+def _failing_factorizations(n, dtype, rng):
+    """Indefinite, singular and NaN matrices of order n, each named."""
+    B = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0)
+    M = B @ B.conj().T
+    cases = {"ones": np.ones((n, n), dtype=dtype)}  # rank one: the second pivot is exactly 0
+    for k in (0, n // 2, n - 1):
+        X = M.copy()
+        X[k, k] = -abs(X[k, k])
+        cases[f"negative-{k}"] = X
+        X = M.copy()
+        X[k, :] = X[:, k] = 0.0
+        cases[f"zero-row-{k}"] = X
+        X = M.copy()
+        X[k, k] = np.nan
+        cases[f"nan-diagonal-{k}"] = X
+        X = M.copy()
+        X[k, 0] = X[0, k] = np.nan
+        cases[f"nan-offdiagonal-{k}"] = X
+    cases["shifted"] = M - np.linalg.eigvalsh(M)[n // 3] * np.eye(n)
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [5, 17, 45])
+def test_cholesky_pivot_matches_lapack_potrf(n, dtype):
+    # scipy's potrf is the oracle here only: its info is the 1-based pivot
+    # that lost positivity (0 when it did not, which is also what it
+    # reports for NaN entries)
+    sla = pytest.importorskip("scipy.linalg")
+    cases = _failing_factorizations(n, dtype, np.random.default_rng(n))
+    design = make_design([0.0, 1.0], [0.5, 0.5])
+    cases["two-atom-design"] = moment_matrix(design, unit_weight(), 2, monomial_basis(1, 2)).matrix.astype(dtype)
+    for name, M in cases.items():
+        potrf = sla.get_lapack_funcs("potrf", dtype=M.dtype)
+        _, info = potrf(M, lower=True, clean=True, overwrite_a=False)
+        C, log_det, pivot = _cholesky_log_det(M)
+        assert pivot == info, name
+        if pivot:
+            assert C is None and log_det == -math.inf, name
+        else:
+            assert math.isnan(log_det), name

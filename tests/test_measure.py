@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optdesign import (
     ball,
@@ -26,6 +28,8 @@ from optdesign import (
     weight_from_json,
     weight_to_json,
 )
+from optdesign import measure
+from optdesign.measure import DiscreteDesign
 
 
 def test_interval_chebyshev_nodes():
@@ -338,6 +342,18 @@ def test_non_finite_weight_values_rejected(bad):
         w.values([[0.5]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_points_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_design([bad, 0.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        custom_grid([[0.0, bad], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        table_weight([0.0, 1.0], [1.0, 2.0]).values([[bad]])
+    with pytest.raises(ValueError, match="finite"):
+        table_weight([bad, 1.0], [1.0, 2.0]).values([[1.0]])
+
+
 @pytest.mark.parametrize(
     "rows, k, n, dtype, calls",
     [
@@ -345,6 +361,7 @@ def test_non_finite_weight_values_rejected(bad):
         (1000, 26, 26, complex, 3),  # the real 52 x 52 image: 369 rows per call
         (1, 40, 30, complex, 1),
         (100, 40, 30, float, 1),  # 1.2e5 multiply-adds: below the limit, one call
+        (10**5, 5, 1, float, 3),  # one column goes to dgemv: 40000 rows per call
     ],
 )
 def test_matmul_keeps_each_blas_call_below_the_threading_size(monkeypatch, rows, k, n, dtype, calls):
@@ -368,6 +385,107 @@ def test_matmul_keeps_each_blas_call_below_the_threading_size(monkeypatch, rows,
     got = measure._matmul(A, B)
     monkeypatch.undo()
     assert len(sizes) == calls
-    assert max(sizes) <= measure._GEMM_MAX_MACS
+    assert max(sizes) <= (measure._GEMV_MAX_MACS if n == 1 else measure._GEMM_MAX_MACS)
     assert got.dtype == np.result_type(A, B) and got.shape == (rows, n)
     np.testing.assert_allclose(got, A @ B, rtol=1e-12, atol=1e-12 * np.abs(A @ B).max())
+
+
+# ---------------------------------------------------------------------------
+# the neighbour search against brute-force O(m^2) oracles
+
+
+@st.composite
+def _point_sets(draw, step):
+    """(m, d) complex points with exact duplicates, pairs step * (1 +- 1e-3) apart and shared grid coordinates."""
+    d, complex_points, on_grid = draw(st.integers(1, 3)), draw(st.booleans()), draw(st.booleans())
+    m = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coordinates():
+        if on_grid:  # a tensor grid: points share coordinates, and some coincide
+            return np.cos(np.pi * np.arange(5) / 4)[rng.integers(0, 5, (m, d))]
+        return rng.uniform(-1, 1, (m, d))
+
+    pts = coordinates() + (1j * coordinates() if complex_points else 0)
+    pts = pts.astype(complex)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.integers(0, m, 2)
+        pts[j] = pts[i]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, k = *rng.integers(0, m, 2), rng.integers(0, d)
+        phase = np.exp(2j * np.pi * rng.uniform()) if complex_points else rng.choice([-1.0, 1.0])
+        pts[j] = pts[i]
+        pts[j, k] += step * (1.0 + draw(st.sampled_from([-1e-3, 1e-3]))) * phase
+    return pts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), tol=st.sampled_from([0.0, 1e-12, 1e-3, 0.1]))
+def test_require_distinct_names_the_brute_force_closest_pair(data, tol):
+    pts = data.draw(_point_sets(tol))
+    i, j = np.triu_indices(len(pts), 1)
+    dist = np.max(np.abs(pts[i] - pts[j]), axis=1)  # every pair, in row-major order
+    near = np.flatnonzero(dist <= tol)
+    if not near.size:
+        measure._require_distinct(pts, tol, "atoms")
+        return
+    k = near[np.argmin(dist[near])]  # the first minimum: ties go to the lowest (i, j)
+    with pytest.raises(ValueError) as err:
+        measure._require_distinct(pts, tol, "atoms")
+    assert str(err.value) == f"atoms {i[k]} and {j[k]} coincide" + (f" within {tol}" if tol else "")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), copies=st.integers(0, 6), nudged=st.integers(0, 4), far=st.booleans())
+def test_table_lookup_takes_the_brute_force_nearest_point(data, copies, nudged, far):
+    ref = data.draw(_point_sets(1e-9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    queries = [ref[rng.integers(0, len(ref), copies)]]
+    for _ in range(nudged):  # a table point moved 1e-9 (1 +- 1e-3) along one coordinate
+        q = ref[rng.integers(0, len(ref))].copy()
+        q[rng.integers(0, q.size)] += 1e-9 * (1.0 + data.draw(st.sampled_from([-1e-3, 1e-3]))) * np.exp(2j * np.pi * rng.uniform())
+        queries.append(q[None])
+    if far:
+        queries.append(rng.uniform(-1, 1, (1, ref.shape[1])) + 0j)
+    pts = np.concatenate(queries)
+    values = np.arange(1.0, len(ref) + 1.0)
+    table = table_weight(ref, values)
+    # oracle: the Euclidean nearest table point (the first on ties), refused beyond 1e-9
+    X, Y = ref.view(np.float64), pts.view(np.float64)
+    gap = (X[None, :, :] - Y[:, None, :]).reshape(-1, X.shape[1])
+    nearest = np.argmin(np.einsum("ij,ij->i", gap, gap).reshape(len(pts), len(ref)), axis=1)
+    if np.all(np.max(np.abs(ref[nearest] - pts), axis=1) <= 1e-9):
+        assert np.array_equal(table.values(pts), values[nearest])
+    else:
+        with pytest.raises(ValueError, match="off its grid"):
+            table.values(pts)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), radius=st.sampled_from([1e-3, 0.05, 0.3]))
+def test_merge_yields_the_brute_force_clusters(data, radius):
+    pts = data.draw(_point_sets(radius))
+    m = len(pts)
+    w = np.random.default_rng(m).uniform(0.1, 1.0, m)
+    # duplicates are allowed here: the design is built without make_design's check
+    design = DiscreteDesign(points=pts, weights=w / w.sum())
+    xy = pts.view(np.float64)
+    i, j = np.triu_indices(m, 1)
+    close = np.linalg.norm(xy[i] - xy[j], axis=1) <= radius
+    label = list(range(m))
+    for a, b in zip(i[close], j[close]):
+        old, new = label[b], label[a]
+        label = [min(old, new) if v in (old, new) else v for v in label]
+    label = np.unique(label, return_inverse=True)[1]  # clusters in order of their lowest member
+    mass = np.bincount(label, weights=design.weights)
+    centre = np.stack([np.bincount(label, weights=design.weights * c) for c in xy.T], axis=1) / mass[:, None]
+    order = np.argsort(centre[:, 0], kind="stable")
+    try:
+        expected = make_design(centre.view(complex)[order], mass[order] / mass[order].sum())
+    except ValueError:  # two clusters share a barycentre
+        with pytest.raises(ValueError, match="coincide"):
+            prune_and_merge(design, merge_radius=radius)
+        return
+    got = prune_and_merge(design, merge_radius=radius).design
+    assert np.array_equal(got.points, expected.points)
+    assert np.array_equal(got.weights, expected.weights)

@@ -312,8 +312,9 @@ def test_tight_interval_and_fine_disk_take_a_tenth_of_the_multiplicative_steps(c
         (interval(grid=401), unit_weight(), 16, 1e-5, False),
         (cube(2, per_axis=33), unit_weight(), 4, 1e-5, False),
         (ball(2), unit_weight(), 8, 1e-5, False),
+        (simplex(2), unit_weight(), 6, 1e-5, False),
     ],
-    ids=["disk-s2", "disk-s8", "interval-s1", "interval-s4", "interval-s16", "cube-s4", "ball-s8"],
+    ids=["disk-s2", "disk-s8", "interval-s1", "interval-s4", "interval-s16", "cube-s4", "ball-s8", "simplex-s6"],
 )
 def test_newton_steps_never_lower_log_det(monkeypatch, space, weight, s, epsilon, uniform_start):
     # the default start certifies disk s=2 and interval s=1, 4 before any
@@ -331,6 +332,41 @@ def test_newton_steps_never_lower_log_det(monkeypatch, space, weight, s, epsilon
     assert res.converged and any(taken)
     assert res.monotonicity_violation <= 1e-10
     assert res.mass_identity_residual <= 1e-8 * res.n
+
+
+@pytest.mark.parametrize(
+    "space, weight, s",
+    [(interval(grid=401), unit_weight(), 16), (disk(), gaussian_weight(), 8), (cube(2, per_axis=33), unit_weight(), 4)],
+    ids=["interval-s16", "disk-s8", "cube-s4"],
+)
+def test_frame_log_det_of_a_trial_matches_a_full_reassembly(monkeypatch, space, weight, s):
+    # log det M(q / sum q), read in the iterate's orthonormal frame, against
+    # assembling and factoring M at the trial masses from scratch, at every
+    # Newton step of the solve (the live rows change between steps)
+    rng = np.random.default_rng(s)
+    checked = []
+    newton_step = optimal._newton_step
+
+    def checked_step(it, evaluate, counts, n):
+        moving = (it.mass > 0) | (it.K > n)
+        frame_log_det = optimal._frame_log_det(it, counts, moving)
+        for t in (1.0, 0.25, 1e-3):
+            # rescale the weighted orbits, weight some massless free ones, empty a few
+            q = it.mass.copy()
+            q[moving] *= np.exp(t * rng.standard_normal(np.count_nonzero(moving)))
+            fresh = moving & (it.mass == 0)
+            q[fresh] = t * rng.uniform(0, 1.0 / n, np.count_nonzero(fresh))
+            q[np.flatnonzero(it.mass)[rng.random(np.count_nonzero(it.mass)) < 0.1 * t]] = 0.0
+            full = evaluate(q / q.sum())
+            assert not isinstance(full, int)
+            checked.append((frame_log_det(q), full.log_det))
+        return newton_step(it, evaluate, counts, n)
+
+    monkeypatch.setattr(optimal, "_newton_step", checked_step)
+    d_optimal(space, weight, s, epsilon=1e-5)
+    assert len(checked) >= 9
+    for frame_log_det, full_log_det in checked:
+        assert frame_log_det == pytest.approx(full_log_det, rel=1e-12)
 
 
 def _hp_bound(gap, n):
