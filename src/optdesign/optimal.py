@@ -4,36 +4,32 @@
 orbits (every point is its own orbit when the grid records none).  The
 gradient of log det in the mass of orbit o is its mean Christoffel value
 K_o, and the Kiefer-Wolfowitz gap max K - n certifies distance from
-optimality.  The default start is equal mass 1/n on the approximate
+optimality.  Every solve starts at equal mass 1/n on the approximate
 Fekete points of the weighted rows (Bos, De Marchi, Sommariva & Vianello
 2010), spread evenly over each point's orbit.  D-optimal designs and
 Fekete points share their limit, the equilibrium measure, and on the
 interval the optimum is equal mass on the Fekete points, so the start is
-close and carries at most n masses.  The solve runs in two phases:
+close and carries at most n masses.
 
-1. Multiplicative steps mass_o <- mass_o * K_o / n, which never lower log
-   det.  Each step also applies Harman & Pronzato's (2007) elimination:
-   with e = gap / n and h(e) = 1 + e/2 - sqrt(e (4 + e - 4/n)) / 2, an
-   orbit whose K is below n h(e) carries no mass in any optimum, so it is
-   dropped and its Gram rows leave the assembly.
-2. Once at most max(3 n, 40) orbits carry mass (or the orbit with the
-   largest K carries none), and then for as long as Newton steps ascend,
-   active-set Newton steps on the masses over the simplex, with a
-   backtracking line search on log det itself, so every accepted step
-   raises it.  The search reads each trial in the iterate's orthonormal
-   frame, one n x n Cholesky per trial, and assembles and factors only
-   the trial it accepts.  The KKT system adds 1e-12 of the largest diagonal of -H
-   to -H, which is only semidefinite, so the step does not depend on
-   rounding.  A step that cannot ascend is replaced by a multiplicative
-   one, or by the Wynn-Fedorov vertex step when the orbit with the
-   largest K carries no mass.
+Each step is an active-set Newton step on the masses over the simplex,
+with a backtracking line search on log det itself, so every accepted
+step raises it.  The search reads each trial in the iterate's
+orthonormal frame, one n x n Cholesky per trial, and assembles and
+factors only the trial it accepts.  The KKT system adds 1e-12 of the
+largest diagonal of -H to -H, which is only semidefinite, so the step
+does not depend on rounding.  A Newton step that cannot ascend is
+replaced by the Wynn-Fedorov vertex step toward the orbit with the
+largest K, which raises log det whenever the gap is positive.  After
+either step Harman & Pronzato's (2007) elimination applies: with
+e = gap / n and h(e) = 1 + e/2 - sqrt(e (4 + e - 4/n)) / 2, an orbit
+whose K is below n h(e) carries no mass in any optimum, so once the step
+has left it massless it is dropped and its Gram rows leave the assembly.
 
-From the default start phase 2 runs from the first step.  Steps of both
-kinds count as iterations against ``max_iter``.  The certificate is
-always taken on every orbit of the full grid: if an eliminated orbit
-fails it, every orbit comes back and the solve goes on.  A certified
-iterate whose mass identity sum(mass K) = n or gap >= 0 fails by more
-than 1e-8 n is refused with ``SingularGramError``, not returned.
+The certificate is always taken on every orbit of the full grid: if an
+eliminated orbit fails it, every orbit comes back and the solve goes on.
+A certified iterate whose mass identity sum(mass K) = n or gap >= 0
+fails by more than 1e-8 n is refused with ``SingularGramError``, not
+returned.
 
 Brute-force oracles re-derive the determinant and the Christoffel
 function from sums of squared Vandermonde determinants, providing an
@@ -69,7 +65,6 @@ from .measure import (
 
 _ORACLE_LIMIT = 10**7  # cap on the number of index tuples a brute-force sum may touch
 _ORACLE_BLOCK = 4096  # index subsets per stacked determinant call of a brute-force sum
-_NEWTON_ORBITS = 40  # Newton takes over once at most max(3 n, this) orbits carry mass
 _ARMIJO = 1e-4  # share of its first-order gain a Newton step must realize in log det
 _BACKTRACKS = 30  # step halvings before a Newton step is given up
 _NEGLIGIBLE_MASS = 1e-12  # orbit masses at or below this count as zero in a Newton step
@@ -81,16 +76,15 @@ class AdmissibilityError(ValueError):
     """The weight does not admit a nonsingular design on this grid."""
 
 
-def _symmetry_orbits(space, wvals: np.ndarray, w0: np.ndarray | None = None):
+def _symmetry_orbits(space, wvals: np.ndarray):
     """Return (orbit id per point, orbit sizes) for the solver to iterate on.
 
     A space may record symmetry orbits of its grid (the rings of a disk,
-    the signed axis permutations of a cube).  If the weight values and the
-    starting measure (when given) are constant on every orbit, the exact
-    iteration stays orbit-constant forever, so the solver keeps one weight
-    per orbit and averages K over each orbit.  Otherwise (no recorded
-    orbits, or wvals or w0 depend on more than the orbit) every point is
-    its own orbit.
+    the signed axis permutations of a cube).  If the weight values are
+    constant on every orbit, an orbit-constant iterate stays orbit-constant
+    under every step, so the solver keeps one mass per orbit and averages K
+    over each orbit.  Otherwise (no recorded orbits, or wvals depend on more
+    than the orbit) every point is its own orbit.
     """
     m = wvals.shape[0]
     trivial = np.arange(m), np.ones(m, dtype=np.intp)
@@ -98,10 +92,9 @@ def _symmetry_orbits(space, wvals: np.ndarray, w0: np.ndarray | None = None):
     if orbits is None:
         return trivial
     _, orbits, counts = np.unique(orbits, return_inverse=True, return_counts=True)
-    for vals in (wvals,) if w0 is None else (wvals, w0):
-        means = np.bincount(orbits, weights=vals) / counts
-        if np.max(np.abs(vals - means[orbits])) > 1e-9 * max(np.max(np.abs(vals)), 1e-300):
-            return trivial
+    means = np.bincount(orbits, weights=wvals) / counts
+    if np.max(np.abs(wvals - means[orbits])) > 1e-9 * max(np.max(np.abs(wvals)), 1e-300):
+        return trivial
     return orbits, counts
 
 
@@ -265,9 +258,12 @@ def d_optimal(
     *,
     epsilon: float = 1e-5,
     max_iter: int | None = None,
-    init: np.ndarray | None = None,
 ) -> OptimalResult:
     """Maximize det M over probability measures on the grid.
+
+    The solve starts at equal mass 1/n on the approximate Fekete points of
+    the weighted rows (greedy pick plus exchange passes, as
+    ``approx_fekete``), spread evenly over each point's symmetry orbit.
 
     Parameters
     ----------
@@ -278,18 +274,10 @@ def d_optimal(
         Stop once the Kiefer-Wolfowitz gap max K - n over the whole grid
         falls below epsilon * n; must be positive and finite.
     max_iter
-        Step cap, at least 0; multiplicative and Newton steps both count.
-        The default scales like 1 / (epsilon * n), the first-order rate of
-        the multiplicative update, so tighter tolerances automatically get
-        a larger budget.
-    init
-        Optional starting weights over the grid.  The default is equal
-        mass 1/n on the approximate Fekete points of the weighted rows
-        (greedy pick plus exchange passes, as ``approx_fekete``), spread
-        evenly over each point's symmetry orbit.  On the interval the
-        optimum is equal mass on the Fekete points, so that start is
-        nearly optimal, and with at most n masses Newton steps start at
-        once.
+        Step cap, at least 0; Newton and vertex steps both count.  The
+        default scales like 1 / (epsilon * n), the first-order rate of the
+        vertex step that stands in when Newton cannot ascend, so tighter
+        tolerances automatically get a larger budget.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -308,23 +296,14 @@ def d_optimal(
     if max_iter is None:
         max_iter = min(1_000_000, 50 * m + math.ceil(4.0 / (epsilon * n)))
 
-    if init is None:
-        orbits, counts = _symmetry_orbits(space, wvals)
-        picks = _exchange(A, picks, _FEKETE_PASSES)
-        start = np.bincount(orbits[picks], minlength=counts.size) / n
-    else:
-        w = np.asarray(init, dtype=float)
-        if w.shape != (m,) or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("init must be a nonnegative weight vector over the grid")
-        orbits, counts = _symmetry_orbits(space, wvals, w)
-        start = np.bincount(orbits, weights=w / w.sum(), minlength=counts.size)
+    orbits, counts = _symmetry_orbits(space, wvals)
+    picks = _exchange(A, picks, _FEKETE_PASSES)
     # one mass per orbit, one Gram row set per orbit; exact under the
     # grid's symmetry, and it stops rounding noise from drifting along
     # det-flat angular modes
     R, row_orbit = _orbit_rows(A, orbits, counts)
     live = np.ones(counts.size, dtype=bool)
     live_R, live_row_orbit = R, row_orbit
-    newton_at = max(3 * n, _NEWTON_ORBITS)
 
     def evaluate(mass):
         return _evaluate(live_R, live_row_orbit, counts, mass)
@@ -332,19 +311,17 @@ def d_optimal(
     def evaluate_or_raise(mass, step):
         new = evaluate(mass)
         if isinstance(new, int):
-            origin = "the approximate Fekete start" if init is None else "the initial design"
-            raise SingularGramError(f"moment matrix lost rank at iteration {step} from {origin}", new)
+            raise SingularGramError(f"moment matrix lost rank at iteration {step} from the Fekete start", new)
         return new
 
     def grid_christoffel(L):
         return np.bincount(row_orbit, weights=_christoffel_rows(R, L), minlength=counts.size) / counts
 
-    it = evaluate_or_raise(start, 0)
+    it = evaluate_or_raise(np.bincount(orbits[picks], minlength=counts.size) / n, 0)
     mass_resid = 0.0
     mono_viol = 0.0
     converged = False
     steps = 0
-    newton = False  # the last step was an ascending Newton step
 
     while True:
         mass_resid = max(mass_resid, abs(float(it.mass @ it.K) - n))
@@ -361,31 +338,18 @@ def d_optimal(
         if steps == max_iter:
             break
         steps += 1
-        out = live & (it.K < _hp_bound(gap, n))
-        new = None
-        j = int(np.argmax(it.K))
-        if newton or np.count_nonzero(it.mass) <= newton_at or it.mass[j] == 0:
-            new = _newton_step(it, evaluate, counts, n)
-            if new is not None:
-                out &= new.mass == 0
-        newton = new is not None
-        if new is None:
-            if it.mass[j] == 0:  # no multiplicative step gives it mass: Wynn-Fedorov vertex step
-                a = (it.K[j] - n) / (n * (it.K[j] - 1.0))
-                mass = (1.0 - a) * it.mass
-                mass[j] += a
-            else:
-                mass = it.mass * it.K / n
-            mass[out] = 0.0
-            mass /= mass.sum()
-        dropped = out.any()
-        if dropped:
+        new = _newton_step(it, evaluate, counts, n)
+        if new is None:  # Wynn-Fedorov vertex step toward the orbit with the largest K
+            j = int(np.argmax(it.K))
+            a = (it.K[j] - n) / (n * (it.K[j] - 1.0))
+            mass = (1.0 - a) * it.mass
+            mass[j] += a
+            new = evaluate_or_raise(mass, steps)
+        out = live & (it.K < _hp_bound(gap, n)) & (new.mass == 0)
+        if out.any():
             live &= ~out
             rows = live[row_orbit]
             live_R, live_row_orbit = R[rows], row_orbit[rows]
-        if new is None:
-            new = evaluate_or_raise(mass, steps)
-        elif dropped:
             new = new._replace(K=np.where(live, new.K, 0.0))  # K describes live orbits only
         mono_viol = max(mono_viol, it.log_det - new.log_det)
         it = new
