@@ -114,7 +114,7 @@ def kolmogorov_distance(design: DiscreteDesign, target: EquilibriumMeasure) -> f
     order = np.argsort(x.real)
     xs = x.real[order]
     cum = np.cumsum(design.weights[order])
-    F = np.array([eq_cdf(target, xi) for xi in xs])
+    F = eq_cdf(target, xs)
     below = np.abs(F - np.concatenate([[0.0], cum[:-1]]))
     above = np.abs(F - cum)
     return float(max(below.max(), above.max()))

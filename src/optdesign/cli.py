@@ -373,9 +373,8 @@ def _cmd_equilibrium(cfg: dict, out: Path) -> int:
         lo = 0.0 if target.kind == "simplex" else -target.a
         hi = target.a
         xs = np.linspace(lo, hi, 402)[:-1] + (hi - lo) / 802.0  # midpoints, avoid endpoints
-        body = ["x,density,cdf"]
-        for x in xs:
-            body.append(f"{x:.17g},{eq_density(target, x):.17g},{eq_cdf(target, x):.17g}")
+        rows = zip(xs, eq_density(target, xs), eq_cdf(target, xs))
+        body = ["x,density,cdf", *(f"{x:.17g},{p:.17g},{c:.17g}" for x, p, c in rows)]
         _write_csv(out, "density", cfg, "\n".join(body) + "\n")
     if target.kind == "weighted-ball":
         rs = np.linspace(0.0, 1.2, 121)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -141,58 +141,53 @@ def _validate_mass(m: EquilibriumMeasure) -> None:
         raise ArithmeticError(f"{m.kind} equilibrium density integrates to {total!r}")
 
 
-def eq_density(m: EquilibriumMeasure, x) -> float:
-    """Density at a point (w.r.t. Lebesgue measure on the support).
+def _one_or_many(values: np.ndarray):
+    return float(values[0]) if values.size == 1 else values
 
-    Boundary singularities evaluate to +inf; points outside the support
-    give 0.
+
+def eq_density(m: EquilibriumMeasure, x):
+    """Density at each point (w.r.t. Lebesgue measure on the support).
+
+    A float for one point, an array for many.  Boundary singularities
+    evaluate to +inf; points outside the support give 0.
     """
-    pt = as_points(x, m.dimension)[0]
+    pts = as_points(x, m.dimension)
     a, d = m.a, m.dimension
     tol = 1e-12 * max(1.0, a)
+    # coordinates combine one column at a time, so a point's value does not depend on its company
     if m.kind == "weighted-ball":
-        return m.norm_const if np.linalg.norm(pt) <= math.sqrt(0.5) + tol else 0.0
-    if np.any(np.abs(pt.imag) > tol):
-        return 0.0
-    x_re = pt.real
+        r = np.sqrt(reduce(np.add, (pts.real**2 + pts.imag**2).T))
+        return _one_or_many(np.where(r <= math.sqrt(0.5) + tol, m.norm_const, 0.0))
+    x_re = pts.real
+    inside = np.all(np.abs(pts.imag) <= tol, axis=1)
     if m.kind in ("interval", "cube"):
-        if np.any(np.abs(x_re) > a + tol):
-            return 0.0
-        val = m.norm_const
-        for xi in x_re:
-            g = a * a - xi * xi
-            if g <= 0:
-                return math.inf
-            val /= math.sqrt(g)
-        return val
-    if m.kind == "ball":
-        r2 = float(np.sum(x_re**2))
-        if r2 > a * a + tol:
-            return 0.0
-        g = a * a - r2
-        return math.inf if g <= 0 else m.norm_const * a ** (1 - d) / math.sqrt(g)
-    if m.kind == "simplex":
-        ssum = float(np.sum(x_re))
-        if np.any(x_re < -tol) or ssum > a + tol:
-            return 0.0
-        g = (a - ssum) * float(np.prod(x_re))
-        return math.inf if g <= 0 else m.norm_const * a ** (-0.5 * (d - 1)) / math.sqrt(g)
-    raise ValueError(f"unknown equilibrium kind {m.kind!r}")
-
-
-def eq_cdf(m: EquilibriumMeasure, x) -> float:
-    """Cumulative distribution of a one-dimensional equilibrium measure."""
-    if m.dimension != 1:
-        raise ValueError("eq_cdf is defined for one-dimensional measures only")
-    if m.kind == "weighted-ball":
-        raise ValueError("eq_cdf applies to real one-dimensional kinds")
-    t = float(np.real(np.asarray(x, dtype=complex).reshape(-1)[0]))
-    if m.kind == "simplex":  # arcsine law on [0, a]
-        u = (2.0 * t - m.a) / m.a
+        inside &= np.all(np.abs(x_re) <= a + tol, axis=1)
+        g, scale = reduce(np.multiply, np.maximum(a * a - x_re * x_re, 0.0).T), 1.0
+    elif m.kind == "ball":
+        r2 = reduce(np.add, (x_re**2).T)
+        inside &= r2 <= a * a + tol
+        g, scale = a * a - r2, a ** (1 - d)
+    elif m.kind == "simplex":
+        ssum = reduce(np.add, x_re.T)
+        inside &= np.all(x_re >= -tol, axis=1) & (ssum <= a + tol)
+        g, scale = (a - ssum) * reduce(np.multiply, x_re.T), a ** (-0.5 * (d - 1))
     else:
-        u = t / m.a
-    u = min(1.0, max(-1.0, u))
-    return 0.5 + math.asin(u) / math.pi
+        raise ValueError(f"unknown equilibrium kind {m.kind!r}")
+    val = np.where(g > 0, m.norm_const * scale / np.sqrt(np.where(g > 0, g, 1.0)), math.inf)
+    return _one_or_many(np.where(inside, val, 0.0))
+
+
+def eq_cdf(m: EquilibriumMeasure, x):
+    """Cumulative distribution of a one-dimensional equilibrium measure at each point's real part.
+
+    A float for one point, an array for many.
+    """
+    if m.dimension != 1 or m.kind == "weighted-ball":
+        raise ValueError("eq_cdf is defined for real one-dimensional measures only")
+    t = as_points(x, 1)[:, 0].real
+    u = np.clip((2.0 * t - m.a) / m.a if m.kind == "simplex" else t / m.a, -1.0, 1.0)  # simplex: arcsine law on [0, a]
+    # math.asin per element: np.arcsin differs from it by up to 2 ulp
+    return _one_or_many(0.5 + np.fromiter(map(math.asin, u), float, u.size) / math.pi)
 
 
 @lru_cache(maxsize=4096)

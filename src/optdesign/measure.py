@@ -9,7 +9,9 @@ probability measures stored as (points, weights) arrays.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -677,8 +679,8 @@ def design_to_json(design: DiscreteDesign, degree: int = 0) -> str:
     payload = {
         "dimension": design.dimension,
         "degree": degree,
-        "points": [[[float(z.real), float(z.imag)] for z in row] for row in design.points],
-        "weights": [float(w) for w in design.weights],
+        "points": _real_coordinates(design.points).reshape(design.size, -1, 2).tolist(),
+        "weights": design.weights.tolist(),
     }
     return json.dumps(payload)
 
@@ -693,36 +695,50 @@ def _field(payload, key: str, what: str, expected: type | None = None):
     return value
 
 
-def _decode_points(payload, what: str) -> np.ndarray:
-    """The "points" of a design or weight JSON: one list of [re, im] pairs per point."""
-    rows = _field(payload, "points", what, list)
+def _numbers(values: list, what: str, key: str) -> np.ndarray:
+    """A JSON list of numbers as floats, or a ValueError naming the key."""
+    if set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            return np.array(values, dtype=float)
+    raise ValueError(f"{what} JSON {key!r} must be a list of numbers")
+
+
+def _decode_points(rows: list, what: str, d: int) -> np.ndarray:
+    """The "points" of a design or weight JSON as (m, d) complex: one list of d [re, im] pairs per point."""
+    with contextlib.suppress(ValueError, TypeError, OverflowError):  # ragged rows, non-numbers, huge ints
+        values = np.array(rows, dtype=float) if rows else np.empty((0, d, 2))
+        if values.shape == (len(rows), d, 2) and np.isfinite(values).all():
+            leaves = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+            if set(map(type, leaves)) <= {int, float}:
+                return values.view(complex).reshape(-1, d)
+    # word the first fault
     for i, row in enumerate(rows):
         for pair in row if isinstance(row, list) else [row]:
             if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair)):
                 raise ValueError(f"{what} JSON point {i} holds {json.dumps(pair)}, not an [re, im] pair")
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        if len(row) != d:
+            raise ValueError(f"{what} JSON point {i} has {len(row)} coordinates, expected {d}")
+    raise ValueError(f"{what} JSON points must be finite")
 
 
 def design_from_json(text: str) -> tuple[DiscreteDesign, int]:
     """Inverse of :func:`design_to_json`; returns (design, degree)."""
     payload = json.loads(text)
-    pts = _decode_points(payload, "design").reshape(-1, _field(payload, "dimension", "design", int))
-    return make_design(pts, _field(payload, "weights", "design", list)), _field(payload, "degree", "design", int)
+    rows = _field(payload, "points", "design", list)
+    d = _field(payload, "dimension", "design", int)
+    if d < 1:
+        raise ValueError(f"design JSON 'dimension' must be at least 1, got {d}")
+    pts = _decode_points(rows, "design", d)
+    weights = _numbers(_field(payload, "weights", "design", list), "design", "weights")
+    return make_design(pts, weights), _field(payload, "degree", "design", int)
 
 
 def weight_to_json(weight: WeightFunction) -> str:
-    if weight.kind == "unit":
-        return json.dumps({"kind": "unit"})
-    if weight.kind == "gaussian":
-        return json.dumps({"kind": "gaussian"})
+    if weight.kind in ("unit", "gaussian"):
+        return json.dumps({"kind": weight.kind})
     if weight.kind == "table":
-        return json.dumps(
-            {
-                "kind": "table",
-                "points": [[[float(z.real), float(z.imag)] for z in row] for row in weight.table_points],
-                "values": [float(v) for v in weight.table_values],
-            }
-        )
+        points = _real_coordinates(weight.table_points).reshape(len(weight.table_points), -1, 2).tolist()
+        return json.dumps({"kind": "table", "points": points, "values": weight.table_values.tolist()})
     raise ValueError("callable weights cannot be serialized")
 
 
@@ -734,5 +750,8 @@ def weight_from_json(text: str) -> WeightFunction:
     if kind == "gaussian":
         return gaussian_weight()
     if kind == "table":
-        return table_weight(_decode_points(payload, "weight"), _field(payload, "values", "weight", list))
+        rows = _field(payload, "points", "weight", list)
+        # a table has no "dimension": point 0 sets it
+        pts = _decode_points(rows, "weight", max(len(rows[0]), 1) if rows and isinstance(rows[0], list) else 1)
+        return table_weight(pts, _numbers(_field(payload, "values", "weight", list), "weight", "values"))
     raise ValueError(f"unknown weight kind {kind!r}")

@@ -5,9 +5,13 @@ fits the degree-s polynomial by least squares, and repeats over
 independent trials.  The empirical covariance of the coefficient
 estimates should match sigma^2 (V* V)^{-1}, and the per-point prediction
 variance should match (sigma^2 / m) K(z) with K the Christoffel function
-of the realized (apportioned) design.  Randomness comes from a
-counter-based generator keyed by (seed, trial), so serial and parallel
-executions of the same experiment are bit-identical.
+of the realized (apportioned) design.  Least squares on an atom observed
+c times sees that atom's noise only through its sum, which for i.i.d.
+N(0, sigma^2) noise (complex: (N + iN)/sqrt(2)) is exactly sqrt(c) sigma
+times one standard normal; each trial therefore draws one normal per
+observed atom, not one per observation, and the estimates keep their
+distribution.  All trials come from one counter-based generator keyed by
+(seed, 0), so one seed reproduces an experiment bit for bit.
 """
 
 from __future__ import annotations
@@ -78,42 +82,24 @@ def apportion(weights, num_obs: int) -> np.ndarray:
     return counts
 
 
-def _observation_matrix(exp: RegressionExperiment) -> tuple[np.ndarray, np.ndarray]:
-    counts = apportion(exp.design.weights, exp.num_obs)
-    reps = np.repeat(np.arange(exp.design.size), counts)
-    basis = monomial_basis(exp.design.dimension, exp.degree)
-    return eval_basis_many(basis, exp.design.points[reps]), counts
+def _trial_estimates(exp: RegressionExperiment, counts: np.ndarray) -> np.ndarray:
+    """Least-squares estimates for every trial, stacked (trials, n); real when the design and theta are.
 
-
-def _is_complex_design(design: DiscreteDesign) -> bool:
-    return bool(np.any(np.abs(design.points.imag) > 0))
-
-
-def _trial_estimates(exp: RegressionExperiment, V: np.ndarray) -> np.ndarray:
-    """Least-squares estimates for every trial, stacked (trials, n); real when the design and theta are."""
-    m = V.shape[0]
-    complex_noise = _is_complex_design(exp.design)
-    theta = exp.theta
-    if not (complex_noise or np.any(theta.imag)):
-        V, theta = V.real, theta.real
-    noise = np.empty((exp.trials, 2 if complex_noise else 1, m))
-    bitgen = np.random.Philox(key=np.array([exp.seed, 0], dtype=np.uint64))
-    fresh = bitgen.state  # counter 0, empty buffer
-    rng = np.random.Generator(bitgen)
-    for t in range(exp.trials):
-        # trial t draws what a new Generator(Philox(key=(seed, t))) would: m real parts, then m imaginary ones
-        fresh["state"]["key"][1] = t
-        bitgen.state = fresh
-        rng.standard_normal(out=noise[t])
-    noise *= exp.sigma / math.sqrt(2.0) if complex_noise else exp.sigma
-    Y = noise[:, 0].astype(V.dtype, copy=False)
-    if complex_noise:
-        Y.imag = noise[:, 1]
-    Y += V @ theta
-    # theta_hat = inv(R) (Q^H y): trsm threads even at n = 5, and folding inv(R) into Q
-    # first rounds the same way in every trial, which shifts the variances by about 1e-13
-    Q, R = np.linalg.qr(V)
-    return _matmul(_matmul(Y, Q.conj()), np.linalg.inv(R).T)
+    With W = diag(sqrt(c)) P over the k atoms observed c > 0 times and W = QR, the estimate is
+    theta + sigma E conj(Q) R^-T, E holding each trial's k per-atom standard normal sums.  The
+    draw is one (trials, parts, k) block: parts 1 for real noise, 2 (real parts, then imaginary
+    parts) for the complex noise a complex design gets.
+    """
+    pos = counts > 0
+    P = eval_basis_many(monomial_basis(exp.design.dimension, exp.degree), exp.design.points[pos])
+    complex_noise = bool(np.any(exp.design.points.imag))
+    theta = exp.theta if complex_noise or np.any(exp.theta.imag) else exp.theta.real
+    rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, 0], dtype=np.uint64)))
+    E = rng.standard_normal((exp.trials, 2 if complex_noise else 1, P.shape[0]))
+    E = (E[:, 0] + 1j * E[:, 1]) / math.sqrt(2.0) if complex_noise else E[:, 0]
+    Q, R = np.linalg.qr(np.sqrt(counts[pos])[:, None] * (P if complex_noise else P.real))
+    # trsm threads even at n = 5, so R^-T is one small inverse, folded into the k x n map from E
+    return theta + _matmul(E, exp.sigma * (Q.conj() @ np.linalg.inv(R).T))
 
 
 @dataclass(frozen=True)
@@ -178,8 +164,8 @@ def _run(exp: RegressionExperiment, points: np.ndarray):
     """Run the trials; return the estimates, the observation counts, the
     apportioned design's moment matrix and K evaluator, and the prediction
     rows at ``points`` (k, d)."""
-    V, counts = _observation_matrix(exp)
-    theta_hats = _trial_estimates(exp, V)
+    counts = apportion(exp.design.weights, exp.num_obs)
+    theta_hats = _trial_estimates(exp, counts)
     pos = counts > 0
     mu_x = make_design(exp.design.points[pos], counts[pos] / counts.sum())
     basis = monomial_basis(exp.design.dimension, exp.degree)
@@ -188,7 +174,8 @@ def _run(exp: RegressionExperiment, points: np.ndarray):
     # plain transpose: sum_j p_j(z) theta_hat_j; one row per point, so each sum runs pairwise over the trials
     P = eval_basis_many(basis, points)
     vals = np.ascontiguousarray(_matmul(theta_hats, (P if np.any(P.imag) else P.real).T).T)
-    emp = np.sum(np.abs(vals - vals.mean(axis=1)[:, None]) ** 2, axis=1) / max(exp.trials - 1, 1)
+    vals -= vals.mean(axis=1)[:, None]
+    emp = np.sum((vals * vals.conj()).real, axis=1) / max(exp.trials - 1, 1)
     theo = exp.sigma**2 / exp.num_obs * christoffel_many(ev, points)
     rows = tuple(
         PredictionRow(point=z, empirical_var=float(e), theoretical_var=float(t)) for z, e, t in zip(points, emp, theo)
@@ -205,8 +192,7 @@ def simulate_regression(exp: RegressionExperiment) -> ExperimentStats:
     theta_hats, counts, mm, ev, rows = _run(exp, exp.design.points)
     mean = theta_hats.mean(axis=0)
     centered = theta_hats - mean[None, :]
-    denom = max(exp.trials - 1, 1)
-    emp_cov = centered.T.conj() @ centered / denom
+    emp_cov = centered.T.conj() @ centered / max(exp.trials - 1, 1)
     # V* V = num_obs * M, and inv(M) = L* L
     theo_cov = exp.sigma**2 / exp.num_obs * (ev.L.conj().T @ ev.L)
     volume = math.exp(-0.5 * (mm.log_det + mm.n * math.log(exp.num_obs)))

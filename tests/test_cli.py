@@ -404,6 +404,20 @@ def test_config_accepts_null_where_the_default_is_null_and_an_int_for_a_float(tm
         ("design", "--weight", '{"kind": "table", "points": [[[0.0, "x"]]], "values": [1.0]}',
          'weight JSON point 0 holds [0.0, "x"], not an [re, im] pair'),
         ("design", "--weight", "[]", "weight JSON has no 'kind' key"),
+        # four one-coordinate points in dimension 2, with two weights and with four
+        *[("gvalue", "--design", json.dumps({"dimension": 2, "degree": 1, "weights": w,
+                                             "points": [[[0.0, 0.0]], [[0.5, 0.0]], [[0.2, 0.0]], [[0.9, 0.0]]]}),
+           "design JSON point 0 has 1 coordinates, expected 2") for w in ([0.5, 0.5], [0.25] * 4)],
+        ("simulate", "--design", '{"dimension": 2, "degree": 1, "points": [[[0, 0], [1, 0]], [[0.5, 0]]], '
+         '"weights": [0.5, 0.5]}', "design JSON point 1 has 1 coordinates, expected 2"),
+        ("gvalue", "--design", '{"dimension": 0, "degree": 1, "points": [[]], "weights": [1]}',
+         "design JSON 'dimension' must be at least 1, got 0"),
+        ("gvalue", "--design", '{"dimension": 1, "degree": 1, "points": [[[0, 0]]], "weights": ["1"]}',
+         "design JSON 'weights' must be a list of numbers"),
+        ("design", "--weight", '{"kind": "table", "points": [[[0, 0], [1, 0]], [[0.5, 0]]], "values": [1, 2]}',
+         "weight JSON point 1 has 1 coordinates, expected 2"),
+        ("design", "--weight", '{"kind": "table", "points": [[[0, 0]]], "values": [{}]}',
+         "weight JSON 'values' must be a list of numbers"),
     ],
 )
 def test_malformed_design_or_weight_file_is_a_validation_error(tmp_path, capsys, command, flag, content, message):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import nquad, quad
 
 import optdesign
@@ -183,3 +185,42 @@ def test_import_loads_no_scipy_quadrature_or_special_functions():
     code = "import sys, optdesign; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_MEASURES = {
+    "interval": lambda d, a: arcsine(a),
+    "cube": cube_measure,
+    "ball": ball_measure,
+    "simplex": simplex_measure,
+    "weighted-ball": lambda d, a: weighted_ball_measure(d),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_MEASURES)), d=st.integers(1, 3), a=st.sampled_from([0.5, 1.0, 2.5]))
+def test_array_density_and_cdf_match_one_point_at_a_time_bit_for_bit(data, kind, d, a):
+    d = 1 if kind == "interval" else d
+    m = _MEASURES[kind](d, a)
+    a = m.a
+    # coordinates at random, on the support's edges and faces, and just off the real line
+    coord = st.floats(-1.5 * a, 1.5 * a) | st.sampled_from([-a, 0.0, a, 0.5 * a, math.sqrt(0.5)])
+    rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), max_size=12))
+    imag = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-13, 1e-3, 0.4]), min_size=len(rows), max_size=len(rows)))
+    edge, far = np.zeros(d), np.full(d, 2.0 * a)
+    edge[0] = math.sqrt(0.5) if kind == "weighted-ball" else a
+    pts = np.concatenate([np.array(rows, dtype=float).reshape(-1, d) + 1j * np.array(imag)[:, None], [edge, far]])
+    dens = eq_density(m, pts)
+    loop = np.array([eq_density(m, p) for p in pts])
+    assert dens.shape == (len(pts),)
+    assert np.array_equal(dens.view(np.uint64), loop.view(np.uint64))
+    assert dens[-1] == 0.0 and dens[-2] == (m.norm_const if kind == "weighted-ball" else math.inf)
+    if d == 1 and kind != "weighted-ball":
+        cdf = eq_cdf(m, pts)
+        assert np.array_equal(cdf.view(np.uint64), np.array([eq_cdf(m, p) for p in pts]).view(np.uint64))
+
+
+def test_density_and_cdf_read_every_point():
+    m = arcsine()
+    assert np.array_equal(eq_density(m, [0.1, 0.2]), [eq_density(m, 0.1), eq_density(m, 0.2)])
+    assert np.array_equal(eq_cdf(m, [0.1, 0.2]), [eq_cdf(m, 0.1), eq_cdf(m, 0.2)])
+    assert isinstance(eq_density(m, [0.1]), float) and isinstance(eq_cdf(m, 0.1), float)

@@ -489,3 +489,79 @@ def test_merge_yields_the_brute_force_clusters(data, radius):
     got = prune_and_merge(design, merge_radius=radius).design
     assert np.array_equal(got.points, expected.points)
     assert np.array_equal(got.weights, expected.weights)
+
+
+# ints beyond the float range and objects included: numpy raises OverflowError and TypeError on them
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats(-2.0, 2.0) | st.text(max_size=2)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=1), kids, max_size=2),
+    max_leaves=24,
+)
+# mostly point-shaped: lists of points, of pairs, of numbers, with any leaf mixed in
+_NEAR_POINTS = st.lists(st.lists(st.lists(st.integers() | st.floats(-2.0, 2.0) | _JSON_VALUES, min_size=1, max_size=3),
+                                 max_size=3), max_size=4)
+_NEAR_NUMBERS = st.lists(st.integers() | st.floats(0.0, 1.0) | _JSON_VALUES, max_size=4)
+
+
+def _decode(kind, payload):
+    text = json.dumps(payload)
+    return design_from_json(text) if kind == "design" else weight_from_json(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["design", "weight"]),
+    payload=st.fixed_dictionaries({}, optional={
+        "dimension": st.integers(-1, 3) | _JSON_VALUES,
+        "degree": st.integers(0, 3) | _JSON_VALUES,
+        "points": _NEAR_POINTS | _JSON_VALUES,
+        "weights": _NEAR_NUMBERS | _JSON_VALUES,
+        "values": _NEAR_NUMBERS | _JSON_VALUES,
+    }),
+)
+def test_any_json_decodes_or_raises_value_error(kind, payload):
+    try:
+        _decode(kind, dict(payload, kind="table") if kind == "weight" else payload)
+    except ValueError:
+        pass
+
+
+def _corrupt(data, node):
+    """``node`` with one element somewhere in it replaced, wrapped in a list, unwrapped, dropped or doubled."""
+    i = data.draw(st.integers(0, len(node) - 1))
+    child = node[i]
+    moves = ["leaf", "wrap", "drop", "double"] + (["unwrap", "deeper"] if isinstance(child, list) else [])
+    move = data.draw(st.sampled_from(moves))
+    if move == "leaf":
+        child = data.draw(st.none() | st.booleans() | st.text(max_size=2) | st.just([]))
+    elif move == "wrap":
+        child = [child]
+    elif move == "unwrap":
+        child = child[0]
+    elif move == "deeper":
+        child = _corrupt(data, child)
+    return node[:i] + ([] if move == "drop" else [child, child] if move == "double" else [child]) + node[i + 1:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), kind=st.sampled_from(["design", "weight"]), d=st.integers(1, 3), m=st.integers(2, 4),
+       target=st.sampled_from(["points", "weights"]))
+def test_malformed_design_or_weight_json_raises_value_error(data, kind, d, m, target):
+    # distinct points of d [re, im] pairs, weights summing to 1: the untouched file decodes
+    points = [[[float(i), data.draw(st.floats(-1.0, 1.0))] for _ in range(d)] for i in range(m)]
+    weights = [1.0 / m] * m
+    if kind == "design":
+        payload = {"dimension": d, "degree": 1, "points": points, "weights": weights}
+    else:
+        payload = {"kind": "table", "points": points, "values": weights}
+    _decode(kind, payload)
+    key = target if kind == "design" or target == "points" else "values"
+    if key == "points":
+        payload[key] = _corrupt(data, points)
+    else:  # a weight that is not a number, or a nested list of weights
+        i = data.draw(st.integers(0, m - 1))
+        bad = data.draw(st.none() | st.booleans() | st.text(max_size=2) | st.just([weights[i]]))
+        payload[key] = weights[:i] + [bad] + weights[i + 1:]
+    with pytest.raises(ValueError):
+        _decode(kind, payload)

@@ -164,35 +164,53 @@ def test_complex_design_produces_hermitian_covariance():
     assert np.all(np.isfinite([r.empirical_var for r in stats.prediction]))
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_trial_noise_is_a_fresh_philox_draw_keyed_by_seed_and_trial(kind):
-    from optdesign.simulate import _observation_matrix, _trial_estimates
-
+def unequal_counts_experiment(kind, trials):
+    """Weights 0.1/0.4/0.3/0.2/0 at 37 observations: counts 4, 15, 11, 7 and one unobserved atom."""
+    w = [0.1, 0.4, 0.3, 0.2, 0.0]
     if kind == "real":
-        exp = experiment(sigma=1.0, num_obs=9, trials=5)
-    else:
-        z = 0.75 * np.exp(2j * math.pi * np.arange(4) / 4)
-        exp = RegressionExperiment(
-            design=uniform_design(z), degree=1, theta=np.array([1.0 + 0.5j, -0.25j]),
-            sigma=1.0, num_obs=8, trials=5, seed=7,
-        )
-    V, _ = _observation_matrix(exp)
-    theta_hats = _trial_estimates(exp, V)
-    m = V.shape[0]
+        return experiment(design=make_design(np.linspace(-1.0, 1.0, 5), w), sigma=1.0, num_obs=37, trials=trials)
+    z = 0.75 * np.exp(2j * math.pi * np.arange(5) / 5)
+    return RegressionExperiment(
+        design=make_design(z, w), degree=1, theta=np.array([1.0 + 0.5j, -0.25j]),
+        sigma=1.0, num_obs=37, trials=trials, seed=7,
+    )
+
+
+def replicated_least_squares_inputs(exp):
+    """The full m-row V and each trial's m noises: every observed atom's sum sqrt(c) sigma e, drawn
+    as one (trials, parts, atoms observed) block from Philox(key=(seed, 0)), on its first
+    replicate, with zeros on the other replicates."""
+    counts = apportion(exp.design.weights, exp.num_obs)
+    assert np.array_equal(counts, [4, 15, 11, 7, 0])
+    observed = np.flatnonzero(counts)
+    complex_noise = bool(np.any(exp.design.points.imag))
+    rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, 0], dtype=np.uint64)))
+    E = rng.standard_normal((exp.trials, 2 if complex_noise else 1, observed.size))
+    E = (E[:, 0] + 1j * E[:, 1]) / math.sqrt(2.0) if complex_noise else E[:, 0]
+    Y = np.zeros((exp.trials, exp.num_obs), dtype=E.dtype)
+    first = np.cumsum(counts) - counts
+    Y[:, first[observed]] = exp.sigma * np.sqrt(counts[observed]) * E
+    reps = np.repeat(np.arange(exp.design.size), counts)
+    V = eval_basis_many(monomial_basis(exp.design.dimension, exp.degree), exp.design.points[reps])
+    return V, counts, Y
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_trial_noise_is_one_philox_draw_of_per_atom_sums(kind):
+    from optdesign.simulate import _trial_estimates
+
+    exp = unequal_counts_experiment(kind, trials=5)
+    V, counts, Y = replicated_least_squares_inputs(exp)
+    theta_hats = _trial_estimates(exp, counts)
     for t in range(exp.trials):
-        rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, t], dtype=np.uint64)))
-        if kind == "real":
-            noise = rng.standard_normal(m)
-        else:
-            noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
-        ref = np.linalg.lstsq(V, V @ exp.theta + exp.sigma * noise, rcond=None)[0]
+        ref = np.linalg.lstsq(V, V @ exp.theta + Y[t], rcond=None)[0]
         assert np.allclose(theta_hats[t], ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_prediction_rows_match_a_per_point_loop(kind):
     from optdesign import christoffel_many, moment_matrix, orthonormal_factor, unit_weight
-    from optdesign.simulate import _observation_matrix, _trial_estimates
+    from optdesign.simulate import _trial_estimates
 
     if kind == "real":
         exp, pts = experiment(trials=500), np.array([[-1.0], [-0.3], [0.0], [0.8]], dtype=complex)
@@ -203,8 +221,8 @@ def test_prediction_rows_match_a_per_point_loop(kind):
         )
         pts = np.array([[0.1j], [0.5 - 0.2j], [-0.9]])
     rows = variance_identity_check(exp, pts).rows
-    V, counts = _observation_matrix(exp)
-    theta_hats = _trial_estimates(exp, V)
+    counts = apportion(exp.design.weights, exp.num_obs)
+    theta_hats = _trial_estimates(exp, counts)
     basis = monomial_basis(1, exp.degree)
     pos = counts > 0
     ev = orthonormal_factor(
@@ -222,26 +240,11 @@ def test_prediction_rows_match_a_per_point_loop(kind):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_many_trials_match_least_squares_and_stay_real_on_real_designs(kind):
-    from optdesign.simulate import _observation_matrix, _trial_estimates
+    from optdesign.simulate import _trial_estimates
 
-    if kind == "real":  # 99 x 3 rows: the 4000 trials take two row blocks of the estimator product
-        exp = experiment(sigma=1.0, trials=4000)
-    else:
-        z = 0.75 * np.exp(2j * math.pi * np.arange(4) / 4)
-        exp = RegressionExperiment(
-            design=uniform_design(z), degree=1, theta=np.array([1.0 + 0.5j, -0.25j]),
-            sigma=1.0, num_obs=400, trials=4000, seed=7,
-        )
-    V, _ = _observation_matrix(exp)
-    theta_hats = _trial_estimates(exp, V)
+    exp = unequal_counts_experiment(kind, trials=4000)
+    V, counts, Y = replicated_least_squares_inputs(exp)
+    theta_hats = _trial_estimates(exp, counts)
     assert theta_hats.dtype == (np.float64 if kind == "real" else np.complex128)
-    m = V.shape[0]
-    Y = np.empty((exp.trials, m), dtype=complex)
-    for t in range(exp.trials):
-        rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, t], dtype=np.uint64)))
-        if kind == "real":
-            Y[t] = rng.standard_normal(m)
-        else:
-            Y[t] = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
-    ref = np.linalg.lstsq(V, (V @ exp.theta)[:, None] + exp.sigma * Y.T, rcond=None)[0].T
+    ref = np.linalg.lstsq(V, (V @ exp.theta)[:, None] + Y.T, rcond=None)[0].T
     np.testing.assert_allclose(theta_hats, ref, rtol=0, atol=1e-12)
