@@ -378,7 +378,7 @@ def _cmd_equilibrium(cfg: dict, out: Path) -> int:
         _write_csv(out, "density", cfg, "\n".join(body) + "\n")
     if target.kind == "weighted-ball":
         rs = np.linspace(0.0, 1.2, 121)
-        body = "".join(f"{r:.17g} {weighted_ball_green(complex(r), target.dimension):.17g}\n" for r in rs)
+        body = "".join(f"{r:.17g} {g:.17g}\n" for r, g in zip(rs, weighted_ball_green(rs, target.dimension)))
         _write_plot(out, "green", body)
     return EXIT_OK
 
@@ -412,7 +412,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     else:
         s = cfg["degree"] if cfg["degree"] is not None else 1
         # refuse bad settings before the solve, not after it
-        _check_settings(space_dimension(space.dimension, s), s, cfg["sigma"], cfg["obs"], cfg["trials"])
+        _check_settings(space_dimension(space.dimension, s), s, cfg["sigma"], cfg["obs"], cfg["trials"], cfg["seed"])
         design = d_optimal(space, weight, s, epsilon=cfg["epsilon"], max_iter=cfg["max_iter"]).design
     n = space_dimension(design.dimension, s)
     exp = RegressionExperiment(

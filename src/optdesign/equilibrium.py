@@ -276,16 +276,16 @@ def eq_moment_mixed(m: EquilibriumMeasure, beta: int, gamma_: int) -> float:
     return _radial_moment_weighted_ball(1, beta)
 
 
-def weighted_ball_green(z, dimension: int = 1) -> float:
-    """Weighted Green function of the unit complex ball with w = exp(-|z|^2).
+def weighted_ball_green(z, dimension: int = 1):
+    """Weighted Green function of the unit complex ball with w = exp(-|z|^2), at each point.
 
     Equals |z|^2 inside |z| <= 1/sqrt(2) and
     log|z| + 1/2 - log(1/sqrt(2)) outside; continuous across the circle
-    and dominated by |z|^2 throughout the unit ball.
+    and dominated by |z|^2 throughout the unit ball.  A float for one
+    point, an array for many.
     """
-    pt = as_points(z, dimension)[0]
-    r = float(np.linalg.norm(pt))
+    pts = as_points(z, dimension)
+    r = np.sqrt(reduce(np.add, (pts.real**2 + pts.imag**2).T))  # as in eq_density
     r_star = math.sqrt(0.5)
-    if r <= r_star:
-        return r * r
-    return math.log(r) + 0.5 - math.log(r_star)
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    return _one_or_many(np.array([v * v if v <= r_star else math.log(v) + 0.5 - math.log(r_star) for v in r.tolist()]))

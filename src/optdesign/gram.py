@@ -67,16 +67,7 @@ class MomentMatrix:
 
 def _assemble(B: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(B^H * coef) B, symmetrized to kill roundoff."""
-    if np.iscomplexobj(B):
-        # the real Gram matrix Y of the float64 view X of B (columns interleave
-        # real and imaginary parts) holds Re M = Y_rr + Y_ii and Im M = Y_ri - Y_ir;
-        # one real GEMM, which OpenBLAS keeps on one thread where the complex
-        # one (1921 x 9 rows) would not
-        X = np.ascontiguousarray(B).view(np.float64)
-        Y = ((X.T * coef) @ X).reshape(B.shape[1], 2, B.shape[1], 2)
-        M = (Y[:, 0, :, 0] + Y[:, 1, :, 1]) + 1j * (Y[:, 0, :, 1] - Y[:, 1, :, 0])
-    else:
-        M = (B.T * coef) @ B
+    M = _matmul(B.conj().T * coef, B)
     return 0.5 * (M + M.conj().T)
 
 
@@ -124,26 +115,21 @@ def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> 
 
     With M = sum_o (mass_o / c_o) R_o^H R_o the gradient is the orbit-mean
     K and the Hessian is H[o, p] = -tr(A_o A_p) / (c_o c_p), where
-    A_o = Z_o^H Z_o = L R_o^H R_o L^H.  ``row_orbit`` numbers the orbits
-    0 .. len(counts) - 1, each of which owns at least one row.
+    A_o = Z_o^H Z_o = L R_o^H R_o L^H.  tr(A_o A_p) sums |z_r z_t^H|^2 over
+    the rows r of orbit o and t of orbit p: the squared moduli of P = Z Z^H,
+    summed over each orbit's block of rows and columns.  ``row_orbit``
+    numbers the orbits 0 .. len(counts) - 1, each of which owns at least
+    one row.
     """
     order = np.argsort(row_orbit, kind="stable")
     Zs = Z[order]
-    if Zs.shape[0] == counts.size:
-        # one row per orbit: tr(A_o A_p) = |z_o z_p^H|^2, from a product n
-        # times smaller than the Gram matrix of the vec(A_o) below
-        P = Zs @ Zs.conj().T
-        T = P.real**2 + P.imag**2 if np.iscomplexobj(P) else P * P
-    else:
-        # tr(A_o A_p) = Re sum_ij A_o[i, j] conj(A_p[i, j]) over the upper
-        # triangle, off-diagonal terms counted twice: a real product of the
-        # float64 views of the packed triangles
-        i, j = np.triu_indices(Z.shape[1])
-        X = Zs.conj()[:, i] * Zs[:, j]  # row r: the upper triangle of z_r^H z_r
-        X[:, i < j] *= math.sqrt(2.0)
-        G = np.add.reduceat(X, np.searchsorted(row_orbit[order], np.arange(counts.size)))
-        F = G.view(np.float64) if np.iscomplexobj(G) else G
-        T = F @ F.T
+    # a contiguous right factor: numpy hands Zs @ Zs^H to syrk, which
+    # threads (301 x 15 rows woke the second OpenBLAS thread)
+    P = _matmul(Zs, np.ascontiguousarray(Zs.conj().T))
+    T = P.real**2 + P.imag**2 if np.iscomplexobj(P) else P * P
+    if Zs.shape[0] > counts.size:  # with one row per orbit the block sums only copy
+        starts = np.searchsorted(row_orbit[order], np.arange(counts.size))
+        T = np.add.reduceat(np.add.reduceat(T, starts, axis=0), starts, axis=1)
     return -T / np.outer(counts, counts)
 
 

@@ -9,24 +9,28 @@ Fekete points of the weighted rows (Bos, De Marchi, Sommariva & Vianello
 2010), spread evenly over each point's orbit.  D-optimal designs and
 Fekete points share their limit, the equilibrium measure, and on the
 interval the optimum is equal mass on the Fekete points, so the start is
-close and carries at most n masses.
+close and carries at most n masses.  The rows then move to the
+Lagrange basis of those points, A <- A inv(A[picks]), where M starts
+near I / n and stays well conditioned; they are assembled and factored
+once per solve, and log det M gets 2 log |det A[picks]| back.
 
 Each step is an active-set Newton step on the masses over the simplex,
 with a backtracking line search on log det itself, so every accepted
 step raises it.  The search reads each trial in the iterate's
-orthonormal frame, one n x n Cholesky per trial, and assembles and
-factors only the trial it accepts.  The KKT system adds 1e-12 of the
-largest diagonal of -H to -H, which is only semidefinite, so the step
-does not depend on rounding.  A Newton step that cannot ascend is
+orthonormal frame, one n x n Cholesky C C^H = I + E per trial, and the
+trial it accepts advances that frame by C.  The KKT system adds 1e-12
+of the largest diagonal of -H to -H, which is only semidefinite, so the
+step does not depend on rounding.  A Newton step that cannot ascend is
 replaced by the Wynn-Fedorov vertex step toward the orbit with the
 largest K, which raises log det whenever the gap is positive.  After
 either step Harman & Pronzato's (2007) elimination applies: with
 e = gap / n and h(e) = 1 + e/2 - sqrt(e (4 + e - 4/n)) / 2, an orbit
 whose K is below n h(e) carries no mass in any optimum, so once the step
-has left it massless it is dropped and its Gram rows leave the assembly.
+has left it massless it is dropped and its rows leave the frame.
 
-The certificate is always taken on every orbit of the full grid: if an
-eliminated orbit fails it, every orbit comes back and the solve goes on.
+The certificate is always taken on every orbit of the full grid: the
+eliminated orbits' rows come back in the frame, and if one of them fails
+it the solve goes on with every orbit.
 A certified iterate whose mass identity sum(mass K) = n or gap >= 0
 fails by more than 1e-8 n is refused with ``SingularGramError``, not
 returned.
@@ -47,7 +51,7 @@ import numpy as np
 
 from .basis import eval_basis, eval_basis_many, monomial_basis, space_dimension
 from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
-from .gram import _assemble, _cholesky_log_det, _christoffel_rows, _inverse_factor, _orbit_hessian, _orbit_rows
+from .gram import _assemble, _cholesky_log_det, _inverse_factor, _orbit_hessian, _orbit_rows
 from .measure import (
     _FEKETE_PASSES,
     DesignSpace,
@@ -136,11 +140,11 @@ def _hp_bound(gap: float, n: int) -> float:
 class _Iterate(NamedTuple):
     """A design over the orbits and what the solver needs of it.
 
-    ``mass`` holds the orbit masses (they sum to 1), ``Z = R L^H`` the
-    orthonormalized rows of the orbits that were live at evaluation,
-    ``row_orbit`` the orbit of each row of Z, and ``K`` the mean
-    Christoffel value of each orbit (0 on orbits that were not live): the
-    gradient of log det M in the masses.
+    ``mass`` holds the orbit masses (they sum to 1), ``L`` the inverse
+    factor with L M L^H = I, ``Z = R L^H`` the orthonormalized rows of the
+    live orbits, ``row_orbit`` the orbit of each row of Z, and ``K`` the
+    mean Christoffel value of each orbit (0 on orbits that are not live):
+    the gradient of log det M in the masses.
     """
 
     mass: np.ndarray
@@ -151,43 +155,63 @@ class _Iterate(NamedTuple):
     K: np.ndarray
 
 
-def _evaluate(R: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray, mass: np.ndarray) -> _Iterate | int:
-    """The iterate at these orbit masses from the live rows R, or the failed Cholesky pivot."""
+def _orbit_means(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean K of each orbit from its orthonormalized rows (0 on orbits without rows)."""
+    return np.bincount(row_orbit, weights=_squared_norms(Z), minlength=counts.size) / counts
+
+
+def _evaluate(R: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray, mass: np.ndarray) -> _Iterate:
+    """The iterate at these orbit masses, assembled and factored from the rows R."""
     C, log_det, pivot = _cholesky_log_det(_assemble(R, (mass / counts)[row_orbit]))
     if pivot:
-        return pivot
+        raise SingularGramError(f"moment matrix of the Fekete start is not positive definite at pivot {pivot}", pivot)
     L = _inverse_factor(C)
     Z = _matmul(R, L.conj().T)
-    K = np.bincount(row_orbit, weights=_squared_norms(Z), minlength=counts.size) / counts
-    return _Iterate(mass, log_det, L, Z, row_orbit, K)
+    return _Iterate(mass, log_det, L, Z, row_orbit, _orbit_means(Z, row_orbit, counts))
 
 
-def _frame_log_det(it: _Iterate, counts: np.ndarray, moving: np.ndarray):
-    """log det M at trial masses q, read in the orthonormal frame of an iterate.
+def _frame(it: _Iterate, counts: np.ndarray, moving: np.ndarray):
+    """Trial masses q read in the orthonormal frame of an iterate.
 
     The iterate's L gives L M L^H = I and its rows Z = R L^H give
     L R_o^H R_o L^H = Z_o^H Z_o, so for masses q that differ from the
     iterate's only on the ``moving`` orbits
 
-        log det M(q / sum q) = log det M + log det(I + E) - n log(sum q),
-        E = sum_o (q_o - mass_o) / c_o Z_o^H Z_o,
+        L M(q) L^H = I + E,  E = sum_o (q_o - mass_o) / c_o Z_o^H Z_o,
+        log det M(q / sum q) = log det M + log det(I + E) - n log(sum q):
 
-    one n x n Cholesky per trial instead of a full re-assembly; -inf where
-    I + E has no Cholesky factor.
+    one n x n Cholesky C C^H = I + E per trial instead of a re-assembly.
+    Returns trial(q) -> (log det M(q / sum q), C), with -inf and None
+    where I + E has no Cholesky factor; ``_advance`` turns an accepted
+    trial into the next iterate.
     """
     rows = moving[it.row_orbit]
     Z, row_orbit = it.Z[rows], it.row_orbit[rows]
     n = Z.shape[1]
 
-    def log_det(q: np.ndarray) -> float:
+    def trial(q: np.ndarray):
         E = _assemble(Z, ((q - it.mass) / counts)[row_orbit])
         E.flat[:: n + 1] += 1.0
-        return it.log_det + _cholesky_log_det(E)[1] - n * math.log(float(q.sum()))
+        C, log_det, _ = _cholesky_log_det(E)
+        return it.log_det + log_det - n * math.log(float(q.sum())), C
 
-    return log_det
+    return trial
 
 
-def _newton_step(it: _Iterate, evaluate, counts: np.ndarray, n: int) -> _Iterate | None:
+def _advance(it: _Iterate, q: np.ndarray, log_det: float, C: np.ndarray, counts: np.ndarray) -> _Iterate:
+    """The iterate at masses q / sum q, from the frame trial (log_det, C) of ``it`` at q.
+
+    C^-1 L M(q) L^H C^-H = I, so the iterate's frame moves to
+    L' = sqrt(sum q) C^-1 L and its rows to Z' = R L'^H = sqrt(sum q) Z C^-H:
+    the rows are never re-factored.
+    """
+    total = float(q.sum())
+    Ci = math.sqrt(total) * _inverse_factor(C)
+    Z = _matmul(it.Z, Ci.conj().T)
+    return _Iterate(q / total, log_det, Ci @ it.L, Z, it.row_orbit, _orbit_means(Z, it.row_orbit, counts))
+
+
+def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     """An active-set Newton step on the orbit masses, or None if it cannot ascend.
 
     The free orbits are those with mass, plus the massless live ones whose
@@ -195,9 +219,9 @@ def _newton_step(it: _Iterate, evaluate, counts: np.ndarray, n: int) -> _Iterate
     its mass negative.  The step solves the KKT system of the quadratic
     model of log det on the free face under sum(mass) = 1.  The line
     search accepts the first step length whose log det rises, and by at
-    least _ARMIJO of the first-order gain K . (trial - mass).  It judges
-    each trial in the iterate's frame (``_frame_log_det``) and evaluates
-    only the trial that passes there, which must pass again.
+    least _ARMIJO of the first-order gain K . (trial - mass).  It reads
+    each trial in the iterate's frame (``_frame``), and the trial it
+    accepts advances that frame (``_advance``).
     """
     K = it.K
     # rounding-level masses that K says to shed are shed outright, so they
@@ -237,17 +261,15 @@ def _newton_step(it: _Iterate, evaluate, counts: np.ndarray, n: int) -> _Iterate
     # orbit it overshoots at once; past the first face, step to that face
     # exactly (ratio test) and keep halving
     arc = [0.5**k for k in range(2 * _BACKTRACKS) if 0.5**k > t_max]
-    frame_log_det = _frame_log_det(it, counts, (it.mass > 0) | (K > n))  # the free orbits and the shed ones
+    trial = _frame(it, counts, (it.mass > 0) | (K > n))  # the free orbits and the shed ones
     for t in arc + [t_max * 0.5**k for k in range(_BACKTRACKS)]:
         q = np.maximum(p + t * d, 0.0)
         if t == t_max < 1.0:
             q[shrink[np.argmin(ratios)]] = 0.0  # the blocking orbit leaves the face exactly
-        trial = q / q.sum()
-        floor = it.log_det + _ARMIJO * max(float(K @ (trial - p)), 0.0)
-        if frame_log_det(q) > floor:
-            new = evaluate(trial)
-            if not isinstance(new, int) and new.log_det > floor:
-                return new
+        floor = it.log_det + _ARMIJO * max(float(K @ (q / q.sum() - p)), 0.0)
+        log_det, C = trial(q)
+        if log_det > floor:
+            return _advance(it, q, log_det, C, counts)
     return None
 
 
@@ -298,64 +320,54 @@ def d_optimal(
 
     orbits, counts = _symmetry_orbits(space, wvals)
     picks = _exchange(A, picks, _FEKETE_PASSES)
+    # the rows in the Lagrange basis of the picked points: M starts near I / n
+    # and stays well conditioned, since the optimum is near the Fekete
+    # points; det M in the basis of A is |det A[picks]|^2 times as large
+    lagrange_log_det = float(np.linalg.slogdet(A[picks])[1])
+    A = _matmul(A, np.linalg.inv(A[picks]))
     # one mass per orbit, one Gram row set per orbit; exact under the
     # grid's symmetry, and it stops rounding noise from drifting along
     # det-flat angular modes
     R, row_orbit = _orbit_rows(A, orbits, counts)
     live = np.ones(counts.size, dtype=bool)
-    live_R, live_row_orbit = R, row_orbit
-
-    def evaluate(mass):
-        return _evaluate(live_R, live_row_orbit, counts, mass)
-
-    def evaluate_or_raise(mass, step):
-        new = evaluate(mass)
-        if isinstance(new, int):
-            raise SingularGramError(f"moment matrix lost rank at iteration {step} from the Fekete start", new)
-        return new
-
-    def grid_christoffel(L):
-        return np.bincount(row_orbit, weights=_christoffel_rows(R, L), minlength=counts.size) / counts
-
-    it = evaluate_or_raise(np.bincount(orbits[picks], minlength=counts.size) / n, 0)
-    mass_resid = 0.0
-    mono_viol = 0.0
+    it = _evaluate(R, row_orbit, counts, np.bincount(orbits[picks], minlength=counts.size) / n)
+    mass_resid = mono_viol = 0.0
     converged = False
     steps = 0
 
     while True:
-        mass_resid = max(mass_resid, abs(float(it.mass @ it.K) - n))
         gap = float(it.K.max()) - n
-        if gap <= epsilon * n and not live.all() and float(grid_christoffel(it.L).max()) - n > epsilon * n:
-            # an eliminated orbit fails the full-grid certificate: revive them all
+        if gap <= epsilon * n or steps == max_iter:
+            # the certificate is taken on every orbit, from the rows and the advanced
+            # L: eliminated orbits come back, and if the gap now fails the solve goes on
+            Z = _matmul(R, it.L.conj().T)
+            it = it._replace(Z=Z, row_orbit=row_orbit, K=_orbit_means(Z, row_orbit, counts))
             live[:] = True
-            live_R, live_row_orbit = R, row_orbit
-            it = evaluate_or_raise(it.mass, steps)
             gap = float(it.K.max()) - n
+        mass_resid = max(mass_resid, abs(float(it.mass @ it.K) - n))
         if gap <= epsilon * n:
             converged = True
             break
         if steps == max_iter:
             break
         steps += 1
-        new = _newton_step(it, evaluate, counts, n)
+        new = _newton_step(it, counts, n)
         if new is None:  # Wynn-Fedorov vertex step toward the orbit with the largest K
             j = int(np.argmax(it.K))
             a = (it.K[j] - n) / (n * (it.K[j] - 1.0))
-            mass = (1.0 - a) * it.mass
-            mass[j] += a
-            new = evaluate_or_raise(mass, steps)
+            q = it.mass.copy()
+            q[j] += a / (1.0 - a)  # q / sum q = (1 - a) mass + a e_j, and only orbit j moves
+            log_det, C = _frame(it, counts, np.arange(counts.size) == j)(q)  # I + E >= I has a factor
+            new = _advance(it, q, log_det, C, counts)
         out = live & (it.K < _hp_bound(gap, n)) & (new.mass == 0)
         if out.any():
             live &= ~out
-            rows = live[row_orbit]
-            live_R, live_row_orbit = R[rows], row_orbit[rows]
-            new = new._replace(K=np.where(live, new.K, 0.0))  # K describes live orbits only
+            rows = live[new.row_orbit]
+            new = new._replace(Z=new.Z[rows], row_orbit=new.row_orbit[rows], K=np.where(live, new.K, 0.0))
         mono_viol = max(mono_viol, it.log_det - new.log_det)
         it = new
 
-    K = it.K if live.all() else grid_christoffel(it.L)
-    resid, gap = abs(float(it.mass @ K) - n), float(K.max()) - n
+    resid, gap = abs(float(it.mass @ it.K) - n), float(it.K.max()) - n
     if converged and (resid > _CERTIFIED_TOL * n or gap < -_CERTIFIED_TOL * n):
         # a certificate that only looks valid: rounding broke sum(mass K) = n
         weakest = 1 + int(np.argmax(np.abs(it.L.diagonal())))
@@ -364,8 +376,7 @@ def d_optimal(
             f"and KW gap {gap:.3e}, limits {_CERTIFIED_TOL * n:.1e} and {-_CERTIFIED_TOL * n:.1e} (n = {n})",
             weakest,
         )
-    K, w = K[orbits], (it.mass / counts)[orbits]
-    log_det = it.log_det
+    K, w = it.K[orbits], (it.mass / counts)[orbits]
     g_idx = int(np.argmax(K))
     g_val = float(K[g_idx])
     weight_tol = epsilon / (10.0 * m)
@@ -375,7 +386,7 @@ def d_optimal(
     design = make_design(grid[keep], w[keep] / w[keep].sum())
     return OptimalResult(
         design=design,
-        log_det=log_det - 2.0 * basis.log_lead,
+        log_det=it.log_det + 2.0 * lagrange_log_det - 2.0 * basis.log_lead,
         g_value=g_val,
         g_argmax=grid[g_idx].copy(),
         kw_gap=g_val - n,

@@ -50,11 +50,13 @@ class RegressionExperiment:
         if th.shape[0] != n:
             raise ValueError(f"theta has length {th.shape[0]}, expected {n}")
         object.__setattr__(self, "theta", th)
-        _check_settings(n, self.degree, self.sigma, self.num_obs, self.trials)
+        _check_settings(n, self.degree, self.sigma, self.num_obs, self.trials, self.seed)
 
 
-def _check_settings(n: int, degree: int, sigma: float, num_obs: int, trials: int) -> None:
-    """Refuse a noise level, observation count or trial count no degree-``degree`` experiment can use."""
+def _check_settings(n: int, degree: int, sigma: float, num_obs: int, trials: int, seed: int) -> None:
+    """Refuse a noise level, observation count, trial count or seed no degree-``degree`` experiment can use."""
+    if not 0 <= seed < 2**64:  # a Philox key word
+        raise ValueError(f"seed must be in [0, 2^64), got {seed!r}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma!r}")
     if num_obs < n:

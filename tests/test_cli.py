@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from optdesign import design_from_json, design_to_json, disk, make_design
-from optdesign import cli
+from optdesign import cli, optimal
 from optdesign.cli import _build_parser, _make_space, _resolve_config, main
 
 
@@ -45,7 +45,11 @@ def test_design_exit_three_when_budget_too_small(tmp_path):
     assert cert["results"]["converged"] is False
 
 
-def test_design_exit_three_when_the_certificate_only_looks_valid(tmp_path, capsys):
+def test_design_exit_three_when_the_certificate_only_looks_valid(tmp_path, capsys, monkeypatch):
+    # an injected fault inflates every K the solver computes by a relative
+    # 1e-6: the gap test passes and the mass identity does not
+    squared_norms = optimal._squared_norms
+    monkeypatch.setattr(optimal, "_squared_norms", lambda Z: squared_norms(Z) * (1.0 + 1e-6))
     rc, out = run(tmp_path, "design", "--weight", "gaussian", "--a", "2", "--grid", "201", "--degree", "8")
     assert rc == 3
     assert capsys.readouterr().err.startswith("numerical failure: certificate does not hold at iteration")
@@ -441,3 +445,18 @@ def test_successive_calls_share_one_parser_and_resolve_their_own_flags(tmp_path)
     assert (first["target"], first["tmax"]) == ("simplex", 3)
     assert (second["target"], second["tmax"]) == ("arcsine", 6)
     assert first["out"] != second["out"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_simulate_refuses_a_seed_outside_the_philox_key_before_solving(tmp_path, capsys, monkeypatch, seed):
+    # numpy used to refuse these only after the D-optimal solve, as a numerical failure
+    monkeypatch.setattr(cli, "d_optimal", lambda *args, **kwargs: pytest.fail("solved before checking the seed"))
+    rc, out = run(tmp_path, "simulate", "--degree", "1", "--grid", "51", "--trials", "100", "--seed", seed)
+    assert rc == 2
+    assert capsys.readouterr().err == f"validation error: seed must be in [0, 2^64), got {seed}\n"
+    assert not (out / "simulate.json").exists()
+
+
+def test_simulate_accepts_the_largest_seed(tmp_path):
+    rc, out = run(tmp_path, "simulate", "--degree", "1", "--grid", "51", "--trials", "100", "--seed", str(2**64 - 1))
+    assert rc == 0 and (out / "simulate.json").exists()

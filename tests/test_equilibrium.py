@@ -217,6 +217,11 @@ def test_array_density_and_cdf_match_one_point_at_a_time_bit_for_bit(data, kind,
     if d == 1 and kind != "weighted-ball":
         cdf = eq_cdf(m, pts)
         assert np.array_equal(cdf.view(np.uint64), np.array([eq_cdf(m, p) for p in pts]).view(np.uint64))
+    if kind == "weighted-ball":
+        green = weighted_ball_green(pts, d)
+        assert green.shape == (len(pts),)
+        loop = np.array([weighted_ball_green(p, d) for p in pts])
+        assert np.array_equal(green.view(np.uint64), loop.view(np.uint64))
 
 
 def test_density_and_cdf_read_every_point():
@@ -224,3 +229,10 @@ def test_density_and_cdf_read_every_point():
     assert np.array_equal(eq_density(m, [0.1, 0.2]), [eq_density(m, 0.1), eq_density(m, 0.2)])
     assert np.array_equal(eq_cdf(m, [0.1, 0.2]), [eq_cdf(m, 0.1), eq_cdf(m, 0.2)])
     assert isinstance(eq_density(m, [0.1]), float) and isinstance(eq_cdf(m, 0.1), float)
+
+
+def test_weighted_ball_green_reads_every_point():
+    # it used to return the value at the first point alone
+    green = weighted_ball_green([0.1, 0.9])
+    assert np.array_equal(green, [weighted_ball_green(0.1), weighted_ball_green(0.9)])
+    assert green[0] == pytest.approx(0.01, rel=1e-15) and isinstance(weighted_ball_green(0.9), float)
