@@ -1,4 +1,4 @@
-"""Multivariate polynomial bases and Vandermonde matrices.
+"""Multivariate polynomial bases and their evaluation.
 
 The public contract is the monomial basis in graded lexicographic order
 (constant first, then degree-1 terms with the leading coordinate first,
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -234,24 +233,3 @@ def eval_basis_many(basis: PolyBasis, points) -> np.ndarray:
 def eval_basis(basis: PolyBasis, z) -> np.ndarray:
     """Evaluate the basis at a single point; returns a length-n vector."""
     return eval_basis_many(basis, z)[0]
-
-
-class VandermondeResult(NamedTuple):
-    matrix: np.ndarray
-    log_abs_det: float | None
-    phase: complex | None
-
-
-def vandermonde(basis: PolyBasis, points) -> VandermondeResult:
-    """Vandermonde matrix V[i, j] = p_j(z_i) for the given points.
-
-    For square V the log of |det V| and the unit-modulus phase of det V are
-    included; a singular matrix reports ``log_abs_det = -inf``.  Both refer
-    to the basis as evaluated; callers needing the monomial normalization
-    subtract ``basis.log_lead``.
-    """
-    V = eval_basis_many(basis, points)
-    if V.shape[0] != V.shape[1]:
-        return VandermondeResult(V, None, None)
-    phase, log_abs = np.linalg.slogdet(V)
-    return VandermondeResult(V, float(log_abs), complex(phase))

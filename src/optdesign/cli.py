@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import functools
 import json
@@ -74,7 +73,6 @@ _OPTIONS = {
     "spacing": {"type": str, "choices": ["chebyshev", "uniform"], "default": "chebyshev"},
     "weight": {"type": str, "default": "unit", "help": "unit, gaussian, or a weight JSON file path"},
     "seed": {"type": int, "default": 0},
-    "threads": {"type": int, "default": None, "help": "cap worker threads (env OPTDESIGN_THREADS)"},
     "out": {"type": str, "default": ".", "help": "output directory"},
     "design": {"type": str, "default": None, "help": "design JSON file; simulate solves for the optimal design without one"},
     "degree": {"type": int, "default": 2},
@@ -90,7 +88,7 @@ _OPTIONS = {
     "atoms": {"type": int, "default": 4},
 }
 
-_COMMON = ("domain", "dimension", "a", "grid", "grid_angular", "spacing", "weight", "seed", "threads", "out")
+_COMMON = ("domain", "dimension", "a", "grid", "grid_angular", "spacing", "weight", "seed", "out")
 
 
 def _command_defaults(cmd: str) -> dict:
@@ -235,26 +233,6 @@ def _write_csv(out: Path, name: str, cfg: dict, body: str) -> None:
 
 def _write_plot(out: Path, name: str, body: str) -> None:
     (out / f"{name}.dat").write_text(body)
-
-
-def _thread_context(cfg: dict):
-    threads = cfg.get("threads")
-    if threads is None:
-        env = os.environ.get("OPTDESIGN_THREADS", "").strip()
-        if env:
-            threads = int(env)
-            cfg["threads"] = threads
-    if threads is None:
-        return contextlib.nullcontext()
-    if threads < 1:
-        raise ValueError("--threads must be >= 1")
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=threads)
-    except ImportError:
-        print(f"--threads {threads} has no effect: threadpoolctl is not installed", file=sys.stderr)
-        return contextlib.nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +477,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         if not os.access(out, os.W_OK):
             raise OSError(f"output directory {out} is not writable")
-        with _thread_context(cfg):
-            return _COMMANDS[args.command][0](cfg, out)
+        return _COMMANDS[args.command][0](cfg, out)
     except (SingularGramError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

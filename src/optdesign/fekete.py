@@ -10,7 +10,6 @@ sequences side by side.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +18,6 @@ import numpy as np
 from .basis import degree_sum
 from .measure import _FEKETE_PASSES, DesignSpace, WeightFunction, _exchange, _greedy_rows, basis_for_space, weighted_rows
 from .optimal import OptimalResult, d_optimal
-
-_EXHAUSTIVE_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -45,18 +42,15 @@ def approx_fekete(
     s: int,
     *,
     exchange_passes: int = _FEKETE_PASSES,
-    exhaustive: bool = False,
 ) -> FeketeResult:
-    """Select an (approximately) extremal n-point configuration on the grid.
+    """Select an approximately extremal n-point configuration on the grid.
 
-    The default path is the approximate Fekete algorithm of Bos, De
-    Marchi, Sommariva & Vianello (2010): a greedy volume-maximizing pick
-    of n rows of the weighted Vandermonde matrix (the pivots of a
-    column-pivoted QR), followed by up to ``exchange_passes`` sweeps of
-    Fedorov-style single-point exchanges, each of which strictly
-    increases the weighted Vandermonde modulus.  The rows are real on
-    real grids.  ``exhaustive=True`` enumerates every n-subset instead
-    (guarded, for small grids only).
+    This is the approximate Fekete algorithm of Bos, De Marchi, Sommariva
+    & Vianello (2010): a greedy volume-maximizing pick of n rows of the
+    weighted Vandermonde matrix (the pivots of a column-pivoted QR),
+    followed by up to ``exchange_passes`` sweeps of Fedorov-style
+    single-point exchanges, each of which strictly increases the weighted
+    Vandermonde modulus.  The rows are real on real grids.
     """
     if exchange_passes < 0:
         raise ValueError(f"exchange_passes must be nonnegative, got {exchange_passes}")
@@ -68,34 +62,11 @@ def approx_fekete(
         raise ValueError(f"grid of {m} points cannot support {n} Fekete points")
     A = weighted_rows(basis, grid, weight.values(grid))
 
-    if exhaustive:
-        pos = np.flatnonzero(np.any(A != 0, axis=1))
-        count = math.comb(pos.size, n)
-        if count > _EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive search over {count} subsets exceeds the limit")
-        best_log = -math.inf
-        best: tuple[int, ...] | None = None
-        combos = itertools.combinations(pos.tolist(), n)
-        while True:
-            chunk = list(itertools.islice(combos, 20000))
-            if not chunk:
-                break
-            mats = A[np.array(chunk), :]
-            _, logs = np.linalg.slogdet(mats)
-            k = int(np.argmax(logs))
-            if logs[k] > best_log:
-                best_log = float(logs[k])
-                best = chunk[k]
-        sel = list(best)
-        log_vdm = best_log - basis.log_lead
-        method = "exhaustive"
-    else:
-        sel = _greedy_rows(A)
-        if len(sel) < n:
-            raise ValueError("weighted Vandermonde is rank-deficient on this grid")
-        sel = _exchange(A, sel, exchange_passes)
-        log_vdm = float(np.linalg.slogdet(A[sel])[1]) - basis.log_lead
-        method = "greedy+exchange" if exchange_passes > 0 else "greedy"
+    sel = _greedy_rows(A)
+    if len(sel) < n:
+        raise ValueError("weighted Vandermonde is rank-deficient on this grid")
+    sel = _exchange(A, sel, exchange_passes)
+    log_vdm = float(np.linalg.slogdet(A[sel])[1]) - basis.log_lead
 
     sel_sorted = [sel[i] for i in np.lexsort((grid[sel, 0].imag, grid[sel, 0].real))]
     m_s = degree_sum(space.dimension, s)
@@ -104,7 +75,7 @@ def approx_fekete(
         indices=np.asarray(sel_sorted),
         weighted_vdm_log=log_vdm,
         delta_s=math.exp(log_vdm / m_s) if m_s > 0 else math.nan,
-        method=method,
+        method="greedy+exchange" if exchange_passes > 0 else "greedy",
     )
 
 

@@ -4,9 +4,10 @@ For a design mu and weight w, the degree-s moment matrix has entries
 
     M[i, j] = sum_k mu_k * conj(p_i(x_k)) * p_j(x_k) * w(x_k)**(2*s),
 
-the Gram matrix of the basis in the weighted inner product.  Its inverse
-Cholesky factor turns the basis into an orthonormal family, and the
-Christoffel function
+the Gram matrix of the basis in the weighted inner product.  Every moment
+matrix is factored in the Lagrange basis of n picked rows (``_lagrange``,
+then ``_factor``), where it is well conditioned.  The inverse factor
+turns the basis into an orthonormal family, and the Christoffel function
 
     K(z) = w(z)**(2*s) * p(z)^T inv(M) conj(p(z)) = sum_j |q_j(z)|^2 * w(z)**(2*s)
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import PolyBasis, as_points
-from .measure import DiscreteDesign, WeightFunction, _matmul, _squared_norms, weighted_rows
+from .measure import DiscreteDesign, WeightFunction, _greedy_rows, _matmul, _squared_norms, weighted_rows
 
 _PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||_2
 
@@ -32,8 +33,9 @@ _PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||_
 class SingularGramError(np.linalg.LinAlgError):
     """Moment matrix is numerically singular or indefinite.
 
-    ``pivot`` is the 1-based index of the Cholesky pivot that failed (or
-    nearly failed) to stay positive.
+    ``pivot`` is 1-based: the greedy or Cholesky pivot that failed to stay
+    positive, or for a numerically singular matrix the basis element
+    nearest the span of the others.
     """
 
     def __init__(self, message: str, pivot: int):
@@ -48,13 +50,17 @@ class MomentMatrix:
     ``log_det`` refers to the basis the matrix was assembled in;
     ``log_det_monomial`` maps it to the monomial normalization via the
     triangular change-of-basis determinant (they coincide for the monomial
-    basis).  Singularity is encoded as -inf, never as an exception.
+    basis).  ``L`` is the inverse factor, L M L^H = I, in the same basis.
+    Singularity is encoded as log det -inf, L None and the failed
+    ``pivot``, never as an exception.
     """
 
     matrix: np.ndarray
     degree: int
     basis: PolyBasis
     log_det: float
+    L: np.ndarray | None
+    pivot: int
 
     @property
     def n(self) -> int:
@@ -65,10 +71,20 @@ class MomentMatrix:
         return self.log_det - 2.0 * self.basis.log_lead
 
 
-def _assemble(B: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """(B^H * coef) B, symmetrized to kill roundoff."""
-    M = _matmul(B.conj().T * coef, B)
-    return 0.5 * (M + M.conj().T)
+def _assemble(B: np.ndarray, coef) -> np.ndarray:
+    """(B^H * coef) B, symmetrized to kill roundoff; ``coef`` is a scalar or one per row.
+
+    Complex rows are multiplied as real ones: with F the float64 view of B,
+    whose columns interleave real and imaginary parts, G = (F * coef)^T F
+    holds re M = G[0::2, 0::2] + G[1::2, 1::2] and
+    im M = G[0::2, 1::2] - G[1::2, 0::2].
+    """
+    F = np.ascontiguousarray(B).view(np.float64) if np.iscomplexobj(B) else B
+    G = _matmul(F.T * coef, F)
+    G = 0.5 * (G + G.T)
+    if F is B:
+        return G
+    return (G[0::2, 0::2] + G[1::2, 1::2]) + 1j * (G[0::2, 1::2] - G[1::2, 0::2])
 
 
 def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float, int]:
@@ -101,6 +117,18 @@ def _inverse_factor(C: np.ndarray) -> np.ndarray:
     triangular and as accurate as a triangular inverse.
     """
     return np.linalg.inv(C.conj().T).conj().T
+
+
+def _lagrange(A: np.ndarray, picks: list[int]) -> tuple[np.ndarray, float]:
+    """T = inv(A[picks]) and log |det A[picks]|: the rows A T hold the picked points' Lagrange basis."""
+    P = A[picks]
+    return np.linalg.inv(P), float(np.linalg.slogdet(P)[1])
+
+
+def _factor(R: np.ndarray, coef) -> tuple[np.ndarray | None, float, int]:
+    """(L or None, log det, pivot) of M = (R^H * coef) R: L M L^H = I, pivot as in ``_cholesky_log_det``."""
+    C, log_det, pivot = _cholesky_log_det(_assemble(R, coef))
+    return (None if pivot else _inverse_factor(C)), log_det, pivot
 
 
 def _christoffel_rows(A: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -155,25 +183,35 @@ def moment_matrix(
     s: int,
     basis: PolyBasis,
 ) -> MomentMatrix:
-    """Assemble the degree-s weighted moment matrix of a design.
+    """Assemble the degree-s weighted moment matrix of a design, and factor it.
 
-    The result is Hermitian by construction (symmetrized to kill roundoff)
-    and positive semidefinite up to rounding.
+    The matrix is Hermitian by construction (symmetrized to kill roundoff)
+    and positive semidefinite up to rounding.  The factor is taken on the
+    rows S = sqrt(mu) A: n of them picked greedily, the rows moved to
+    those points' Lagrange basis and factored there, so log det and L
+    carry the conditioning of S[picks], not that of M = S^H S.
     """
     if (basis.dimension, basis.degree) != (design.dimension, s):
         raise ValueError("basis and design dimensions, or basis and moment degrees, differ")
-    M = _assemble(weighted_rows(basis, design.points, weight.values(design.points)), design.weights)
-    _, log_det, _ = _cholesky_log_det(M)
-    return MomentMatrix(matrix=M, degree=s, basis=basis, log_det=log_det)
+    A = weighted_rows(basis, design.points, weight.values(design.points))
+    S = np.sqrt(design.weights)[:, None] * A
+    picks = _greedy_rows(S)
+    L, log_det, pivot = None, -math.inf, len(picks) + 1
+    if len(picks) == basis.n:
+        T, picks_log_det = _lagrange(S, picks)
+        L, log_det, pivot = _factor(_matmul(S, T), 1.0)
+        log_det += 2.0 * picks_log_det
+        L = None if L is None else _matmul(L, T.conj().T)  # back in the basis of A
+    M = _assemble(A, design.weights)
+    return MomentMatrix(matrix=M, degree=s, basis=basis, log_det=log_det, L=L, pivot=pivot)
 
 
 @dataclass(frozen=True)
 class ChristoffelEvaluator:
-    """Holds the lower-triangular L with inv(M) = L* L.
+    """Holds an inverse factor L of the moment matrix: L M L^H = I, inv(M) = L* L.
 
     The rows of conj(L) express an orthonormal polynomial family
-    q = conj(L) p in the basis carried alongside; L has positive diagonal,
-    so the factor is the canonical one.
+    q = conj(L) p in the basis carried alongside.
     """
 
     L: np.ndarray
@@ -187,25 +225,24 @@ class ChristoffelEvaluator:
 
 
 def orthonormal_factor(mm: MomentMatrix, weight: WeightFunction) -> ChristoffelEvaluator:
-    """Invert the Cholesky factor of a moment matrix.
+    """The orthonormal family of a moment matrix, from the inverse factor it carries.
 
-    Refuses matrices whose smallest eigenvalue does not clear
-    n * 1e-14 * ||M||_2, reporting the offending pivot index.  The
-    eigenvalues of M = C C* are the squared singular values of C.
+    Refuses a matrix without a factor, and one whose smallest eigenvalue
+    does not clear n * 1e-14 * ||M||_2; the pivot reported for the latter
+    is the basis element with the largest diagonal entry of inv(M) = L* L.
     """
-    C, _, pivot = _cholesky_log_det(mm.matrix)
-    if pivot:
-        raise SingularGramError(f"moment matrix is not positive definite at pivot {pivot}", pivot)
-    sv = np.linalg.svd(C, compute_uv=False)
-    eig_min, threshold = float(sv[-1]) ** 2, mm.n * _PIVOT_REL_TOL * float(sv[0]) ** 2
+    if mm.L is None:
+        raise SingularGramError(f"moment matrix is not positive definite at pivot {mm.pivot}", mm.pivot)
+    eig = np.linalg.eigvalsh(mm.matrix)
+    eig_min, threshold = float(eig[0]), mm.n * _PIVOT_REL_TOL * float(np.abs(eig).max())
     if eig_min <= threshold:
-        weakest = 1 + int(np.argmin(np.real(np.diag(C))))
+        weakest = 1 + int(np.argmax(np.sum(np.abs(mm.L) ** 2, axis=0)))
         raise SingularGramError(
             f"moment matrix is numerically singular (eig_min {eig_min:.3e} vs "
             f"threshold {threshold:.3e}) at pivot {weakest}",
             weakest,
         )
-    return ChristoffelEvaluator(L=_inverse_factor(C), basis=mm.basis, degree=mm.degree, weight=weight)
+    return ChristoffelEvaluator(L=mm.L, basis=mm.basis, degree=mm.degree, weight=weight)
 
 
 def christoffel_many(ev: ChristoffelEvaluator, points) -> np.ndarray:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .basis import eval_basis, eval_basis_many, monomial_basis, space_dimension
 from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
-from .gram import _assemble, _cholesky_log_det, _inverse_factor, _orbit_hessian, _orbit_rows
+from .gram import _assemble, _cholesky_log_det, _factor, _inverse_factor, _lagrange, _orbit_hessian, _orbit_rows
 from .measure import (
     _FEKETE_PASSES,
     DesignSpace,
@@ -162,10 +162,9 @@ def _orbit_means(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> np
 
 def _evaluate(R: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray, mass: np.ndarray) -> _Iterate:
     """The iterate at these orbit masses, assembled and factored from the rows R."""
-    C, log_det, pivot = _cholesky_log_det(_assemble(R, (mass / counts)[row_orbit]))
+    L, log_det, pivot = _factor(R, (mass / counts)[row_orbit])
     if pivot:
         raise SingularGramError(f"moment matrix of the Fekete start is not positive definite at pivot {pivot}", pivot)
-    L = _inverse_factor(C)
     Z = _matmul(R, L.conj().T)
     return _Iterate(mass, log_det, L, Z, row_orbit, _orbit_means(Z, row_orbit, counts))
 
@@ -323,8 +322,8 @@ def d_optimal(
     # the rows in the Lagrange basis of the picked points: M starts near I / n
     # and stays well conditioned, since the optimum is near the Fekete
     # points; det M in the basis of A is |det A[picks]|^2 times as large
-    lagrange_log_det = float(np.linalg.slogdet(A[picks])[1])
-    A = _matmul(A, np.linalg.inv(A[picks]))
+    T, lagrange_log_det = _lagrange(A, picks)
+    A = _matmul(A, T)
     # one mass per orbit, one Gram row set per orbit; exact under the
     # grid's symmetry, and it stops rounding noise from drifting along
     # det-flat angular modes

@@ -2,10 +2,13 @@
 
 import json
 import math
-import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optdesign import design_from_json, design_to_json, disk, make_design
 from optdesign import cli, optimal
@@ -202,17 +205,6 @@ def test_bad_solver_budget_is_a_validation_error(tmp_path, flag):
     assert not (out / "certificate.json").exists()
 
 
-def test_threads_flag_accepted(tmp_path):
-    rc, _ = run(
-        tmp_path,
-        "design", "--degree", "1", "--epsilon", "1e-3", "--grid", "51",
-        "--threads", "1",
-    )
-    assert rc == 0
-    rc2, _ = run(tmp_path, "design", "--threads", "0")
-    assert rc2 == 2
-
-
 def test_weight_file_round_trip(tmp_path):
     from optdesign import weight_to_json, gaussian_weight
 
@@ -293,20 +285,6 @@ def test_non_finite_table_weight_is_a_validation_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_threads_without_threadpoolctl_reports_no_effect(tmp_path, monkeypatch, capsys, source):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # makes the import fail
-    args = ["design", "--degree", "1", "--epsilon", "1e-3", "--grid", "51"]
-    if source == "flag":
-        args += ["--threads", "2"]
-    else:
-        monkeypatch.setenv("OPTDESIGN_THREADS", "2")
-    rc, out = run(tmp_path, *args)
-    assert rc == 0
-    assert capsys.readouterr().err == "--threads 2 has no effect: threadpoolctl is not installed\n"
-    assert (out / "certificate.json").exists()
-
-
 @pytest.mark.parametrize("command", ["fekete", "tfd"])
 def test_negative_exchange_passes_is_a_validation_error(tmp_path, capsys, command):
     rc, out = run(tmp_path, command, "--grid", "51", "--exchange-passes", "-3")
@@ -331,7 +309,7 @@ def test_rank_deficient_fekete_weight_is_a_validation_error(tmp_path, capsys):
 
 _COMMON_DEFAULTS = {
     "domain": "interval", "dimension": 1, "a": 1.0, "grid": 401, "grid_angular": 64,
-    "spacing": "chebyshev", "weight": "unit", "seed": 0, "threads": None, "out": ".",
+    "spacing": "chebyshev", "weight": "unit", "seed": 0, "out": ".",
 }
 
 # the resolved defaults every artifact echoes, key for key and in order
@@ -371,7 +349,7 @@ def test_help_lists_each_default(capsys):
         ("design", '{"degree": 2.5}', "config key 'degree' must be int, got 2.5"),
         ("design", '{"degree": true}', "config key 'degree' must be int, got true"),
         ("design", '{"epsilon": null}', "config key 'epsilon' must be float, got null"),
-        ("design", '{"threads": "2"}', "config key 'threads' must be int, got \"2\""),
+        ("design", '{"threads": "2"}', "unknown config keys: ['threads']"),
         ("design", '{"out": 5}', "config key 'out' must be str, got 5"),
         ("design", '{"spacing": "random"}', "config key 'spacing' must be one of ['chebyshev', 'uniform'], got \"random\""),
         ("design", "5", "must hold a JSON object"),
@@ -388,13 +366,37 @@ def test_ill_typed_config_value_is_a_validation_error(tmp_path, capsys, command,
     assert not out.exists()
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(sorted(cli._COMMANDS)),
+    payload=st.dictionaries(st.sampled_from(sorted(cli._OPTIONS)), _JSON_VALUES, max_size=4),
+)
+def test_any_config_object_resolves_or_is_a_validation_error(command, payload):
+    # main() turns ValueError into exit 2; any other exception would be a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(payload))
+        try:
+            cfg = _resolve_config(_build_parser().parse_args([command, "--config", str(path)]))
+        except ValueError:
+            return
+    assert all(json.dumps(cfg[key]) == json.dumps(value) for key, value in payload.items())  # NaN too
+
+
 def test_config_accepts_null_where_the_default_is_null_and_an_int_for_a_float(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"threads": None, "max_iter": None, "a": 2, "degree": 1, "grid": 51, "epsilon": 1e-3}))
+    cfg.write_text(json.dumps({"max_iter": None, "a": 2, "degree": 1, "grid": 51, "epsilon": 1e-3}))
     rc, out = run(tmp_path, "design", "--config", str(cfg))
     assert rc == 0
     echoed = json.loads((out / "certificate.json").read_text())["config"]
-    assert echoed["a"] == 2 and echoed["threads"] is None
+    assert echoed["a"] == 2 and echoed["max_iter"] is None
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Approximate Fekete points and diameter tables."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -37,18 +39,22 @@ def test_degree_two_interval_three_points():
     assert res.delta_s == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-10)
 
 
+def _exhaustive_fekete(space, weight, s):
+    """The best n-subset of the grid by enumeration: (weighted_vdm_log, its points in grid order)."""
+    basis = basis_for_space(space, s)
+    A = weighted_rows(basis, space.grid, weight.values(space.grid))
+    subsets = np.array(list(itertools.combinations(range(space.grid_size), basis.n)))
+    logs = np.linalg.slogdet(A[subsets])[1]
+    k = int(np.argmax(logs))
+    return float(logs[k]) - basis.log_lead, space.grid[subsets[k]]
+
+
 def test_exchange_matches_exhaustive_on_small_grid():
     space = interval(grid=9)
     greedy = approx_fekete(space, unit_weight(), 2)
-    exact = approx_fekete(space, unit_weight(), 2, exhaustive=True)
-    assert exact.method == "exhaustive"
-    assert greedy.weighted_vdm_log == pytest.approx(exact.weighted_vdm_log, abs=1e-12)
-    assert np.allclose(greedy.points, exact.points)
-
-
-def test_exhaustive_guard():
-    with pytest.raises(ValueError):
-        approx_fekete(interval(grid=401), unit_weight(), 8, exhaustive=True)
+    exact_log, exact_points = _exhaustive_fekete(space, unit_weight(), 2)
+    assert greedy.weighted_vdm_log == pytest.approx(exact_log, abs=1e-12)
+    assert np.allclose(greedy.points, np.sort(exact_points, axis=0))
 
 
 def test_weighted_disk_pair_sits_on_the_half_radius_circle():

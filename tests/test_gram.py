@@ -79,6 +79,26 @@ def test_singular_design_reports_minus_inf_then_raises():
     assert err.value.pivot >= 1
 
 
+def test_orthonormal_factor_reuses_the_factor_of_moment_matrix(monkeypatch):
+    # one factor path: moment_matrix factors once, in the Lagrange basis of
+    # its picked rows, and orthonormal_factor only checks and hands it on
+    rng = np.random.default_rng(4)
+    design = _random_design(rng, 7, complex_atoms=True)
+    mm = moment_matrix(design, gaussian_weight(), 2, monomial_basis(1, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("orthonormal_factor factored the moment matrix again")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    ev = orthonormal_factor(mm, gaussian_weight())
+    assert ev.L is mm.L
+    assert np.abs(ev.L @ mm.matrix @ ev.L.conj().T - np.eye(3)).max() <= 1e-13
+    # fewer independent rows than n: the greedy pick reports where it stopped
+    two = moment_matrix(make_design([0.0, 1.0], [0.5, 0.5]), unit_weight(), 2, monomial_basis(1, 2))
+    assert two.L is None and two.pivot == 3
+
+
 def test_near_singular_design_is_refused():
     design = make_design([0.0, 1e-9, 1.0], [0.4, 0.3, 0.3])
     mm = moment_matrix(design, unit_weight(), 2, monomial_basis(1, 2))
@@ -141,6 +161,22 @@ def test_dimension_mismatch_rejected():
     design = make_design([[0.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
         moment_matrix(design, unit_weight(), 1, monomial_basis(1, 1))
+
+
+@pytest.mark.parametrize("coef_kind", ["scalar", "per_row"])
+def test_assemble_complex_rows_matches_the_hermitian_product(coef_kind):
+    # complex rows go through the real Gram matrix of their float64 view;
+    # the result must be B^H diag(coef) B, and exactly Hermitian
+    rng = np.random.default_rng(11)
+    B = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    coef = 0.025 if coef_kind == "scalar" else rng.uniform(0.0, 1.0, 40)
+    M = _assemble(B, coef)
+    ref = (B.conj().T * coef) @ B
+    assert M.dtype == np.complex128
+    assert np.array_equal(M, M.conj().T)
+    assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+    # a real view of the same rows still takes the real path
+    assert np.abs(_assemble(B.real, coef) - (B.real.T * coef) @ B.real).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _uniform_grid_factor(A):

@@ -38,6 +38,7 @@ from optdesign import (
     vdm_integral_det,
 )
 from optdesign import optimal
+from optdesign.measure import _greedy_rows, weighted_rows
 
 
 def _without_orbits(space):
@@ -222,6 +223,37 @@ def test_gram_log_det_and_christoffel_match_the_brute_force_oracles(case):
     ev = orthonormal_factor(mm, weight)
     for z in (design.points[0], probe):
         assert christoffel(ev, z) == pytest.approx(vdm_integral_christoffel(design, weight, s, z), rel=tol)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_small_designs())
+def test_gram_factor_error_follows_the_picked_rows_not_the_moment_matrix(case):
+    # the factor is taken in the Lagrange basis of n greedily picked rows of
+    # S = sqrt(mu) A, so its forward error is n cond(S[picks]) eps, about
+    # the square root of the n cond(M) eps the test above allows
+    space, weight, s, design, probe = case
+    basis = basis_for_space(space, s)
+    assume(np.linalg.matrix_rank(eval_basis_many(monomial_basis(space.dimension, s), design.points)) == basis.n)
+    S = np.sqrt(design.weights)[:, None] * weighted_rows(basis, design.points, weight.values(design.points))
+    tol = 1e-12 + basis.n * np.linalg.cond(S[_greedy_rows(S)]) * np.finfo(float).eps
+    mm = moment_matrix(design, weight, s, basis)
+    assert mm.log_det_monomial == pytest.approx(math.log(vdm_integral_det(design, weight, s)), abs=tol)
+    ev = orthonormal_factor(mm, weight)
+    for z in (design.points[0], probe):
+        assert christoffel(ev, z) == pytest.approx(vdm_integral_christoffel(design, weight, s, z), rel=tol)
+
+
+def test_found_case_log_det_matches_a_60_digit_determinant():
+    # four interval atoms, two of them 0.008 apart: cond(M) ~ 1e9, and the
+    # Cholesky of M was off by 3.8e-10 in log det
+    mp = pytest.importorskip("mpmath")
+    x = [-0.331, 0.876, 0.884, 0.992]
+    design = make_design(x, np.full(4, 0.25))
+    with mp.workdps(60):
+        M = mp.matrix([[sum(mp.mpf(0.25) * mp.mpf(xk) ** (i + j) for xk in x) for j in range(4)] for i in range(4)])
+        ref = float(mp.log(mp.det(M)))
+    for basis, tol in ((monomial_basis(1, 3), 1e-13), (basis_for_space(interval(), 3), 1e-12)):
+        assert moment_matrix(design, unit_weight(), 3, basis).log_det_monomial == pytest.approx(ref, abs=tol)
 
 
 def test_brute_force_guard_refuses_huge_enumerations():
