@@ -41,7 +41,6 @@ from .equilibrium import (
 from .fekete import approx_fekete, tfd_table, tfd_to_csv
 from .gram import SingularGramError, christoffel, moment_matrix, orthonormal_factor
 from .measure import (
-    _FEKETE_PASSES,
     ball,
     basis_for_space,
     cube,
@@ -81,7 +80,6 @@ _OPTIONS = {
     "tmax": {"type": int, "default": 6},
     "epsilon": {"type": float, "default": 1e-5},
     "max_iter": {"type": int, "default": None},
-    "exchange_passes": {"type": int, "default": _FEKETE_PASSES},
     "sigma": {"type": float, "default": 0.1},
     "obs": {"type": int, "default": 100},
     "trials": {"type": int, "default": 10000},
@@ -297,7 +295,7 @@ def _cmd_gvalue(cfg: dict, out: Path) -> int:
 def _cmd_fekete(cfg: dict, out: Path) -> int:
     space = _make_space(cfg)
     weight = _make_weight(cfg)
-    res = approx_fekete(space, weight, cfg["degree"], exchange_passes=cfg["exchange_passes"])
+    res = approx_fekete(space, weight, cfg["degree"])
     _write_json(
         out,
         "fekete",
@@ -307,7 +305,6 @@ def _cmd_fekete(cfg: dict, out: Path) -> int:
             "points": res.points,
             "weighted_vdm_log": res.weighted_vdm_log,
             "delta_s": res.delta_s,
-            "method": res.method,
         },
     )
     body = "".join(
@@ -321,14 +318,7 @@ def _cmd_fekete(cfg: dict, out: Path) -> int:
 def _cmd_tfd(cfg: dict, out: Path) -> int:
     space = _make_space(cfg)
     weight = _make_weight(cfg)
-    rows = tfd_table(
-        space,
-        weight,
-        _degree_list(cfg),
-        epsilon=cfg["epsilon"],
-        max_iter=cfg["max_iter"],
-        exchange_passes=cfg["exchange_passes"],
-    )
+    rows = tfd_table(space, weight, _degree_list(cfg), epsilon=cfg["epsilon"], max_iter=cfg["max_iter"])
     _write_csv(out, "tfd", cfg, tfd_to_csv(rows))
     _write_plot(out, "tfd_gap", "".join(f"{r.s} {r.gap:.17g}\n" for r in rows))
     return EXIT_OK
@@ -458,8 +448,8 @@ def _cmd_oracle(cfg: dict, out: Path) -> int:
 _COMMANDS = {
     "design": (_cmd_design, "solve a D-optimal design and certify it", "degree epsilon max_iter", {}),
     "gvalue": (_cmd_gvalue, "G-value of a stored design over the domain grid", "design degree", {"degree": None}),
-    "fekete": (_cmd_fekete, "approximate weighted Fekete points", "degree exchange_passes", {}),
-    "tfd": (_cmd_tfd, "s-th order diameters vs Gram determinant roots", "degrees epsilon max_iter exchange_passes", {}),
+    "fekete": (_cmd_fekete, "approximate weighted Fekete points", "degree", {}),
+    "tfd": (_cmd_tfd, "s-th order diameters vs Gram determinant roots", "degrees epsilon max_iter", {}),
     "equilibrium": (_cmd_equilibrium, "tabulate an equilibrium measure", "target tmax", {}),
     "converge": (_cmd_converge, "weak-* convergence diagnostics across degrees", "degrees target tmax epsilon max_iter",
                  {"degrees": "2,4,8"}),

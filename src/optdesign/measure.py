@@ -670,6 +670,27 @@ def check_admissible(weight: WeightFunction, space: DesignSpace, s: int) -> Admi
     return _admissibility(A, _greedy_rows(A))
 
 
+class AdmissibilityError(ValueError):
+    """The weight does not admit a nonsingular design on this grid."""
+
+
+def _fekete_rows(space: DesignSpace, weight: WeightFunction, s: int):
+    """(basis, weight values, weighted rows A, picks): the approximate Fekete points of the grid.
+
+    The algorithm of Bos, De Marchi, Sommariva & Vianello (2010): the
+    greedy volume pick of n rows of A, refused with ``AdmissibilityError``
+    unless it reaches rank n, then ``_FEKETE_PASSES`` exchange sweeps.
+    """
+    basis = basis_for_space(space, s)
+    wvals = weight.values(space.grid)
+    A = weighted_rows(basis, space.grid, wvals)
+    picks = _greedy_rows(A)
+    report = _admissibility(A, picks)
+    if not report.passed:
+        raise AdmissibilityError(f"degree-{s} design infeasible: {report.reason}")
+    return basis, wvals, A, _exchange(A, picks, _FEKETE_PASSES)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

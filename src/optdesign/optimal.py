@@ -53,31 +53,22 @@ from .basis import eval_basis, eval_basis_many, monomial_basis, space_dimension
 from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
 from .gram import _assemble, _cholesky_log_det, _factor, _inverse_factor, _lagrange, _orbit_hessian, _orbit_rows
 from .measure import (
-    _FEKETE_PASSES,
     DesignSpace,
     DiscreteDesign,
     WeightFunction,
-    _admissibility,
-    _exchange,
-    _greedy_rows,
+    _fekete_rows,
     _matmul,
     _squared_norms,
-    basis_for_space,
     make_design,
-    weighted_rows,
 )
 
 _ORACLE_LIMIT = 10**7  # cap on the number of index tuples a brute-force sum may touch
 _ORACLE_BLOCK = 4096  # index subsets per stacked determinant call of a brute-force sum
 _ARMIJO = 1e-4  # share of its first-order gain a Newton step must realize in log det
-_BACKTRACKS = 30  # step halvings before a Newton step is given up
+_BACKTRACKS = 60  # rungs t = 1, 1/2, ... of the clipped-arc ladder; below the face no step is halved
 _NEGLIGIBLE_MASS = 1e-12  # orbit masses at or below this count as zero in a Newton step
 _KKT_RIDGE = 1e-12  # share of the largest diagonal of -H added to its diagonal in the KKT solve
 _CERTIFIED_TOL = 1e-8  # a certified design's mass identity residual and negative gap stay within this * n
-
-
-class AdmissibilityError(ValueError):
-    """The weight does not admit a nonsingular design on this grid."""
 
 
 def _symmetry_orbits(space, wvals: np.ndarray):
@@ -110,7 +101,9 @@ class OptimalResult:
     internal evaluation basis.  ``mass_identity_residual`` and
     ``monotonicity_violation`` are the worst values of
     |sum_k w_k K(x_k) - n| and of any log-det decrease seen across all
-    iterates; both should sit at rounding level.
+    iterates; both should sit at rounding level.  ``fekete_log_vdm`` is
+    the start's log |det A[picks]| in the same normalization: the
+    ``weighted_vdm_log`` of ``approx_fekete``.
     """
 
     design: DiscreteDesign
@@ -125,6 +118,7 @@ class OptimalResult:
     monotonicity_violation: float
     epsilon: float
     n: int
+    fekete_log_vdm: float
 
 
 def _hp_bound(gap: float, n: int) -> float:
@@ -233,21 +227,23 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     H = _orbit_hessian(it.Z[rows], slot[it.row_orbit[rows]], counts[free])
     # -H is only semidefinite (rank n on the disk with up to 25 free orbits):
     # a small ridge picks one well-defined step instead of a rounding-driven one
-    ridge = _KKT_RIDGE * float(np.max(-H.diagonal()))
-    f = np.arange(free.size)  # positions in ``free`` still on the face
+    k = free.size
+    kkt = np.ones((k + 1, k + 1))  # [[-H + ridge I, 1], [1^T, 0]], bordered by sum(step) = 0
+    kkt[:k, :k] = -H
+    kkt[np.arange(k), np.arange(k)] += _KKT_RIDGE * float(np.max(-H.diagonal()))
+    kkt[k, k] = 0.0
+    rhs = np.append(K[free], 0.0)
+    idx = np.arange(k + 1)  # the KKT rows still in play: positions in ``free`` on the face, the multiplier last
     while True:
-        kkt = np.ones((f.size + 1, f.size + 1))
-        kkt[:-1, :-1] = -H[np.ix_(f, f)]
-        kkt[np.arange(f.size), np.arange(f.size)] += ridge
-        kkt[-1, -1] = 0.0
         try:
-            sol = np.linalg.solve(kkt, np.append(K[free[f]], 0.0))[:-1]
+            sol = np.linalg.solve(kkt[np.ix_(idx, idx)], rhs[idx])[:-1]
         except np.linalg.LinAlgError:
             return None
+        f = idx[:-1]
         held = (p[free[f]] == 0) & (sol < 0)
         if not held.any():
             break
-        f = f[~held]
+        idx = np.append(f[~held], k)
     d = np.zeros_like(p)
     d[free[f]] = sol
     ascent = float(K @ d)
@@ -257,11 +253,11 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     ratios = p[shrink] / -d[shrink]
     t_max = min(1.0, float(ratios.min())) if shrink.size else 1.0
     # halve from the full step clipped onto the simplex, which empties every
-    # orbit it overshoots at once; past the first face, step to that face
-    # exactly (ratio test) and keep halving
-    arc = [0.5**k for k in range(2 * _BACKTRACKS) if 0.5**k > t_max]
+    # orbit it overshoots at once, down to the first face, then step to that
+    # face exactly (ratio test); if none of these ascends, the vertex step does
+    arc = [0.5**j for j in range(_BACKTRACKS) if 0.5**j > t_max]
     trial = _frame(it, counts, (it.mass > 0) | (K > n))  # the free orbits and the shed ones
-    for t in arc + [t_max * 0.5**k for k in range(_BACKTRACKS)]:
+    for t in arc + [t_max]:
         q = np.maximum(p + t * d, 0.0)
         if t == t_max < 1.0:
             q[shrink[np.argmin(ratios)]] = 0.0  # the blocking orbit leaves the face exactly
@@ -283,8 +279,8 @@ def d_optimal(
     """Maximize det M over probability measures on the grid.
 
     The solve starts at equal mass 1/n on the approximate Fekete points of
-    the weighted rows (greedy pick plus exchange passes, as
-    ``approx_fekete``), spread evenly over each point's symmetry orbit.
+    the weighted rows (exactly those of ``approx_fekete``), spread evenly
+    over each point's symmetry orbit.
 
     Parameters
     ----------
@@ -304,21 +300,14 @@ def d_optimal(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if max_iter is not None and max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
-    basis = basis_for_space(space, s)
+    basis, wvals, A, picks = _fekete_rows(space, weight, s)
     n = basis.n
     grid = space.grid
     m = grid.shape[0]
-    wvals = weight.values(grid)
-    A = weighted_rows(basis, grid, wvals)
-    picks = _greedy_rows(A)
-    report = _admissibility(A, picks)
-    if not report.passed:
-        raise AdmissibilityError(f"degree-{s} design infeasible: {report.reason}")
     if max_iter is None:
         max_iter = min(1_000_000, 50 * m + math.ceil(4.0 / (epsilon * n)))
 
     orbits, counts = _symmetry_orbits(space, wvals)
-    picks = _exchange(A, picks, _FEKETE_PASSES)
     # the rows in the Lagrange basis of the picked points: M starts near I / n
     # and stays well conditioned, since the optimum is near the Fekete
     # points; det M in the basis of A is |det A[picks]|^2 times as large
@@ -396,6 +385,7 @@ def d_optimal(
         monotonicity_violation=max(0.0, mono_viol),
         epsilon=epsilon,
         n=n,
+        fekete_log_vdm=lagrange_log_det - basis.log_lead,
     )
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: artifacts, config resolution, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optdesign import design_from_json, design_to_json, disk, make_design
-from optdesign import cli, optimal
+from optdesign import ConditioningWarning, design_from_json, design_to_json, disk, make_design, table_weight
+from optdesign import weight_to_json
+from optdesign import cli, fekete, optimal
 from optdesign.cli import _build_parser, _make_space, _resolve_config, main
 
 
@@ -286,11 +290,22 @@ def test_non_finite_table_weight_is_a_validation_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["fekete", "tfd"])
-def test_negative_exchange_passes_is_a_validation_error(tmp_path, capsys, command):
-    rc, out = run(tmp_path, command, "--grid", "51", "--exchange-passes", "-3")
+def test_exchange_passes_is_no_longer_an_option(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--grid", "51", "--exchange-passes", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exchange-passes 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags", [("fekete", ["--degree", "0"]), ("tfd", ["--degrees", "0,1"])])
+def test_degree_zero_diameter_is_a_validation_error_before_any_solve(tmp_path, capsys, monkeypatch, command, flags):
+    # delta_0 is a 0-th root: fekete used to write "delta_s": NaN, and tfd
+    # solved and then failed on a division by zero
+    monkeypatch.setattr(fekete, "d_optimal", lambda *args, **kwargs: pytest.fail("solved before the degree check"))
+    rc, out = run(tmp_path, command, "--grid", "51", *flags)
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err == "validation error: exchange_passes must be nonnegative, got -3\n"
+    assert capsys.readouterr().err == "validation error: delta_s needs degree s >= 1, got 0\n"
     assert not any(out.iterdir())
 
 
@@ -303,7 +318,7 @@ def test_rank_deficient_fekete_weight_is_a_validation_error(tmp_path, capsys):
     rc, out = run(tmp_path, "fekete", "--grid", "21", "--degree", "2", "--weight", str(wfile))
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "validation error: weighted Vandermonde is rank-deficient on this grid\n"
+    assert err == "validation error: degree-2 design infeasible: only 2 positive-weight grid points, need 3\n"
     assert not (out / "fekete.json").exists()
 
 
@@ -316,8 +331,8 @@ _COMMON_DEFAULTS = {
 _PINNED_DEFAULTS = {
     "design": {"degree": 2, "epsilon": 1e-5, "max_iter": None},
     "gvalue": {"design": None, "degree": None},
-    "fekete": {"degree": 2, "exchange_passes": 2},
-    "tfd": {"degrees": "1,2,4,8", "epsilon": 1e-5, "max_iter": None, "exchange_passes": 2},
+    "fekete": {"degree": 2},
+    "tfd": {"degrees": "1,2,4,8", "epsilon": 1e-5, "max_iter": None},
     "equilibrium": {"target": "arcsine", "tmax": 6},
     "converge": {"degrees": "2,4,8", "target": "arcsine", "tmax": 6, "epsilon": 1e-5, "max_iter": None},
     "simulate": {
@@ -350,6 +365,7 @@ def test_help_lists_each_default(capsys):
         ("design", '{"degree": true}', "config key 'degree' must be int, got true"),
         ("design", '{"epsilon": null}', "config key 'epsilon' must be float, got null"),
         ("design", '{"threads": "2"}', "unknown config keys: ['threads']"),
+        ("fekete", '{"exchange_passes": 2}', "unknown config keys: ['exchange_passes']"),
         ("design", '{"out": 5}', "config key 'out' must be str, got 5"),
         ("design", '{"spacing": "random"}', "config key 'spacing' must be one of ['chebyshev', 'uniform'], got \"random\""),
         ("design", "5", "must hold a JSON object"),
@@ -462,3 +478,68 @@ def test_simulate_refuses_a_seed_outside_the_philox_key_before_solving(tmp_path,
 def test_simulate_accepts_the_largest_seed(tmp_path):
     rc, out = run(tmp_path, "simulate", "--degree", "1", "--grid", "51", "--trials", "100", "--seed", str(2**64 - 1))
     assert rc == 0 and (out / "simulate.json").exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON artifact holds {name}")
+
+
+_SPACES = {
+    "interval": st.fixed_dictionaries({"grid": st.integers(2, 41)}),
+    "disk": st.fixed_dictionaries({"grid": st.integers(2, 6), "grid-angular": st.integers(4, 12)}),
+    "cube": st.fixed_dictionaries({"dimension": st.just(2), "grid": st.integers(2, 9)}),
+    "simplex": st.fixed_dictionaries({"dimension": st.just(2), "grid": st.integers(1, 10)}),
+    "ball": st.fixed_dictionaries(
+        {"dimension": st.just(2), "grid": st.integers(2, 4), "grid-angular": st.integers(4, 10)}
+    ),
+}  # only grids the domain accepts: the strategy builds each one to lay a table weight or a design on it
+
+
+@st.composite
+def _small_runs(draw):
+    """A small design, fekete, tfd or gvalue run: its command and flags, and the files it reads."""
+    command = draw(st.sampled_from(["design", "fekete", "tfd", "gvalue"]))
+    domain = draw(st.sampled_from(sorted(_SPACES)))
+    flags = {"domain": domain, **draw(_SPACES[domain])}
+    degrees = st.integers(0, 3) | st.integers(0, 14)  # most small grids admit only the low ones
+    s = draw(degrees)
+    flags.update({"tfd": {"degrees": f"{s},{draw(degrees)}", "epsilon": "1e-3"}}.get(command, {"degree": s}))
+    files = {}
+    args = [str(v) for key, v in flags.items() for v in ("--" + key, v)]
+    grid = _make_space(_resolve_config(_build_parser().parse_args([command, *args]))).grid
+    weight = draw(st.sampled_from(["unit", "gaussian", "table"]))
+    if weight == "table":  # the grid's first k points weigh 1, the rest 0
+        k = draw(st.integers(0, len(grid)))
+        files["weight"] = weight_to_json(table_weight(grid, np.r_[np.ones(k), np.zeros(len(grid) - k)]))
+    if command == "gvalue":  # equal masses on k grid points spread over the grid
+        k = draw(st.integers(1, min(len(grid), 20)))
+        idx = np.unique(np.linspace(0, len(grid) - 1, k).round().astype(int))
+        files["design"] = design_to_json(make_design(grid[idx], np.full(idx.size, 1.0 / idx.size)), degree=s)
+    return command, args, weight, files
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_small_runs())
+def test_small_runs_exit_cleanly_and_write_strict_json(case):
+    # every run succeeds, or fails with exit 2 or 3 and one line; no
+    # traceback, and no JSON artifact holding NaN or Infinity
+    command, args, weight, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for key, text in files.items():
+            (tmp / f"{key}.json").write_text(text)
+            args = [*args, f"--{key}", str(tmp / f"{key}.json")]
+        if weight != "table":
+            args = [*args, "--weight", weight]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)  # degrees above 12 in dimension 2
+            rc = main([command, *args, "--out", str(tmp / "out")])
+        err = err.getvalue()
+        if rc == 0:
+            assert err == ""
+        else:
+            assert (rc, err.split(": ")[0]) in {(2, "validation error"), (3, "numerical failure")}
+            assert err.count("\n") == 1 and err.endswith("\n")
+        for path in (tmp / "out").glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from optdesign import (
+    AdmissibilityError,
     approx_fekete,
     ball,
     basis_for_space,
@@ -21,7 +22,7 @@ from optdesign import (
     tfd_to_csv,
     unit_weight,
 )
-from optdesign import fekete
+from optdesign import fekete, measure
 from optdesign.measure import weighted_rows
 
 
@@ -81,8 +82,16 @@ def test_grid_too_small_for_the_degree():
 def test_rank_deficient_weighted_grid_rejected():
     space = interval(grid=21)
     weight = table_weight(space.grid, np.r_[1.0, 1.0, np.zeros(19)])
-    with pytest.raises(ValueError):
+    with pytest.raises(AdmissibilityError, match="only 2 positive-weight grid points, need 3"):
         approx_fekete(space, weight, 2)
+
+
+def test_tfd_reads_delta_s_from_the_solve_start(monkeypatch):
+    space = interval(grid=201)
+    expected = [approx_fekete(space, unit_weight(), s).delta_s for s in (1, 2, 4)]
+    monkeypatch.setattr(fekete, "approx_fekete", lambda *args, **kwargs: pytest.fail("tfd_table picked twice"))
+    rows = tfd_table(space, unit_weight(), [1, 2, 4], epsilon=1e-3)
+    assert [r.delta_s for r in rows] == expected  # bit for bit
 
 
 def test_tfd_rows_and_csv(cached_solve):
@@ -124,7 +133,7 @@ def test_greedy_rows_are_the_pivots_of_column_pivoted_qr(seed):
     if seed % 2:
         A = A + 1j * rng.standard_normal((m, n))
     _, _, piv = sla.qr(A.T, mode="economic", pivoting=True)
-    assert fekete._greedy_rows(A) == piv[:n].tolist()
+    assert measure._greedy_rows(A) == piv[:n].tolist()
 
 
 def _exchange_by_inverse(A, sel, passes):
@@ -155,30 +164,29 @@ def _exchange_by_inverse(A, sel, passes):
 )
 def test_rank_one_exchange_matches_the_per_swap_inverse(space, weight, s):
     A, basis = _weighted_vandermonde(space, weight, s)
-    start = fekete._greedy_rows(A)
-    fast = fekete._exchange(A, list(start), 2)
+    start = measure._greedy_rows(A)
+    fast = measure._exchange(A, list(start), 2)
     slow = _exchange_by_inverse(A, start, 2)
     assert _log_volume(A, fast, basis) == pytest.approx(_log_volume(A, slow, basis), abs=1e-12)
     assert _log_volume(A, fast, basis) >= _log_volume(A, start, basis)
     res = approx_fekete(space, weight, s)
     assert res.weighted_vdm_log == pytest.approx(_log_volume(A, fast, basis), abs=1e-12)
-    assert res.weighted_vdm_log >= approx_fekete(space, weight, s, exchange_passes=0).weighted_vdm_log
 
 
 @pytest.mark.parametrize("space", [interval(), cube(2, per_axis=9), ball(2), simplex(2)], ids=lambda sp: sp.kind)
 def test_approx_fekete_runs_real_on_real_grids(space, monkeypatch):
     s, seen = 3, []
-    greedy = fekete._greedy_rows
+    greedy = measure._greedy_rows
 
     def spy(A):
         seen.append(A.dtype)
         return greedy(A)
 
-    monkeypatch.setattr(fekete, "_greedy_rows", spy)
+    monkeypatch.setattr(measure, "_greedy_rows", spy)
     res = approx_fekete(space, gaussian_weight(), s)
     assert seen == [np.dtype(np.float64)]
     # the complex path: the same rows held in complex dtype
     A, basis = _weighted_vandermonde(space, gaussian_weight(), s, real=False)
     assert np.iscomplexobj(A)
-    sel = fekete._exchange(A, greedy(A), 2)
+    sel = measure._exchange(A, greedy(A), 2)
     assert res.weighted_vdm_log == pytest.approx(_log_volume(A, sel, basis), abs=1e-12)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from optdesign import (
     AdmissibilityError,
     SingularGramError,
+    approx_fekete,
     ball,
     basis_for_space,
     check_admissible,
@@ -539,6 +540,13 @@ def test_fekete_start_certifies_within_thirty_steps(space, weight, s):
     assert res.converged and res.iterations <= 30
     assert res.monotonicity_violation <= 1e-10
     assert res.mass_identity_residual <= 1e-8 * res.n
+
+
+@pytest.mark.parametrize("space, weight, s", [c[1:] for c in _START_CASES], ids=[c[0] for c in _START_CASES])
+def test_the_solver_starts_at_approx_fekete(space, weight, s):
+    # one pick serves both: the start's log |VDM| is approx_fekete's, bit for bit
+    start = d_optimal(space, weight, s, max_iter=0)
+    assert start.fekete_log_vdm == approx_fekete(space, weight, s).weighted_vdm_log
 
 
 def test_cube_orbit_solve_matches_the_per_point_solve():
