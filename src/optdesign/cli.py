@@ -186,7 +186,7 @@ def _make_target(cfg: dict) -> EquilibriumMeasure:
 def _degree_list(cfg: dict) -> list[int]:
     raw = cfg["degrees"]
     vals = [int(v) for v in raw.split(",") if v.strip()]
-    if not vals or any(v < 0 for v in vals):
+    if not vals or any(v < 0 for v in vals) or len(set(vals)) < len(vals):  # a repeated degree repeats its solve
         raise ValueError(f"bad degree list {raw!r}")
     return vals
 
@@ -279,6 +279,9 @@ def _cmd_gvalue(cfg: dict, out: Path) -> int:
     design, s = _load_design(cfg)
     space = _make_space(cfg)
     weight = _make_weight(cfg)
+    n = space_dimension(space.dimension, s)
+    if design.size < n:  # M is singular: refused as a bad input, as oracle refuses it
+        raise ValueError(f"need at least {n} atoms for degree {s}")
     basis = basis_for_space(space, s)
     mm = moment_matrix(design, weight, s, basis)
     ev = orthonormal_factor(mm, weight)
@@ -287,7 +290,7 @@ def _cmd_gvalue(cfg: dict, out: Path) -> int:
         out,
         "gvalue",
         cfg,
-        {"degree": s, "n": space_dimension(space.dimension, s), "g_value": gv.value, "argmax": gv.argmax, "grid_index": gv.index},
+        {"degree": s, "n": n, "g_value": gv.value, "argmax": gv.argmax, "grid_index": gv.index},
     )
     return EXIT_OK
 

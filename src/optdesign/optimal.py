@@ -18,9 +18,12 @@ Each step is an active-set Newton step on the masses over the simplex,
 with a backtracking line search on log det itself, so every accepted
 step raises it.  The search reads each trial in the iterate's
 orthonormal frame, one n x n Cholesky C C^H = I + E per trial, and the
-trial it accepts advances that frame by C.  The KKT system adds 1e-12
-of the largest diagonal of -H to -H, which is only semidefinite, so the
-step does not depend on rounding.  A Newton step that cannot ascend is
+trial it accepts advances that frame by C.  The KKT system adds
+max(1e-12, 0.1 gap / n) of the largest diagonal of -H to -H, which is
+only semidefinite, so the step does not depend on rounding; away from
+the optimum the ridge damps the step along the det-flat directions of
+nearly collinear grid rows, and it fades as the gap closes (Li,
+Fukushima, Qi & Yamashita 2004).  A Newton step that cannot ascend is
 replaced by the Wynn-Fedorov vertex step toward the orbit with the
 largest K, which raises log det whenever the gap is positive.  After
 either step Harman & Pronzato's (2007) elimination applies: with
@@ -67,7 +70,8 @@ _ORACLE_BLOCK = 4096  # index subsets per stacked determinant call of a brute-fo
 _ARMIJO = 1e-4  # share of its first-order gain a Newton step must realize in log det
 _BACKTRACKS = 60  # rungs t = 1, 1/2, ... of the clipped-arc ladder; below the face no step is halved
 _NEGLIGIBLE_MASS = 1e-12  # orbit masses at or below this count as zero in a Newton step
-_KKT_RIDGE = 1e-12  # share of the largest diagonal of -H added to its diagonal in the KKT solve
+_KKT_RIDGE = 1e-12  # least share of the largest diagonal of -H added to its diagonal in the KKT solve
+_GAP_RIDGE = 0.1  # the share grows to this times the relative KW gap gap / n away from the optimum
 _CERTIFIED_TOL = 1e-8  # a certified design's mass identity residual and negative gap stay within this * n
 
 
@@ -226,11 +230,13 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     rows = slot[it.row_orbit] >= 0
     H = _orbit_hessian(it.Z[rows], slot[it.row_orbit[rows]], counts[free])
     # -H is only semidefinite (rank n on the disk with up to 25 free orbits):
-    # a small ridge picks one well-defined step instead of a rounding-driven one
+    # a ridge picks one well-defined step instead of a rounding-driven one, and
+    # its gap share keeps the step from overshooting along the flat directions
     k = free.size
     kkt = np.ones((k + 1, k + 1))  # [[-H + ridge I, 1], [1^T, 0]], bordered by sum(step) = 0
     kkt[:k, :k] = -H
-    kkt[np.arange(k), np.arange(k)] += _KKT_RIDGE * float(np.max(-H.diagonal()))
+    ridge = max(_KKT_RIDGE, _GAP_RIDGE * (float(K.max()) - n) / n)
+    kkt[np.arange(k), np.arange(k)] += ridge * float(np.max(-H.diagonal()))
     kkt[k, k] = 0.0
     rhs = np.append(K[free], 0.0)
     idx = np.arange(k + 1)  # the KKT rows still in play: positions in ``free`` on the face, the multiplier last

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from optdesign import ConditioningWarning, design_from_json, design_to_json, disk, make_design, table_weight
 from optdesign import weight_to_json
-from optdesign import cli, fekete, optimal
+from optdesign import asymptotics, cli, fekete, optimal
 from optdesign.cli import _build_parser, _make_space, _resolve_config, main
 
 
@@ -43,7 +43,7 @@ def test_design_writes_design_and_certificate(tmp_path):
 
 
 def test_design_exit_three_when_budget_too_small(tmp_path):
-    # from the approximate Fekete start degree 12 needs 15 steps at 1e-9
+    # from the approximate Fekete start degree 12 needs 6 steps at 1e-9
     rc, out = run(
         tmp_path, "design", "--degree", "12", "--epsilon", "1e-9", "--max-iter", "5"
     )
@@ -309,6 +309,28 @@ def test_degree_zero_diameter_is_a_validation_error_before_any_solve(tmp_path, c
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["tfd", "converge"])
+def test_repeated_degree_is_a_validation_error_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    # each listed degree is solved once: a repeated one wrote its row twice
+    monkeypatch.setattr(fekete, "d_optimal", lambda *args, **kwargs: pytest.fail("solved before the degree check"))
+    monkeypatch.setattr(asymptotics, "d_optimal", lambda *args, **kwargs: pytest.fail("solved before the degree check"))
+    rc, out = run(tmp_path, command, "--degrees", "2,2", "--grid", "51", "--epsilon", "1e-3")
+    assert rc == 2
+    assert capsys.readouterr().err == "validation error: bad degree list '2,2'\n"
+    assert not any(out.iterdir())
+
+
+def test_gvalue_of_a_design_with_too_few_atoms_is_a_validation_error(tmp_path, capsys):
+    # two atoms cannot carry a degree-2 fit (n = 3): refused as oracle refuses
+    # them, not reported as a moment matrix that failed to factor
+    dfile = tmp_path / "design.json"
+    dfile.write_text(design_to_json(make_design([-1.0, 1.0], [0.5, 0.5]), degree=2))
+    rc, out = run(tmp_path, "gvalue", "--design", str(dfile), "--grid", "51")
+    assert rc == 2
+    assert capsys.readouterr().err == "validation error: need at least 3 atoms for degree 2\n"
+    assert not any(out.iterdir())
+
+
 def test_rank_deficient_fekete_weight_is_a_validation_error(tmp_path, capsys):
     from optdesign import interval, table_weight, weight_to_json
 
@@ -497,13 +519,24 @@ _SPACES = {
 
 @st.composite
 def _small_runs(draw):
-    """A small design, fekete, tfd or gvalue run: its command and flags, and the files it reads."""
-    command = draw(st.sampled_from(["design", "fekete", "tfd", "gvalue"]))
+    """A small run of any solving or checking command: its command and flags, and the files it reads."""
+    command = draw(st.sampled_from(["design", "fekete", "tfd", "gvalue", "converge", "simulate", "oracle"]))
     domain = draw(st.sampled_from(sorted(_SPACES)))
     flags = {"domain": domain, **draw(_SPACES[domain])}
     degrees = st.integers(0, 3) | st.integers(0, 14)  # most small grids admit only the low ones
     s = draw(degrees)
-    flags.update({"tfd": {"degrees": f"{s},{draw(degrees)}", "epsilon": "1e-3"}}.get(command, {"degree": s}))
+    if command in ("tfd", "converge"):  # a degree list without repeats, which are refused before any solve
+        more = draw(st.lists(degrees.filter(lambda v: v != s), max_size=2, unique=True))
+        flags.update({"degrees": ",".join(map(str, [s, *more])), "epsilon": "1e-3"})
+    else:
+        flags["degree"] = s
+    if command == "converge":
+        flags.update({"target": draw(st.sampled_from(["arcsine", "cube", "ball", "simplex", "wball"])),
+                      "tmax": draw(st.integers(0, 4))})
+    if command == "simulate":  # observation counts below n are refused
+        flags.update({"epsilon": "1e-3", "obs": draw(st.integers(1, 40)), "trials": draw(st.integers(1, 50))})
+    if command == "oracle":  # atom counts below n are refused, and large brute-force sums too
+        flags["atoms"] = draw(st.integers(1, 8))
     files = {}
     args = [str(v) for key, v in flags.items() for v in ("--" + key, v)]
     grid = _make_space(_resolve_config(_build_parser().parse_args([command, *args]))).grid
@@ -511,7 +544,7 @@ def _small_runs(draw):
     if weight == "table":  # the grid's first k points weigh 1, the rest 0
         k = draw(st.integers(0, len(grid)))
         files["weight"] = weight_to_json(table_weight(grid, np.r_[np.ones(k), np.zeros(len(grid) - k)]))
-    if command == "gvalue":  # equal masses on k grid points spread over the grid
+    if command == "gvalue" or command == "simulate" and draw(st.booleans()):  # equal masses on k spread grid points
         k = draw(st.integers(1, min(len(grid), 20)))
         idx = np.unique(np.linspace(0, len(grid) - 1, k).round().astype(int))
         files["design"] = design_to_json(make_design(grid[idx], np.full(idx.size, 1.0 / idx.size)), degree=s)
