@@ -10,9 +10,7 @@ measure through moment and Kolmogorov distances.
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +26,7 @@ from .measure import (
     basis_for_space,
     callable_weight,
 )
-from .optimal import OptimalResult, d_optimal
+from .optimal import d_optimal
 
 
 def _perturbed_weight(weight: WeightFunction, u: Callable, t: float) -> WeightFunction:
@@ -170,7 +168,6 @@ class SweepRow:
     kw_gap: float
     moment_distance: float
     ks_distance: float | None
-    runtime: float
 
 
 @dataclass(frozen=True)
@@ -182,47 +179,6 @@ class ConvergenceReport:
     weight_kind: str
     target_kind: str
 
-    def to_csv(self) -> str:
-        lines = ["s,n,m_s,kw_gap,moment_distance,ks_distance,runtime"]
-        for r in self.rows:
-            ks = "" if r.ks_distance is None else f"{r.ks_distance:.17g}"
-            lines.append(
-                f"{r.s},{r.n},{r.m_s},{r.kw_gap:.17g},{r.moment_distance:.17g},{ks},{r.runtime:.17g}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "space_kind": self.space_kind,
-            "weight_kind": self.weight_kind,
-            "target_kind": self.target_kind,
-            "rows": [
-                {
-                    "s": r.s,
-                    "n": r.n,
-                    "m_s": r.m_s,
-                    "kw_gap": r.kw_gap,
-                    "moment_distance": r.moment_distance,
-                    "ks_distance": r.ks_distance,
-                    "runtime": r.runtime,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    def plot_data(self, metric: str) -> str:
-        """Two-column text (s, metric) ready for external plotting."""
-        if metric not in ("moment_distance", "ks_distance", "kw_gap"):
-            raise ValueError(f"unknown metric {metric!r}")
-        lines = []
-        for r in self.rows:
-            val = getattr(r, metric)
-            if val is None:
-                continue
-            lines.append(f"{r.s} {val:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def convergence_sweep(
     space: DesignSpace,
@@ -233,17 +189,17 @@ def convergence_sweep(
     t_max: int = 6,
     epsilon: float = 1e-5,
     max_iter: int | None = None,
-    optimal_results: dict[int, OptimalResult] | None = None,
 ) -> ConvergenceReport:
-    """Solve (or reuse) the optimal design per degree and measure distances."""
-    _check_t_max(t_max)  # before any solve
+    """Solve the optimal design per degree and measure its distances to the target."""
+    _check_t_max(t_max)  # these before any solve
+    if target.dimension != space.dimension:
+        raise ValueError(
+            f"the {target.kind} target has dimension {target.dimension} but the {space.kind} grid has {space.dimension}"
+        )
     rows = []
     one_dim_real = space.dimension == 1 and not space.is_complex
     for s in sorted(int(v) for v in s_values):
-        start = time.perf_counter()
-        opt = None if optimal_results is None else optimal_results.get(s)
-        if opt is None:
-            opt = d_optimal(space, weight, s, epsilon=epsilon, max_iter=max_iter)
+        opt = d_optimal(space, weight, s, epsilon=epsilon, max_iter=max_iter)
         md = moment_distance(opt.design, target, t_max=t_max)
         ks = kolmogorov_distance(opt.design, target) if one_dim_real else None
         rows.append(
@@ -254,7 +210,6 @@ def convergence_sweep(
                 kw_gap=opt.kw_gap,
                 moment_distance=md,
                 ks_distance=ks,
-                runtime=time.perf_counter() - start,
             )
         )
     return ConvergenceReport(

@@ -1,12 +1,15 @@
 """Command-line interface.
 
-Every subcommand writes its artifacts into --out; JSON artifacts embed
-the resolved configuration, package version, and a timestamp (the only
-field allowed to vary between identical runs), CSV artifacts embed the
+Every subcommand writes its artifacts into --out, and this module is the
+only one that turns results into text: the library returns data (its one
+text format is the design and weight file, which it also reads).  JSON
+artifacts embed the resolved configuration, package version, and a
+timestamp (the only field allowed to vary between identical runs), and
+hold complex numbers as [re, im] pairs; CSV artifacts embed the
 configuration in leading comment lines.  Numbers are printed with 17
-significant digits, '.' decimal separator, ',' field separator, and LF
-line endings.  Exit codes: 0 success, 2 validation error, 3 numerical
-failure.
+significant digits, '.' decimal separator, ',' field separator (' ' in
+.dat plot files), an empty cell for a missing value, and LF line
+endings.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import convergence_sweep
+from .asymptotics import SweepRow, convergence_sweep
 from .basis import multi_indices, space_dimension
 from .equilibrium import (
     EquilibriumMeasure,
@@ -38,7 +42,7 @@ from .equilibrium import (
     weighted_ball_green,
     weighted_ball_measure,
 )
-from .fekete import approx_fekete, tfd_table, tfd_to_csv
+from .fekete import TfdRow, approx_fekete, tfd_table
 from .gram import SingularGramError, christoffel, moment_matrix, orthonormal_factor
 from .measure import (
     ball,
@@ -55,7 +59,7 @@ from .measure import (
     weight_from_json,
 )
 from .optimal import d_optimal, g_value, vdm_integral_christoffel, vdm_integral_det
-from .simulate import RegressionExperiment, _check_settings, _prediction_csv, simulate_regression
+from .simulate import RegressionExperiment, _check_settings, simulate_regression
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -198,14 +202,12 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+        return [_plain(obj.real), _plain(obj.imag)]
+    if isinstance(obj, (float, np.floating)):
+        return ("inf" if obj > 0 else "-inf") if math.isinf(obj) else float(obj)
     return obj
 
 
@@ -225,12 +227,26 @@ def _csv_header(cfg: dict) -> str:
     return f"# optdesign {__version__}\n# config {canon}\n"
 
 
-def _write_csv(out: Path, name: str, cfg: dict, body: str) -> None:
-    (out / f"{name}.csv").write_text(_csv_header(cfg) + body)
+def _cell(value) -> str:
+    """Integers and strings as they are, None empty, any other number to 17 significant digits."""
+    if not isinstance(value, float):  # floats, most cells, skip the other tests
+        if value is None:
+            return ""
+        if isinstance(value, (int, str)):
+            return str(value)
+    return f"{value:.17g}"
 
 
-def _write_plot(out: Path, name: str, body: str) -> None:
-    (out / f"{name}.dat").write_text(body)
+def _lines(rows, sep: str) -> str:
+    return "".join(sep.join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _write_csv(out: Path, name: str, cfg: dict, header, rows) -> None:
+    (out / f"{name}.csv").write_text(_csv_header(cfg) + _lines([header, *rows], ","))
+
+
+def _write_plot(out: Path, name: str, rows) -> None:
+    (out / f"{name}.dat").write_text(_lines(rows, " "))
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +289,23 @@ def _load_design(cfg: dict):
     return design, cfg["degree"] if cfg["degree"] is not None else file_degree
 
 
+def _require_atoms(design, weight, s: int) -> int:
+    """n, once n atoms carry positive mass and w^(2s): with fewer the moment matrix is singular, a bad input."""
+    n = space_dimension(design.dimension, s)
+    live = int(np.count_nonzero((design.weights > 0) & (weight.values(design.points) ** (2 * s) > 0)))
+    if live < n:
+        got = "" if live == design.size else f" (got {live} of {design.size} with positive mass and weight)"
+        raise ValueError(f"need at least {n} atoms for degree {s}{got}")
+    return n
+
+
 def _cmd_gvalue(cfg: dict, out: Path) -> int:
     if not cfg["design"]:
         raise ValueError("gvalue needs --design pointing to a design JSON file")
     design, s = _load_design(cfg)
     space = _make_space(cfg)
     weight = _make_weight(cfg)
-    n = space_dimension(space.dimension, s)
-    if design.size < n:  # M is singular: refused as a bad input, as oracle refuses it
-        raise ValueError(f"need at least {n} atoms for degree {s}")
+    n = _require_atoms(design, weight, s)
     basis = basis_for_space(space, s)
     mm = moment_matrix(design, weight, s, basis)
     ev = orthonormal_factor(mm, weight)
@@ -310,11 +334,7 @@ def _cmd_fekete(cfg: dict, out: Path) -> int:
             "delta_s": res.delta_s,
         },
     )
-    body = "".join(
-        " ".join(f"{v:.17g}" for pair in ([c.real, c.imag] for c in row) for v in pair) + "\n"
-        for row in res.points
-    )
-    _write_plot(out, "fekete_points", body)
+    _write_plot(out, "fekete_points", ([part for c in row for part in (c.real, c.imag)] for row in res.points))
     return EXIT_OK
 
 
@@ -322,35 +342,31 @@ def _cmd_tfd(cfg: dict, out: Path) -> int:
     space = _make_space(cfg)
     weight = _make_weight(cfg)
     rows = tfd_table(space, weight, _degree_list(cfg), epsilon=cfg["epsilon"], max_iter=cfg["max_iter"])
-    _write_csv(out, "tfd", cfg, tfd_to_csv(rows))
-    _write_plot(out, "tfd_gap", "".join(f"{r.s} {r.gap:.17g}\n" for r in rows))
+    _write_csv(out, "tfd", cfg, [f.name for f in fields(TfdRow)], map(astuple, rows))
+    _write_plot(out, "tfd_gap", ((r.s, r.gap) for r in rows))
     return EXIT_OK
 
 
 def _cmd_equilibrium(cfg: dict, out: Path) -> int:
     target = _make_target(cfg)
     tmax = cfg["tmax"]
-    lines = ["alpha,moment"]
     if target.kind == "weighted-ball":
-        for k in range(tmax + 1):
-            lines.append(f"{k}|{k},{eq_moment_mixed(target, k, k):.17g}")
+        moments = [(f"{k}|{k}", eq_moment_mixed(target, k, k)) for k in range(tmax + 1)]
     else:
-        for alpha in multi_indices(target.dimension, tmax):
-            tag = "|".join(str(v) for v in alpha)
-            lines.append(f"{tag},{eq_moment(target, alpha):.17g}")
-    _write_csv(out, "moments", cfg, "\n".join(lines) + "\n")
+        alphas = multi_indices(target.dimension, tmax)
+        moments = [("|".join(map(str, alpha)), eq_moment(target, alpha)) for alpha in alphas]
+    _write_csv(out, "moments", cfg, ("alpha", "moment"), moments)
 
     if target.dimension == 1 and target.kind != "weighted-ball":
         lo = 0.0 if target.kind == "simplex" else -target.a
         hi = target.a
         xs = np.linspace(lo, hi, 402)[:-1] + (hi - lo) / 802.0  # midpoints, avoid endpoints
-        rows = zip(xs, eq_density(target, xs), eq_cdf(target, xs))
-        body = ["x,density,cdf", *(f"{x:.17g},{p:.17g},{c:.17g}" for x, p, c in rows)]
-        _write_csv(out, "density", cfg, "\n".join(body) + "\n")
+        # as lists: Python floats format faster than numpy scalars
+        rows = np.column_stack([xs, eq_density(target, xs), eq_cdf(target, xs)]).tolist()
+        _write_csv(out, "density", cfg, ("x", "density", "cdf"), rows)
     if target.kind == "weighted-ball":
         rs = np.linspace(0.0, 1.2, 121)
-        body = "".join(f"{r:.17g} {g:.17g}\n" for r, g in zip(rs, weighted_ball_green(rs, target.dimension)))
-        _write_plot(out, "green", body)
+        _write_plot(out, "green", np.column_stack([rs, weighted_ball_green(rs, target.dimension)]).tolist())
     return EXIT_OK
 
 
@@ -367,11 +383,11 @@ def _cmd_converge(cfg: dict, out: Path) -> int:
         epsilon=cfg["epsilon"],
         max_iter=cfg["max_iter"],
     )
-    _write_csv(out, "converge", cfg, report.to_csv())
-    _write_json(out, "converge", cfg, json.loads(report.to_json()))
-    _write_plot(out, "moment_vs_s", report.plot_data("moment_distance"))
+    _write_csv(out, "converge", cfg, [f.name for f in fields(SweepRow)], map(astuple, report.rows))
+    _write_json(out, "converge", cfg, asdict(report))
+    _write_plot(out, "moment_vs_s", ((r.s, r.moment_distance) for r in report.rows))
     if all(r.ks_distance is not None for r in report.rows):
-        _write_plot(out, "ks_vs_s", report.plot_data("ks_distance"))
+        _write_plot(out, "ks_vs_s", ((r.s, r.ks_distance) for r in report.rows))
     return EXIT_OK
 
 
@@ -396,24 +412,31 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         seed=cfg["seed"],
     )
     stats = simulate_regression(exp)
-    _write_json(out, "simulate", cfg, json.loads(stats.to_json()))
-    _write_csv(out, "ratios", cfg, _prediction_csv(stats.prediction))
+    pairs = functools.partial(np.asarray, dtype=complex)  # written as [re, im] pairs even where real
+    columns = ("point", "empirical_var", "theoretical_var", "ratio")
+    rows = [(pairs(r.point), r.empirical_var, r.theoretical_var, r.ratio) for r in stats.prediction]
+    results = {
+        "trials": stats.trials,
+        "counts": stats.counts,
+        "volume_proxy": stats.volume_proxy,
+        **{key: pairs(getattr(stats, key)) for key in ("theta_mean", "empirical_cov", "theoretical_cov")},
+        "prediction": [dict(zip(columns, row)) for row in rows],
+    }
+    _write_json(out, "simulate", cfg, results)
+    _write_csv(out, "ratios", cfg, columns, ((";".join(map(_cell, point)), *rest) for point, *rest in rows))
     return EXIT_OK
 
 
 def _cmd_oracle(cfg: dict, out: Path) -> int:
     space = _make_space(cfg)
     weight = _make_weight(cfg)
-    k = cfg["atoms"]
     s = cfg["degree"]
-    n = space_dimension(space.dimension, s)
-    if k < n:
-        raise ValueError(f"need at least {n} atoms for degree {s}")
-    idx = np.linspace(0, space.grid_size - 1, k).round().astype(int)
+    idx = np.linspace(0, space.grid_size - 1, cfg["atoms"]).round().astype(int)
     idx = np.unique(idx)
     pts = space.grid[idx]
     w = np.arange(1.0, idx.size + 1)
     design = make_design(pts, w / w.sum())
+    _require_atoms(design, weight, s)
     basis = basis_for_space(space, s, kind="monomial")
     mm = moment_matrix(design, weight, s, basis)
     det_main = math.exp(mm.log_det_monomial) if math.isfinite(mm.log_det_monomial) else 0.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import degree_sum
 from .measure import DesignSpace, WeightFunction, _fekete_rows
-from .optimal import OptimalResult, d_optimal
+from .optimal import d_optimal
 
 
 def _require_positive_degree(s: int) -> None:
@@ -82,33 +82,22 @@ def tfd_table(
     *,
     epsilon: float = 1e-5,
     max_iter: int | None = None,
-    optimal_results: dict[int, OptimalResult] | None = None,
 ) -> list[TfdRow]:
     """Tabulate delta_s against det(M_s)^(1/(2 m_s)) of the optimal design.
 
     Both columns converge to the weighted transfinite diameter of the
     space; ``gap`` is their absolute difference.  delta_s comes from the
     Fekete start of the solve (``OptimalResult.fekete_log_vdm``).
-    Precomputed optimal solves may be passed in to avoid repeating them.
     """
     degrees = sorted(int(v) for v in s_values)
     for s in degrees:
         _require_positive_degree(s)
     rows = []
     for s in degrees:
-        opt = None if optimal_results is None else optimal_results.get(s)
-        if opt is None:
-            opt = d_optimal(space, weight, s, epsilon=epsilon, max_iter=max_iter)
+        opt = d_optimal(space, weight, s, epsilon=epsilon, max_iter=max_iter)
         m_s = degree_sum(space.dimension, s)
         delta_s = math.exp(opt.fekete_log_vdm / m_s)
         gram_root = math.exp(opt.log_det / (2.0 * m_s))
         rows.append(TfdRow(s=s, m_s=m_s, delta_s=delta_s, gram_root=gram_root, gap=abs(delta_s - gram_root)))
     return rows
 
-
-def tfd_to_csv(rows: list[TfdRow]) -> str:
-    """CSV text for a transfinite-diameter table (LF line endings)."""
-    lines = ["s,m_s,delta_s,gram_root,gap"]
-    for r in rows:
-        lines.append(f"{r.s},{r.m_s},{r.delta_s:.17g},{r.gram_root:.17g},{r.gap:.17g}")
-    return "\n".join(lines) + "\n"

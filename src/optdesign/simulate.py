@@ -16,7 +16,6 @@ distribution.  All trials come from one counter-based generator keyed by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -133,34 +132,6 @@ class ExperimentStats:
     prediction: tuple[PredictionRow, ...]
     trials: int
 
-    def to_json(self) -> str:
-        payload = {
-            "trials": self.trials,
-            "counts": [int(c) for c in self.counts],
-            "volume_proxy": self.volume_proxy,
-            "theta_mean": _complex_list(self.theta_mean),
-            "empirical_cov": _complex_matrix(self.empirical_cov),
-            "theoretical_cov": _complex_matrix(self.theoretical_cov),
-            "prediction": [
-                {
-                    "point": _complex_list(r.point),
-                    "empirical_var": r.empirical_var,
-                    "theoretical_var": r.theoretical_var,
-                    "ratio": r.ratio,
-                }
-                for r in self.prediction
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def _complex_list(arr) -> list:
-    return [[float(np.real(v)), float(np.imag(v))] for v in np.asarray(arr).reshape(-1)]
-
-
-def _complex_matrix(mat) -> list:
-    return [_complex_list(row) for row in np.asarray(mat)]
-
 
 def _run(exp: RegressionExperiment, points: np.ndarray):
     """Run the trials; return the estimates, the observation counts, the
@@ -213,18 +184,6 @@ def simulate_regression(exp: RegressionExperiment) -> ExperimentStats:
 class VarianceCheck:
     rows: tuple[PredictionRow, ...]
     passed: bool
-
-    def to_csv(self) -> str:
-        return _prediction_csv(self.rows)
-
-
-def _prediction_csv(rows) -> str:
-    """One CSV line per prediction row, 17 significant digits."""
-    lines = ["point,empirical_var,theoretical_var,ratio"]
-    for r in rows:
-        pt = ";".join(f"{np.real(v):.17g}{np.imag(v):+.17g}j" for v in r.point)
-        lines.append(f"{pt},{r.empirical_var:.17g},{r.theoretical_var:.17g},{r.ratio:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def variance_identity_check(exp: RegressionExperiment, eval_points) -> VarianceCheck:

@@ -248,10 +248,8 @@ def test_5_weighted_disk_moment_convergence(cached_solve, gauss_disk):
     assert ok, detail
 
 
-def test_6_diameter_sequences_bracket_and_tighten(cached_solve, cheb_interval):
-    degrees = (2, 4, 8, 16)
-    results = {s: cached_solve("interval", s, 1e-5)[0] for s in degrees}
-    rows = tfd_table(cheb_interval, unit_weight(), degrees, optimal_results=results)
+def test_6_diameter_sequences_bracket_and_tighten(cheb_interval):
+    rows = tfd_table(cheb_interval, unit_weight(), (2, 4, 8, 16))
     by_s = {r.s: r for r in rows}
     bracketed = all(0.5 < v <= 2.0 for r in rows for v in (r.delta_s, r.gram_root))
     shrink = by_s[16].gap < by_s[2].gap / 3.0
@@ -331,11 +329,13 @@ def test_9_cli_runs_are_reproducible(tmp_path):
         "design": ["design", "--degree", "2", "--epsilon", "1e-3", "--grid", "201"],
         "tfd": ["tfd", "--degrees", "1,2", "--epsilon", "1e-3", "--grid", "201"],
         "equilibrium": ["equilibrium", "--target", "wball", "--tmax", "4"],
+        "converge": ["converge", "--degrees", "2,4", "--grid", "51"],
     }
     produced = {
         "design": ["design.json", "certificate.json"],
         "tfd": ["tfd.csv", "tfd_gap.dat"],
         "equilibrium": ["moments.csv", "green.dat"],
+        "converge": ["converge.csv", "converge.json", "moment_vs_s.dat", "ks_vs_s.dat"],
         "simulate": ["simulate.json", "ratios.csv"],
     }
 

@@ -1,6 +1,5 @@
 """Perturbation identities and weak-* convergence diagnostics."""
 
-import json
 import math
 
 import numpy as np
@@ -139,34 +138,19 @@ def test_convergence_sweep_checks_t_max_before_solving(monkeypatch):
 
 
 def test_convergence_sweep_rows(cached_solve):
-    results = {s: cached_solve("interval", s, 1e-5)[0] for s in (1, 2)}
-    report = convergence_sweep(
-        SPACE, unit_weight(), [2, 1], arcsine(), optimal_results=results
-    )
+    report = convergence_sweep(SPACE, unit_weight(), [2, 1], arcsine())
     assert report.space_kind == "interval" and report.target_kind == "interval"
     assert [r.s for r in report.rows] == [1, 2]
     for row, s in zip(report.rows, (1, 2)):
         assert row.n == s + 1
         assert row.m_s == s * (s + 1) // 2
-        assert row.kw_gap == results[s].kw_gap
-        assert row.ks_distance is not None and row.runtime >= 0.0
-    csv = report.to_csv()
-    assert csv.splitlines()[0] == "s,n,m_s,kw_gap,moment_distance,ks_distance,runtime"
-    payload = json.loads(report.to_json())
-    assert len(payload["rows"]) == 2
-    dat = report.plot_data("ks_distance")
-    assert len(dat.strip().splitlines()) == 2
-    with pytest.raises(ValueError):
-        report.plot_data("nonsense")
+        assert row.kw_gap == cached_solve("interval", s, 1e-5)[0].kw_gap  # the solve is deterministic
+        assert row.ks_distance is not None
 
 
-def test_convergence_sweep_complex_case_has_no_cdf_column(cached_solve):
+def test_convergence_sweep_complex_case_has_no_cdf_column():
     from optdesign import disk, gaussian_weight
 
-    results = {2: cached_solve("disk", 2, 1e-5)[0]}
-    report = convergence_sweep(
-        disk(), gaussian_weight(), [2], weighted_ball_measure(), t_max=4,
-        optimal_results=results,
-    )
+    report = convergence_sweep(disk(), gaussian_weight(), [2], weighted_ball_measure(), t_max=4)
     assert report.rows[0].ks_distance is None
     assert report.rows[0].moment_distance < 0.1

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optdesign import ConditioningWarning, design_from_json, design_to_json, disk, make_design, table_weight
+from optdesign import ConditioningWarning, design_from_json, design_to_json, disk, interval, make_design, table_weight
 from optdesign import weight_to_json
 from optdesign import asymptotics, cli, fekete, optimal
 from optdesign.cli import _build_parser, _make_space, _resolve_config, main
@@ -97,11 +97,12 @@ def test_tfd_artifacts(tmp_path):
         tmp_path, "tfd", "--degrees", "1,2", "--epsilon", "1e-3", "--grid", "201"
     )
     assert rc == 0
-    lines = (out / "tfd.csv").read_text().splitlines()
+    text = (out / "tfd.csv").read_text()
+    lines = text.splitlines()
     assert lines[0].startswith("# optdesign ")
     assert lines[1].startswith("# config ")
     assert lines[2] == "s,m_s,delta_s,gram_root,gap"
-    assert len(lines) == 5
+    assert len(lines) == 5 and text.endswith("\n")
     gaps = [float(line.split()[1]) for line in (out / "tfd_gap.dat").read_text().splitlines()]
     assert len(gaps) == 2 and all(g >= 0 for g in gaps)
 
@@ -141,13 +142,54 @@ def test_converge_artifacts(tmp_path):
         "--tmax", "4",
     )
     assert rc == 0
-    assert (out / "converge.csv").exists()
+    lines = (out / "converge.csv").read_text().splitlines()
+    assert lines[2] == "s,n,m_s,kw_gap,moment_distance,ks_distance"
+    assert len(lines) == 5
     payload = json.loads((out / "converge.json").read_text())
     rows = payload["results"]["rows"]
     assert [r["s"] for r in rows] == [1, 2]
     assert all(r["ks_distance"] is not None for r in rows)
-    assert (out / "moment_vs_s.dat").exists()
-    assert (out / "ks_vs_s.dat").exists()
+    assert payload["results"]["target_kind"] == "interval"
+    assert len((out / "moment_vs_s.dat").read_text().splitlines()) == 2
+    assert len((out / "ks_vs_s.dat").read_text().splitlines()) == 2
+
+
+def test_converge_refuses_a_target_of_another_dimension_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the arcsine target is one-dimensional: the first degree used to be solved before its moments failed
+    monkeypatch.setattr(asymptotics, "d_optimal", lambda *args, **kwargs: pytest.fail("solved before the check"))
+    rc, out = run(tmp_path, "converge", "--domain", "cube", "--dimension", "2", "--grid", "9",
+                  "--target", "arcsine", "--degrees", "1,2")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: the interval target has dimension 1 but the cube grid has 2\n"
+    assert not (out / "converge.csv").exists()
+
+
+def _cells(path):
+    """The cells of a CSV artifact's rows, below its two comment lines and its header."""
+    return [line.split(",") for line in path.read_text().splitlines()[3:]]
+
+
+def test_artifacts_print_17_significant_digits_and_end_in_lf(tmp_path):
+    runs = {
+        "tfd": ["tfd", "--degrees", "1,2", "--epsilon", "1e-3", "--grid", "201"],
+        "converge": ["converge", "--degrees", "1,2", "--epsilon", "1e-3", "--grid", "201", "--tmax", "4"],
+        "ratios": ["simulate", "--domain", "disk", "--grid", "6", "--grid-angular", "12", "--degree", "1",
+                   "--trials", "100", "--obs", "20"],
+    }
+    for name, argv in runs.items():
+        rc, out = run(tmp_path / name, *argv)
+        assert rc == 0
+        rows = _cells(out / f"{name}.csv")
+        assert rows
+        for row in rows:
+            if name == "ratios":  # the point: complex coordinates joined by ';'
+                coords = row.pop(0).split(";")
+                assert coords and all(format(complex(c), ".17g") == c for c in coords)
+            assert all(f"{float(c):.17g}" == c for c in row if c)  # an empty cell is a missing value
+        for path in out.iterdir():
+            data = path.read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, path.name
 
 
 def test_simulate_with_stored_design(tmp_path):
@@ -328,6 +370,28 @@ def test_gvalue_of_a_design_with_too_few_atoms_is_a_validation_error(tmp_path, c
     rc, out = run(tmp_path, "gvalue", "--design", str(dfile), "--grid", "51")
     assert rc == 2
     assert capsys.readouterr().err == "validation error: need at least 3 atoms for degree 2\n"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gvalue", "oracle"])
+def test_atoms_without_weight_are_a_validation_error(tmp_path, capsys, command):
+    # a weight of 1 on the grid's first two points: of the five atoms only the first weighs anything, so the
+    # degree-2 moment matrix is singular; refused as design refuses the weight, not as a failed factorization
+    grid = interval(grid=21, spacing="chebyshev").grid
+    wfile = tmp_path / "weight.json"
+    wfile.write_text(weight_to_json(table_weight(grid, np.r_[1.0, 1.0, np.zeros(19)])))
+    args = ["--grid", "21", "--weight", str(wfile), "--degree", "2"]
+    if command == "gvalue":
+        dfile = tmp_path / "design.json"
+        dfile.write_text(design_to_json(make_design(grid[[0, 5, 10, 15, 20]], np.full(5, 0.2)), degree=2))
+        args += ["--design", str(dfile)]
+    else:
+        args += ["--atoms", "5"]
+    rc, out = run(tmp_path, command, *args)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "validation error: need at least 3 atoms for degree 2 (got 1 of 5 with positive mass and weight)\n"
+    )
     assert not any(out.iterdir())
 
 
