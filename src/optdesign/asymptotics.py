@@ -196,6 +196,12 @@ def convergence_sweep(
         raise ValueError(
             f"the {target.kind} target has dimension {target.dimension} but the {space.kind} grid has {space.dimension}"
         )
+    if (target.kind == "weighted-ball") != space.is_complex:
+        fields = ("real", "complex")
+        raise ValueError(
+            f"the {target.kind} target is {fields[target.kind == 'weighted-ball']} "
+            f"but the {space.kind} grid is {fields[space.is_complex]}"
+        )
     rows = []
     one_dim_real = space.dimension == 1 and not space.is_complex
     for s in sorted(int(v) for v in s_values):

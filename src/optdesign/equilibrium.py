@@ -94,12 +94,13 @@ def ball_measure(dimension: int, a: float = 1.0) -> EquilibriumMeasure:
     """Density C_d * a^-(d-1) * (a^2 - |x|^2)^(-1/2) on the ball of radius a."""
     if dimension < 1 or a <= 0:
         raise ValueError("ball needs dimension >= 1 and a > 0")
+    if dimension > 3:
+        raise ValueError("ball measures are implemented for dimension <= 3")
     if dimension == 1:
         return EquilibriumMeasure("ball", 1, a, arcsine(a).norm_const)
     total = _sphere_area(dimension) * _sin_power(dimension - 1)
     m = EquilibriumMeasure("ball", dimension, a, 1.0 / total)
-    if dimension <= 3:
-        _validate_mass(m)
+    _validate_mass(m)
     return m
 
 
@@ -107,12 +108,13 @@ def simplex_measure(dimension: int, a: float = 1.0) -> EquilibriumMeasure:
     """Density C_d * a^-((d-1)/2) * ((a - sum x) * prod x_i)^(-1/2) on the simplex."""
     if dimension < 1 or a <= 0:
         raise ValueError("simplex needs dimension >= 1 and a > 0")
+    if dimension > 3:
+        raise ValueError("simplex measures are implemented for dimension <= 3")
     total = 1.0
     for j in range(1, dimension + 1):
         total *= _beta_quad(-0.5, 0.5 * (dimension - j - 1))
     m = EquilibriumMeasure("simplex", dimension, a, 1.0 / total)
-    if dimension <= 3:
-        _validate_mass(m)
+    _validate_mass(m)
     return m
 
 
@@ -202,8 +204,6 @@ def _moment_cached(m: EquilibriumMeasure, alpha: tuple[int, ...]) -> float:
     if m.kind == "ball":
         if d == 1:
             return _moment_cached(EquilibriumMeasure("interval", 1, a, m.norm_const), alpha)
-        if d > 3:
-            raise NotImplementedError("ball moments are implemented for dimension <= 3")
         radial = a ** (k_tot + d - 1) * _sin_power(k_tot + d - 1)
         if d == 2:
             ang = _quad(
@@ -223,8 +223,6 @@ def _moment_cached(m: EquilibriumMeasure, alpha: tuple[int, ...]) -> float:
             )
         return m.norm_const * a ** (1 - d) * radial * ang
     if m.kind == "simplex":
-        if d > 3:
-            raise NotImplementedError("simplex moments are implemented for dimension <= 3")
         num = 1.0
         den = 1.0
         for j in range(1, d + 1):

@@ -25,18 +25,12 @@ the optimum the ridge damps the step along the det-flat directions of
 nearly collinear grid rows, and it fades as the gap closes (Li,
 Fukushima, Qi & Yamashita 2004).  A Newton step that cannot ascend is
 replaced by the Wynn-Fedorov vertex step toward the orbit with the
-largest K, which raises log det whenever the gap is positive.  After
-either step Harman & Pronzato's (2007) elimination applies: with
-e = gap / n and h(e) = 1 + e/2 - sqrt(e (4 + e - 4/n)) / 2, an orbit
-whose K is below n h(e) carries no mass in any optimum, so once the step
-has left it massless it is dropped and its rows leave the frame.
+largest K, which raises log det whenever the gap is positive.
 
-The certificate is always taken on every orbit of the full grid: the
-eliminated orbits' rows come back in the frame, and if one of them fails
-it the solve goes on with every orbit.
-A certified iterate whose mass identity sum(mass K) = n or gap >= 0
-fails by more than 1e-8 n is refused with ``SingularGramError``, not
-returned.
+The certificate is the iterate's K over every orbit, none of which ever
+leaves the frame.  A certified iterate whose mass identity
+sum(mass K) = n or gap >= 0 fails by more than 1e-8 n is refused with
+``SingularGramError``, not returned.
 
 Brute-force oracles re-derive the determinant and the Christoffel
 function from sums of squared Vandermonde determinants, providing an
@@ -125,36 +119,25 @@ class OptimalResult:
     fekete_log_vdm: float
 
 
-def _hp_bound(gap: float, n: int) -> float:
-    """Harman-Pronzato (2007): a point with K below this is in no optimal support.
-
-    The bound is n * h(e) with e = gap / n, the relative KW gap of the
-    design at which K was evaluated.
-    """
-    e = max(gap, 0.0) / n
-    return n * (1.0 + 0.5 * e - 0.5 * math.sqrt(e * (4.0 + e - 4.0 / n)))
-
-
 class _Iterate(NamedTuple):
     """A design over the orbits and what the solver needs of it.
 
-    ``mass`` holds the orbit masses (they sum to 1), ``L`` the inverse
-    factor with L M L^H = I, ``Z = R L^H`` the orthonormalized rows of the
-    live orbits, ``row_orbit`` the orbit of each row of Z, and ``K`` the
-    mean Christoffel value of each orbit (0 on orbits that are not live):
-    the gradient of log det M in the masses.
+    ``mass`` holds the orbit masses (they sum to 1), ``Z = R L^H`` the rows
+    of every orbit orthonormalized by an inverse factor L with
+    L M L^H = I, ``row_orbit`` the orbit of each row of Z (the same for the
+    whole solve), and ``K`` the mean Christoffel value of each orbit: the
+    gradient of log det M in the masses.
     """
 
     mass: np.ndarray
     log_det: float
-    L: np.ndarray
     Z: np.ndarray
     row_orbit: np.ndarray
     K: np.ndarray
 
 
 def _orbit_means(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The mean K of each orbit from its orthonormalized rows (0 on orbits without rows)."""
+    """The mean K of each orbit from its orthonormalized rows."""
     return np.bincount(row_orbit, weights=_squared_norms(Z), minlength=counts.size) / counts
 
 
@@ -164,13 +147,13 @@ def _evaluate(R: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray, mass: np
     if pivot:
         raise SingularGramError(f"moment matrix of the Fekete start is not positive definite at pivot {pivot}", pivot)
     Z = _matmul(R, L.conj().T)
-    return _Iterate(mass, log_det, L, Z, row_orbit, _orbit_means(Z, row_orbit, counts))
+    return _Iterate(mass, log_det, Z, row_orbit, _orbit_means(Z, row_orbit, counts))
 
 
 def _frame(it: _Iterate, counts: np.ndarray, moving: np.ndarray):
     """Trial masses q read in the orthonormal frame of an iterate.
 
-    The iterate's L gives L M L^H = I and its rows Z = R L^H give
+    The iterate's rows Z = R L^H, with L M L^H = I, give
     L R_o^H R_o L^H = Z_o^H Z_o, so for masses q that differ from the
     iterate's only on the ``moving`` orbits
 
@@ -205,13 +188,13 @@ def _advance(it: _Iterate, q: np.ndarray, log_det: float, C: np.ndarray, counts:
     total = float(q.sum())
     Ci = math.sqrt(total) * _inverse_factor(C)
     Z = _matmul(it.Z, Ci.conj().T)
-    return _Iterate(q / total, log_det, Ci @ it.L, Z, it.row_orbit, _orbit_means(Z, it.row_orbit, counts))
+    return _Iterate(q / total, log_det, Z, it.row_orbit, _orbit_means(Z, it.row_orbit, counts))
 
 
 def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     """An active-set Newton step on the orbit masses, or None if it cannot ascend.
 
-    The free orbits are those with mass, plus the massless live ones whose
+    The free orbits are those with mass, plus the massless ones whose
     K exceeds n; a massless orbit stays fixed at 0 if the step would make
     its mass negative.  The step solves the KKT system of the quadratic
     model of log det on the free face under sum(mass) = 1.  The line
@@ -323,26 +306,15 @@ def d_optimal(
     # grid's symmetry, and it stops rounding noise from drifting along
     # det-flat angular modes
     R, row_orbit = _orbit_rows(A, orbits, counts)
-    live = np.ones(counts.size, dtype=bool)
     it = _evaluate(R, row_orbit, counts, np.bincount(orbits[picks], minlength=counts.size) / n)
     mass_resid = mono_viol = 0.0
-    converged = False
     steps = 0
 
     while True:
         gap = float(it.K.max()) - n
-        if gap <= epsilon * n or steps == max_iter:
-            # the certificate is taken on every orbit, from the rows and the advanced
-            # L: eliminated orbits come back, and if the gap now fails the solve goes on
-            Z = _matmul(R, it.L.conj().T)
-            it = it._replace(Z=Z, row_orbit=row_orbit, K=_orbit_means(Z, row_orbit, counts))
-            live[:] = True
-            gap = float(it.K.max()) - n
         mass_resid = max(mass_resid, abs(float(it.mass @ it.K) - n))
-        if gap <= epsilon * n:
-            converged = True
-            break
-        if steps == max_iter:
+        converged = gap <= epsilon * n
+        if converged or steps == max_iter:
             break
         steps += 1
         new = _newton_step(it, counts, n)
@@ -353,18 +325,15 @@ def d_optimal(
             q[j] += a / (1.0 - a)  # q / sum q = (1 - a) mass + a e_j, and only orbit j moves
             log_det, C = _frame(it, counts, np.arange(counts.size) == j)(q)  # I + E >= I has a factor
             new = _advance(it, q, log_det, C, counts)
-        out = live & (it.K < _hp_bound(gap, n)) & (new.mass == 0)
-        if out.any():
-            live &= ~out
-            rows = live[new.row_orbit]
-            new = new._replace(Z=new.Z[rows], row_orbit=new.row_orbit[rows], K=np.where(live, new.K, 0.0))
         mono_viol = max(mono_viol, it.log_det - new.log_det)
         it = new
 
-    resid, gap = abs(float(it.mass @ it.K) - n), float(it.K.max()) - n
+    resid = abs(float(it.mass @ it.K) - n)
     if converged and (resid > _CERTIFIED_TOL * n or gap < -_CERTIFIED_TOL * n):
-        # a certificate that only looks valid: rounding broke sum(mass K) = n
-        weakest = 1 + int(np.argmax(np.abs(it.L.diagonal())))
+        # a certificate that only looks valid: rounding broke sum(mass K) = n;
+        # the pivot it reports comes from the rows factored afresh at its masses
+        L, _, pivot = _factor(R, (it.mass / counts)[row_orbit])
+        weakest = n if pivot else 1 + int(np.argmax(np.abs(L.diagonal())))
         raise SingularGramError(
             f"certificate does not hold at iteration {steps}: mass identity residual {resid:.3e} "
             f"and KW gap {gap:.3e}, limits {_CERTIFIED_TOL * n:.1e} and {-_CERTIFIED_TOL * n:.1e} (n = {n})",

@@ -165,6 +165,38 @@ def test_converge_refuses_a_target_of_another_dimension_before_any_solve(tmp_pat
     assert not (out / "converge.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--domain", "disk", "--grid", "4", "--grid-angular", "8", "--target", "arcsine"],
+         "the interval target is real but the disk grid is complex"),
+        (["--domain", "ball", "--dimension", "2", "--grid", "4", "--target", "wball"],
+         "the weighted-ball target is complex but the ball grid is real"),
+        (["--domain", "interval", "--grid", "21", "--target", "wball"],
+         "the weighted-ball target is complex but the interval grid is real"),
+    ],
+    ids=["disk-arcsine", "ball-wball", "interval-wball"],
+)
+def test_converge_refuses_a_target_of_the_other_field_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
+    # the disk against the arcsine law used to report a moment distance of
+    # 0.5, and the real grids against the weighted ball failed after the solve
+    monkeypatch.setattr(asymptotics, "d_optimal", lambda *args, **kwargs: pytest.fail("solved before the check"))
+    rc, out = run(tmp_path, "converge", *argv, "--degrees", "1,2", "--tmax", "2")
+    assert rc == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (out / "converge.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["ball", "simplex"])
+def test_equilibrium_refuses_a_dimension_above_three(tmp_path, capsys, target):
+    # moments above dimension 3 are not implemented: this used to end in a traceback
+    rc, out = run(tmp_path, "equilibrium", "--target", target, "--dimension", "4")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {target} measures are implemented for dimension <= 3\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _cells(path):
     """The cells of a CSV artifact's rows, below its two comment lines and its header."""
     return [line.split(",") for line in path.read_text().splitlines()[3:]]
