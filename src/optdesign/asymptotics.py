@@ -16,24 +16,40 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import degree_sum, multi_indices, space_dimension
+from .basis import PolyBasis, degree_sum, multi_indices, space_dimension
 from .equilibrium import EquilibriumMeasure, eq_cdf, eq_moment, eq_moment_mixed
 from .gram import moment_matrix
-from .measure import (
-    DesignSpace,
-    DiscreteDesign,
-    WeightFunction,
-    basis_for_space,
-    callable_weight,
-)
+from .measure import DesignSpace, DiscreteDesign, WeightFunction, basis_for_space
 from .optimal import d_optimal
 
 
-def _perturbed_weight(weight: WeightFunction, u: Callable, t: float) -> WeightFunction:
-    def w_t(z):
-        return weight(z) * math.exp(-t * float(np.real(u(z))))
+def _field_values(u: Callable, mu_s: DiscreteDesign) -> np.ndarray:
+    """Real parts of u at the atoms of mu_s; a scalar argument for one-dimensional designs."""
+    d = mu_s.dimension
+    vals = np.array([float(np.real(u(p[0] if d == 1 else p))) for p in mu_s.points])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("the field u returned a non-finite value")
+    return vals
 
-    return callable_weight(w_t)
+
+def _f(mu_s: DiscreteDesign, weight: WeightFunction, s: int, basis: PolyBasis, u_vals: np.ndarray, t: float) -> float:
+    """f_of_t from the field's values at the atoms.
+
+    w_t^(2s) = w^(2s) exp(-2 s t u), so M(mu, w_t) = Z M(nu, w) with the
+    design nu = mu exp(-2 s t u) / Z: log det M(mu, w_t) is the unperturbed
+    log det at the masses nu plus n log Z.  The masses are scaled from the
+    largest log-mass down, so no exponential overflows.
+    """
+    with np.errstate(divide="ignore"):  # a massless atom has log-mass -inf
+        log_mass = np.log(mu_s.weights) - 2.0 * s * t * u_vals
+    top = float(log_mass.max())
+    mass = np.exp(log_mass - top)
+    total = float(mass.sum())
+    mm = moment_matrix(DiscreteDesign(mu_s.points, mass / total), weight, s, basis)
+    if not math.isfinite(mm.log_det):
+        raise ArithmeticError(f"perturbed moment matrix is singular at t={t}")
+    log_det = mm.log_det_monomial + basis.n * (top + math.log(total))
+    return -log_det / (2.0 * degree_sum(mu_s.dimension, s))
 
 
 def f_of_t(
@@ -43,20 +59,13 @@ def f_of_t(
     u: Callable,
     t: float,
     mu_s: DiscreteDesign,
-    basis=None,
 ) -> float:
     """-log det M(mu_s, w * exp(-t u)) / (2 m_s), monomial normalization.
 
     ``u`` receives a scalar for one-dimensional spaces and a coordinate
-    vector otherwise, and must return a real value.
+    vector otherwise, and must return a finite real value.
     """
-    if basis is None:
-        basis = basis_for_space(space, s)
-    m_s = degree_sum(space.dimension, s)
-    mm = moment_matrix(mu_s, _perturbed_weight(weight, u, t), s, basis)
-    if not math.isfinite(mm.log_det):
-        raise ArithmeticError(f"perturbed moment matrix is singular at t={t}")
-    return -mm.log_det_monomial / (2.0 * m_s)
+    return _f(mu_s, weight, s, basis_for_space(space, s), _field_values(u, mu_s), t)
 
 
 def first_derivative_residual(
@@ -69,13 +78,9 @@ def first_derivative_residual(
 ) -> float:
     """|centered difference of f_of_t at 0 - (d+1)/d * integral u d mu_s|."""
     basis = basis_for_space(space, s)
-    fd = (
-        f_of_t(space, weight, s, u, h, mu_s, basis)
-        - f_of_t(space, weight, s, u, -h, mu_s, basis)
-    ) / (2.0 * h)
+    u_vals = _field_values(u, mu_s)
+    fd = (_f(mu_s, weight, s, basis, u_vals, h) - _f(mu_s, weight, s, basis, u_vals, -h)) / (2.0 * h)
     d = space.dimension
-    pts = mu_s.points
-    u_vals = np.array([float(np.real(u(p[0] if d == 1 else p))) for p in pts])
     exact = (d + 1) / d * float(mu_s.weights @ u_vals)
     return abs(fd - exact)
 
@@ -97,7 +102,8 @@ def concavity_probe(
     if t_grid.size < 3:
         raise ValueError("concavity probe needs at least three t values")
     basis = basis_for_space(space, s)
-    fs = np.array([f_of_t(space, weight, s, u, t, mu_s, basis) for t in t_grid])
+    u_vals = _field_values(u, mu_s)
+    fs = np.array([_f(mu_s, weight, s, basis, u_vals, t) for t in t_grid])
     second = fs[:-2] - 2.0 * fs[1:-1] + fs[2:]
     return float(second.max())
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import SweepRow, convergence_sweep
-from .basis import multi_indices, space_dimension
+from .basis import monomial_basis, multi_indices, space_dimension
 from .equilibrium import (
     EquilibriumMeasure,
     arcsine,
@@ -304,6 +304,11 @@ def _cmd_gvalue(cfg: dict, out: Path) -> int:
         raise ValueError("gvalue needs --design pointing to a design JSON file")
     design, s = _load_design(cfg)
     space = _make_space(cfg)
+    outside = np.flatnonzero(~space.membership(design.points))
+    if outside.size:
+        i = int(outside[0])
+        at = np.real_if_close(design.points[i]).tolist()
+        raise ValueError(f"design atom {i} at {at} lies outside the {space.kind} domain (a = {space.a:g})")
     weight = _make_weight(cfg)
     n = _require_atoms(design, weight, s)
     basis = basis_for_space(space, s)
@@ -437,7 +442,7 @@ def _cmd_oracle(cfg: dict, out: Path) -> int:
     w = np.arange(1.0, idx.size + 1)
     design = make_design(pts, w / w.sum())
     _require_atoms(design, weight, s)
-    basis = basis_for_space(space, s, kind="monomial")
+    basis = monomial_basis(space.dimension, s)
     mm = moment_matrix(design, weight, s, basis)
     det_main = math.exp(mm.log_det_monomial) if math.isfinite(mm.log_det_monomial) else 0.0
     det_oracle = vdm_integral_det(design, weight, s)

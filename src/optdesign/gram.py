@@ -168,13 +168,19 @@ def _orbit_rows(A: np.ndarray, orbits: np.ndarray, counts: np.ndarray):
     once they outnumber the n columns, so no orbit keeps more than n rows;
     assembling with orbit weights and summing ||R L^H||^2 per orbit then
     gives M and the orbit sums of K exactly.  Real A gives real rows.
+    The orbits of each size are factored in one stacked QR call, which
+    gives the same factors as one call per orbit.
     """
     n = A.shape[1]
     big = np.flatnonzero(counts > n)
     small = counts[orbits] <= n
-    R = [A[small]] + [np.linalg.qr(A[orbits == o], mode="r") for o in big]
-    ids = [orbits[small]] + [np.full(n, o) for o in big]
-    return np.concatenate(R), np.concatenate(ids)
+    order = np.argsort(orbits, kind="stable")  # each orbit's rows, in grid order
+    starts = np.cumsum(counts) - counts
+    blocks = np.empty((big.size, n, n), dtype=A.dtype)
+    for c in np.unique(counts[big]):
+        group = np.flatnonzero(counts[big] == c)
+        blocks[group] = np.linalg.qr(A[order[starts[big[group], None] + np.arange(c)]], mode="r")
+    return np.concatenate([A[small], blocks.reshape(-1, n)]), np.concatenate([orbits[small], np.repeat(big, n)])
 
 
 def moment_matrix(

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import PolyBasis, as_points, eval_basis_many, monomial_basis, stabilized_basis
+from .basis import PolyBasis, as_points, eval_basis_many, stabilized_basis
 
 _ATOM_TOL = 1e-12  # two atoms closer than this are considered identical
 _SUM_TOL = 1e-9  # admissible drift of a weight vector's total mass
@@ -110,15 +110,16 @@ class DesignSpace:
     """A compact design space with a finite evaluation grid.
 
     ``grid`` has shape (m, d) and complex dtype; real spaces carry zero
-    imaginary parts.  ``membership`` decides whether a point belongs to the
-    underlying continuum set (used for validation, not for optimization).
+    imaginary parts.  ``membership`` maps an (m, d) point array to m
+    booleans: whether each point belongs to the underlying continuum set
+    (used for validation, not for optimization).
     """
 
     kind: str
     dimension: int
     a: float
     grid: np.ndarray
-    membership: Callable[[np.ndarray], bool]
+    membership: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
 
     @property
@@ -126,8 +127,7 @@ class DesignSpace:
         return self.grid.shape[0]
 
     def contains(self, z) -> bool:
-        pt = as_points(z, self.dimension)[0]
-        return bool(self.membership(pt))
+        return bool(self.membership(as_points(z, self.dimension))[0])
 
     @property
     def is_complex(self) -> bool:
@@ -155,8 +155,8 @@ def interval(a: float = 1.0, grid: int = 401, spacing: str = "chebyshev") -> Des
     pts = _freeze(x.astype(complex).reshape(-1, 1))
     tol = 1e-12 * max(1.0, a)
 
-    def member(p: np.ndarray) -> bool:
-        return abs(p[0].imag) <= tol and abs(p[0].real) <= a + tol
+    def member(p: np.ndarray) -> np.ndarray:
+        return (np.abs(p[:, 0].imag) <= tol) & (np.abs(p[:, 0].real) <= a + tol)
 
     return DesignSpace("interval", 1, a, pts, member, {"grid": grid, "spacing": spacing})
 
@@ -184,8 +184,8 @@ def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
     orbit.setflags(write=False)
     tol = 1e-12 * max(1.0, a)
 
-    def member(p: np.ndarray) -> bool:
-        return bool(np.all(np.abs(p.imag) <= tol) and np.all(np.abs(p.real) <= a + tol))
+    def member(p: np.ndarray) -> np.ndarray:
+        return np.all((np.abs(p.imag) <= tol) & (np.abs(p.real) <= a + tol), axis=1)
 
     return DesignSpace("cube", dimension, a, _freeze(pts), member, {"per_axis": per_axis, "orbits": orbit})
 
@@ -230,8 +230,8 @@ def ball(dimension: int = 2, a: float = 1.0, radial: int = 12, angular: int = 48
     pts = np.concatenate(pts_list, axis=0).astype(complex)
     tol = 1e-12 * max(1.0, a)
 
-    def member(p: np.ndarray) -> bool:
-        return bool(np.all(np.abs(p.imag) <= tol) and np.linalg.norm(p.real) <= a + tol)
+    def member(p: np.ndarray) -> np.ndarray:
+        return np.all(np.abs(p.imag) <= tol, axis=1) & (np.sqrt(np.sum(p.real**2, axis=1)) <= a + tol)
 
     return DesignSpace("ball", dimension, a, _freeze(pts), member, {"radial": radial, "angular": angular})
 
@@ -255,13 +255,9 @@ def simplex(dimension: int = 2, a: float = 1.0, refine: int = 24) -> DesignSpace
     pts = np.array([p for p in lattice(dimension, refine)], dtype=float) * (a / refine)
     tol = 1e-12 * max(1.0, a)
 
-    def member(p: np.ndarray) -> bool:
+    def member(p: np.ndarray) -> np.ndarray:
         x = p.real
-        return bool(
-            np.all(np.abs(p.imag) <= tol)
-            and np.all(x >= -tol)
-            and float(np.sum(x)) <= a + tol
-        )
+        return np.all((np.abs(p.imag) <= tol) & (x >= -tol), axis=1) & (np.sum(x, axis=1) <= a + tol)
 
     return DesignSpace("simplex", dimension, a, _freeze(pts.astype(complex)), member, {"refine": refine})
 
@@ -298,8 +294,8 @@ def disk(
         orbit = np.concatenate([[0], orbit])
     tol = 1e-12 * max(1.0, a)
 
-    def member(p: np.ndarray) -> bool:
-        return bool(abs(p[0]) <= a + tol)
+    def member(p: np.ndarray) -> np.ndarray:
+        return np.abs(p[:, 0]) <= a + tol
 
     orbit = orbit.astype(np.intp)
     orbit.setflags(write=False)
@@ -315,24 +311,23 @@ def disk(
     )
 
 
-def custom_grid(points, membership: Callable[[np.ndarray], bool] | None = None, a: float = 1.0) -> DesignSpace:
-    """Wrap an explicit point set as a design space; repeated points are refused."""
+def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = None, a: float = 1.0) -> DesignSpace:
+    """Wrap an explicit point set as a design space; repeated points are refused.
+
+    ``membership`` maps an (m, d) point array to m booleans; by default
+    every point belongs.
+    """
     pts = _point_array(points)
     _require_distinct(pts, 0.0, "grid points")
-    member = membership if membership is not None else (lambda p: True)
+    member = membership if membership is not None else (lambda p: np.ones(len(p), dtype=bool))
     return DesignSpace("custom", pts.shape[1], a, _freeze(pts.copy()), member, {})
 
 
-def basis_for_space(space: DesignSpace, s: int, kind: str = "stabilized") -> PolyBasis:
-    """Construct the evaluation basis attached to a design space.
+def basis_for_space(space: DesignSpace, s: int) -> PolyBasis:
+    """The stabilized evaluation basis of a design space.
 
-    The stabilized kind derives per-coordinate centers and scales from the
-    grid's bounding box; the monomial kind ignores the space.
+    Per-coordinate centers and scales come from the grid's bounding box.
     """
-    if kind == "monomial":
-        return monomial_basis(space.dimension, s)
-    if kind != "stabilized":
-        raise ValueError(f"unknown basis kind {kind!r}")
     g = space.grid
     d = space.dimension
     centers = np.empty(d, dtype=complex)
@@ -362,13 +357,11 @@ def basis_for_space(space: DesignSpace, s: int, kind: str = "stabilized") -> Pol
 class WeightFunction:
     """A nonnegative weight w on the design space.
 
-    Kinds: ``unit`` (w = 1), ``gaussian`` (w = exp(-|z|^2)), ``table``
-    (values attached to explicit points, nearest-match lookup within 1e-9),
-    and ``callable`` (arbitrary user function, evaluated pointwise).
+    Kinds: ``unit`` (w = 1), ``gaussian`` (w = exp(-|z|^2)) and ``table``
+    (values attached to explicit points, nearest-match lookup within 1e-9).
     """
 
     kind: str
-    func: Callable | None = None
     table_points: np.ndarray | None = None
     table_values: np.ndarray | None = None
 
@@ -378,14 +371,7 @@ class WeightFunction:
             return np.ones(pts.shape[0])
         if self.kind == "gaussian":
             return np.exp(-np.sum(np.abs(pts) ** 2, axis=1))
-        if self.kind == "table":
-            return self._lookup(pts)
-        vals = np.array([float(np.real(self.func(p[0] if pts.shape[1] == 1 else p))) for p in pts])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("weight function returned a non-finite value")
-        if np.any(vals < 0):
-            raise ValueError("weight function returned a negative value")
-        return vals
+        return self._lookup(pts)
 
     def _lookup(self, pts: np.ndarray) -> np.ndarray:
         """The value at the table point nearest each query point (ties: lowest index), within 1e-9."""
@@ -436,10 +422,6 @@ def table_weight(points, values) -> WeightFunction:
     if np.any(vals < 0):
         raise ValueError("weights must be nonnegative")
     return WeightFunction(kind="table", table_points=pts, table_values=vals)
-
-
-def callable_weight(func: Callable) -> WeightFunction:
-    return WeightFunction(kind="callable", func=func)
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +739,8 @@ def design_from_json(text: str) -> tuple[DiscreteDesign, int]:
 def weight_to_json(weight: WeightFunction) -> str:
     if weight.kind in ("unit", "gaussian"):
         return json.dumps({"kind": weight.kind})
-    if weight.kind == "table":
-        points = _real_coordinates(weight.table_points).reshape(len(weight.table_points), -1, 2).tolist()
-        return json.dumps({"kind": "table", "points": points, "values": weight.table_values.tolist()})
-    raise ValueError("callable weights cannot be serialized")
+    points = _real_coordinates(weight.table_points).reshape(len(weight.table_points), -1, 2).tolist()
+    return json.dumps({"kind": "table", "points": points, "values": weight.table_values.tolist()})
 
 
 def weight_from_json(text: str) -> WeightFunction:

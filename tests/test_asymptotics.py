@@ -11,8 +11,10 @@ from optdesign import (
     concavity_probe,
     convergence_sweep,
     degree_sum,
+    disk,
     f_of_t,
     first_derivative_residual,
+    gaussian_weight,
     interval,
     kolmogorov_distance,
     make_design,
@@ -120,6 +122,40 @@ def test_concavity_probe_needs_three_points():
     design = make_design([-1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         concavity_probe(SPACE, unit_weight(), 1, lambda z: 0.0, design, [0.0, 1.0])
+
+
+def _assembled_f(design, s, u_vals, t, gaussian):
+    """f(t) from an explicit monomial assembly of sum mu_k w_k^(2s) exp(-2 s t u_k) conj(p) p^T, d = 1."""
+    z = design.points[:, 0]
+    P = z[:, None] ** np.arange(s + 1)
+    w2s = np.exp(-2 * s * np.abs(z) ** 2) if gaussian else 1.0
+    c = design.weights * w2s * np.exp(-2 * s * t * u_vals)
+    M = (P.conj().T * c) @ P
+    return -np.linalg.slogdet(M)[1] / (2.0 * degree_sum(1, s))
+
+
+@pytest.mark.parametrize("t", [-1.0, -0.1, 0.3, 1.0])
+def test_f_of_t_matches_an_explicit_monomial_assembly(t):
+    # the perturbation enters as reweighted masses: M(mu, w e^(-tu)) = Z M(mu e^(-2stu) / Z, w)
+    line = make_design(np.linspace(-0.9, 1.0, 5), [0.1, 0.3, 0.2, 0.25, 0.15])
+    u = lambda z: np.real(z) ** 2 - 0.4 * np.real(z)
+    u_vals = np.real(line.points[:, 0]) ** 2 - 0.4 * np.real(line.points[:, 0])
+    got = f_of_t(SPACE, unit_weight(), 3, u, t, line)
+    assert got == pytest.approx(_assembled_f(line, 3, u_vals, t, gaussian=False), abs=1e-12)
+    ring = np.exp(2j * math.pi * np.arange(3) / 3)
+    atoms = np.concatenate([[0.0], 0.5 * ring, 0.9 * ring * np.exp(1j * math.pi / 3)])
+    disk_design = make_design(atoms, np.arange(1.0, 8.0) / 28.0)
+    u = lambda z: np.real(z) ** 2 + 0.5 * np.imag(z)
+    u_vals = atoms.real**2 + 0.5 * atoms.imag
+    got = f_of_t(disk(radial=4, angular=12), gaussian_weight(), 3, u, t, disk_design)
+    assert got == pytest.approx(_assembled_f(disk_design, 3, u_vals, t, gaussian=True), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_f_of_t_refuses_a_non_finite_field(bad):
+    design = make_design([-1.0, 0.0, 1.0], np.full(3, 1 / 3))
+    with pytest.raises(ValueError, match="non-finite"):
+        f_of_t(SPACE, unit_weight(), 2, lambda z: bad if np.real(z) > 0 else 0.0, 0.3, design)
 
 
 def test_perturbed_singular_matrix_raises():

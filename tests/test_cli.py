@@ -405,6 +405,27 @@ def test_gvalue_of_a_design_with_too_few_atoms_is_a_validation_error(tmp_path, c
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "domain, atoms, message",
+    [
+        (["--grid", "51"], [-1.0, 0.0, 2.0], "design atom 2 at [2.0] lies outside the interval domain (a = 1)"),
+        (
+            ["--domain", "disk", "--grid", "4", "--grid-angular", "8"],
+            [0.0, 0.5, 1.2j, -0.5],
+            "design atom 2 at [1.2j] lies outside the disk domain (a = 1)",
+        ),
+    ],
+)
+def test_gvalue_refuses_atoms_outside_the_domain(tmp_path, capsys, domain, atoms, message):
+    # K evaluated off the domain gave a g-value (4.08 on the interval) that only looked valid
+    dfile = tmp_path / "design.json"
+    dfile.write_text(design_to_json(make_design(atoms, np.full(len(atoms), 1 / len(atoms))), degree=2))
+    rc, out = run(tmp_path, "gvalue", "--design", str(dfile), *domain)
+    assert rc == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (out / "gvalue.json").exists()
+
+
 @pytest.mark.parametrize("command", ["gvalue", "oracle"])
 def test_atoms_without_weight_are_a_validation_error(tmp_path, capsys, command):
     # a weight of 1 on the grid's first two points: of the five atoms only the first weighs anything, so the

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,10 +180,60 @@ def test_moment_tables_match_their_closed_forms_up_to_degree_forty():
     assert worst <= 1e-12
 
 
+def _mp_arcsine_moments(k_max):
+    """E x^k of the arcsine law on [-1, 1], k = 0 .. k_max, by 40-digit quadrature after x = sin(theta)."""
+    with mpmath.workdps(40):
+        return [mpmath.quad(lambda th: mpmath.sin(th) ** k, [-mpmath.pi / 2, mpmath.pi / 2]) / mpmath.pi
+                for k in range(k_max + 1)]
+
+
+def _mp_dirichlet_moment(kind, alpha):
+    """E x^alpha of the unit ball or simplex measure, from its Dirichlet-type Gamma formula, to 40 digits.
+
+    Ball, density ~ (1 - |x|^2)^(-1/2): prod G((a_i+1)/2) / G(1/2) * G((d+1)/2) / G((|a|+d+1)/2), even a_i.
+    Simplex, Dirichlet(1/2, ..., 1/2) in d + 1 parts: prod G(a_i+1/2) / G(1/2) * G((d+1)/2) / G((d+1)/2+|a|).
+    """
+    d, k = len(alpha), sum(alpha)
+    with mpmath.workdps(40):
+        g, half = mpmath.gamma, mpmath.mpf(1) / 2
+        if kind == "ball":
+            if any(j % 2 for j in alpha):
+                return mpmath.mpf(0)
+            return mpmath.fprod(g(half * (j + 1)) / g(half) for j in alpha) * g(half * (d + 1)) / g(half * (k + d + 1))
+        return mpmath.fprod(g(j + half) / g(half) for j in alpha) * g(half * (d + 1)) / g(half * (d + 1) + k)
+
+
+def test_moments_match_a_forty_digit_mpmath_oracle():
+    arc = _mp_arcsine_moments(20)
+    worst = 0.0
+    for k in range(21):
+        worst = max(worst, abs(eq_moment(arcsine(), (k,)) - float(arc[k])))
+    cases = [(ball_measure(2), "ball"), (ball_measure(3), "ball"), (simplex_measure(2), "simplex"),
+             (simplex_measure(3), "simplex"), (cube_measure(2), "cube")]
+    for m, kind in cases:
+        top = 20 if m.dimension < 3 else 12
+        for alpha in optdesign.multi_indices(m.dimension, top):
+            want = arc[alpha[0]] * arc[alpha[1]] if kind == "cube" else _mp_dirichlet_moment(kind, alpha)
+            worst = max(worst, abs(eq_moment(m, alpha) - float(want)))
+    # the weighted ball is uniform on |z| <= 1/sqrt(2): radial moments E|z|^(2 beta)
+    wball = weighted_ball_measure()
+    with mpmath.workdps(40):
+        r = mpmath.sqrt(mpmath.mpf(1) / 2)
+        area = mpmath.quad(lambda t: t, [0, r])
+        for beta in range(21):
+            want = mpmath.quad(lambda t: t ** (2 * beta + 1), [0, r]) / area
+            worst = max(worst, abs(eq_moment_mixed(wball, beta, beta) - float(want)))
+    assert worst <= 1e-15
+
+
 def test_import_loads_no_scipy_quadrature_or_special_functions():
+    # nor numpy.polynomial: every constant and moment is a closed form, no quadrature rule is built
     src = str(Path(optdesign.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, optdesign; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    code = (
+        "import sys, optdesign; print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -218,6 +218,24 @@ def test_orbit_rows_keep_each_orbit_gram_block_and_mean_christoffel():
         assert K_rows[row_orbit == o].sum() / counts[o] == pytest.approx(K[orbits == o].mean(), rel=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_orbit_rows_equal_one_qr_per_orbit_bit_for_bit(dtype):
+    # orbits of sizes 1, 2, n + 2 and 2n + 1, their rows scattered over the grid
+    rng = np.random.default_rng(11)
+    n = 5
+    orbits = rng.permutation(np.repeat(np.arange(30), rng.choice([1, 2, n + 2, 2 * n + 1], size=30)))
+    counts = np.bincount(orbits)
+    A = rng.standard_normal((orbits.size, n))
+    if dtype is complex:
+        A = A + 1j * rng.standard_normal((orbits.size, n))
+    big = np.flatnonzero(counts > n)
+    small = counts[orbits] <= n
+    R = np.concatenate([A[small]] + [np.linalg.qr(A[orbits == o], mode="r") for o in big])
+    ids = np.concatenate([orbits[small]] + [np.full(n, o) for o in big])
+    got_R, got_ids = _orbit_rows(A, orbits, counts)
+    assert np.array_equal(got_R, R) and np.array_equal(got_ids, ids)
+
+
 @pytest.mark.parametrize("kind", ["disk", "cube"])
 def test_orbit_hessian_is_minus_the_trace_of_orbit_block_products(kind):
     # H[o, p] = -tr(A_o A_p) / (c_o c_p) with A_o = Z_o^H Z_o, summed explicitly

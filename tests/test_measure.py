@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from optdesign import (
     ball,
-    callable_weight,
     check_admissible,
     cube,
     custom_grid,
@@ -123,6 +122,45 @@ def test_custom_grid_wraps_points():
     sp = custom_grid([0.0, 0.5, 1.0])
     assert sp.kind == "custom" and sp.grid.shape == (3, 1)
     assert sp.contains(123.0)  # default membership accepts everything
+    assert sp.membership(np.array([[2.0], [1j]])).tolist() == [True, True]
+
+
+def _one_point_member(space, p):
+    """Each builder's membership rule for one point, written out."""
+    tol = 1e-12 * max(1.0, space.a)
+    x, real = p.real, bool(np.all(np.abs(p.imag) <= tol))
+    if space.kind == "disk":
+        return bool(abs(p[0]) <= space.a + tol)
+    if space.kind == "ball":
+        return real and math.sqrt(float(x @ x)) <= space.a + tol
+    if space.kind == "simplex":
+        return real and bool(np.all(x >= -tol)) and float(x.sum()) <= space.a + tol
+    return real and bool(np.all(np.abs(x) <= space.a + tol))  # interval and cube
+
+
+_BUILT = {
+    "interval": interval(a=2.0, grid=9),
+    "cube2": cube(2, per_axis=5),
+    "cube3": cube(3, a=0.5, per_axis=3),
+    "ball1": ball(1, radial=2, angular=16),
+    "ball2": ball(2, radial=3, angular=12),
+    "ball3": ball(3, a=2.0, radial=2, angular=12),
+    "simplex2": simplex(2, refine=4),
+    "simplex3": simplex(3, a=2.0, refine=3),
+    "disk": disk(radial=3, angular=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT))
+def test_array_membership_matches_a_per_point_loop(name):
+    space = _BUILT[name]
+    g = space.grid
+    # the grid, and copies pushed just outside its edges, below zero and off the real line
+    pts = np.concatenate([g, g * (1 + 1e-9), g - 1e-9, g + 1e-9j])
+    inside = space.membership(pts)
+    assert inside.shape == (len(pts),) and inside.dtype == bool
+    assert inside[: len(g)].all() and not inside.all()
+    assert inside.tolist() == [space.contains(p) for p in pts] == [_one_point_member(space, p) for p in pts]
 
 
 def test_custom_grid_rejects_repeated_points():
@@ -169,12 +207,6 @@ def test_table_lookup_matches_the_brute_force_nearest_match():
     assert np.array_equal(w.values(queries), brute)
     with pytest.raises(ValueError, match="off its grid"):
         w.values(grid + 1e-8)
-
-
-def test_callable_weight_rejects_negative_values():
-    w = callable_weight(lambda z: float(np.real(z)))
-    with pytest.raises(ValueError):
-        w.values([[-1.0]])
 
 
 def test_make_design_validation():
@@ -320,8 +352,6 @@ def test_weight_json_round_trip():
     pts = np.array([[0.3]])
     w = table_weight([0.0, 0.3], [1.0, 7.0])
     assert weight_from_json(weight_to_json(w)).values(pts)[0] == 7.0
-    with pytest.raises(ValueError):
-        weight_to_json(callable_weight(lambda z: 1.0))
 
 
 def test_grids_are_read_only():
@@ -337,9 +367,6 @@ def test_grids_are_read_only():
 def test_non_finite_weight_values_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         table_weight([0.0, 1.0], [1.0, bad])
-    w = callable_weight(lambda z: bad)
-    with pytest.raises(ValueError, match="non-finite"):
-        w.values([[0.5]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])

@@ -152,7 +152,7 @@ def test_brute_force_det_two_atoms_closed_form():
     design = make_design([0.3, -0.8], [0.6, 0.4])
     expect = 0.6 * 0.4 * (0.3 + 0.8) ** 2
     assert vdm_integral_det(design, unit_weight(), 1) == pytest.approx(expect, rel=1e-14)
-    mm = moment_matrix(design, unit_weight(), 1, basis_for_space(interval(grid=5), 1, "monomial"))
+    mm = moment_matrix(design, unit_weight(), 1, monomial_basis(1, 1))
     assert math.exp(mm.log_det) == pytest.approx(expect, rel=1e-13)
 
 
