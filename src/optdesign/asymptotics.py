@@ -137,31 +137,22 @@ def moment_distance(design: DiscreteDesign, target: EquilibriumMeasure, t_max: i
     angular structure that holomorphic moments miss.
     """
     _check_t_max(t_max)
-    w = design.weights
-    pts = design.points
+    d = design.dimension
     if target.kind == "weighted-ball":
-        if design.dimension != 1:
-            raise ValueError("mixed moments are implemented for d = 1")
-        z = pts[:, 0]
-        worst = 0.0
-        for b in range(t_max + 1):
-            for g in range(t_max + 1 - b):
-                if b == 0 and g == 0:
-                    continue
-                dm = complex(np.sum(w * z**b * np.conj(z) ** g))
-                tm = eq_moment_mixed(target, b, g)
-                worst = max(worst, abs(dm - tm))
-        return worst
+        pairs = [(b, g) for b in multi_indices(d, t_max) for g in multi_indices(d, t_max - sum(b))]
+    else:
+        pairs = [(alpha, (0,) * d) for alpha in multi_indices(d, t_max)]
+    pts = design.points
     worst = 0.0
-    for alpha in multi_indices(design.dimension, t_max):
-        if sum(alpha) == 0:
-            continue
+    for beta, gamma_ in pairs[1:]:  # the first pair is degree 0: both measures have mass 1
         vals = np.ones(design.size, dtype=complex)
-        for i, k in enumerate(alpha):
-            if k:
-                vals *= pts[:, i] ** k
-        dm = complex(np.sum(w * vals))
-        tm = eq_moment(target, alpha)
+        for i, (b, g) in enumerate(zip(beta, gamma_)):
+            if b:
+                vals *= pts[:, i] ** b
+            if g:
+                vals *= np.conj(pts[:, i]) ** g
+        dm = complex(np.sum(design.weights * vals))
+        tm = eq_moment_mixed(target, beta, gamma_) if target.kind == "weighted-ball" else eq_moment(target, beta)
         worst = max(worst, abs(dm - tm))
     return worst
 
@@ -208,6 +199,9 @@ def convergence_sweep(
             f"the {target.kind} target is {fields[target.kind == 'weighted-ball']} "
             f"but the {space.kind} grid is {fields[space.is_complex]}"
         )
+    need = "gaussian" if target.kind == "weighted-ball" else "unit"  # a table weight has no closed-form limit
+    if weight.kind != need:
+        raise ValueError(f"the {target.kind} target needs the {need} weight, not the {weight.kind} weight")
     rows = []
     one_dim_real = space.dimension == 1 and not space.is_complex
     for s in sorted(int(v) for v in s_values):

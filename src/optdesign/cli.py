@@ -354,11 +354,10 @@ def _cmd_tfd(cfg: dict, out: Path) -> int:
 
 def _cmd_equilibrium(cfg: dict, out: Path) -> int:
     target = _make_target(cfg)
-    tmax = cfg["tmax"]
-    if target.kind == "weighted-ball":
-        moments = [(f"{k}|{k}", eq_moment_mixed(target, k, k)) for k in range(tmax + 1)]
+    alphas = multi_indices(target.dimension, cfg["tmax"])
+    if target.kind == "weighted-ball":  # E |z^beta|^2, written under alpha = beta|beta
+        moments = [("|".join(map(str, beta + beta)), eq_moment_mixed(target, beta, beta)) for beta in alphas]
     else:
-        alphas = multi_indices(target.dimension, tmax)
         moments = [("|".join(map(str, alpha)), eq_moment(target, alpha)) for alpha in alphas]
     _write_csv(out, "moments", cfg, ("alpha", "moment"), moments)
 
@@ -371,7 +370,9 @@ def _cmd_equilibrium(cfg: dict, out: Path) -> int:
         _write_csv(out, "density", cfg, ("x", "density", "cdf"), rows)
     if target.kind == "weighted-ball":
         rs = np.linspace(0.0, 1.2, 121)
-        _write_plot(out, "green", np.column_stack([rs, weighted_ball_green(rs, target.dimension)]).tolist())
+        pts = np.zeros((rs.size, target.dimension))
+        pts[:, 0] = rs  # the points (r, 0, ..., 0)
+        _write_plot(out, "green", np.column_stack([rs, weighted_ball_green(pts, target.dimension)]).tolist())
     return EXIT_OK
 
 

@@ -4,9 +4,12 @@ Each supported space carries an explicit limiting density: the arcsine
 law on an interval, its product form on the cube, inverse-square-root
 boundary laws on the ball and simplex, and, for the Gaussian-weighted
 complex ball, the uniform measure on the ball of radius 1/sqrt(2).
-Their normalization constants and moments are Beta functions, evaluated
-through ``math.gamma`` (the sine substitutions x = a sin(theta) turn every
-integral into one), and every measure validates its own total mass.
+Each is the law of a Dirichlet vector u ~ Dirichlet(p) in suitable
+coordinates (x_i^2 / a^2 on the interval, cube and ball, x_i / a on the
+simplex, 2 |z_i|^2 on the weighted ball), so every moment is
+E prod u_i^beta_i = B(p + beta) / B(p) and every density constant is
+1 / (J B(p)), with B(p) = prod Gamma(p_i) / Gamma(sum p) and J the
+Jacobian factor of the coordinate change, in any dimension.
 """
 
 from __future__ import annotations
@@ -22,29 +25,15 @@ from .basis import as_points
 _MAX_MOMENT_DEGREE = 40
 
 
-def _beta(p: float, q: float) -> float:
-    """B(p, q) = Gamma(p) Gamma(q) / Gamma(p + q), the integral of t^(p-1) (1-t)^(q-1) over [0, 1]."""
+def _multi_beta(p) -> float:
+    """B(p) = prod Gamma(p_i) / Gamma(sum p), the normalizing constant of Dirichlet(p)."""
     # math.gamma, not exp(lgamma): the latter loses several ulp
-    return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+    return math.prod(map(math.gamma, p)) / math.gamma(sum(p))
 
 
-def _half_sin_power(k: int) -> float:
-    """integral of sin(theta)^k over [0, pi/2]."""
-    return 0.5 * _beta(0.5 * (k + 1), 0.5)
-
-
-def _arcsine_moment(k: int) -> float:
-    """E x^k under the arcsine law on [-1, 1]: C(k, k/2) / 2^k for even k."""
-    return 0.0 if k % 2 else math.comb(k, k // 2) / 2.0**k
-
-
-def _trig_moment(p: int, q: int) -> float:
-    """integral of cos(theta)^p sin(theta)^q over [0, 2 pi]."""
-    return 0.0 if p % 2 or q % 2 else 2.0 * _beta(0.5 * (p + 1), 0.5 * (q + 1))
-
-
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+def _dirichlet_moment(p: tuple[float, ...], beta: tuple[int, ...]) -> float:
+    """E prod u_i^beta_i for u ~ Dirichlet(p): B(p + beta) / B(p)."""
+    return _multi_beta([q + b for q, b in zip(p, beta)]) / _multi_beta(p)
 
 
 @dataclass(frozen=True)
@@ -64,70 +53,55 @@ class EquilibriumMeasure:
 
 
 def arcsine(a: float = 1.0) -> EquilibriumMeasure:
-    """The arcsine law on [-a, a]."""
+    """The arcsine law on [-a, a]: u = x^2 / a^2 is Beta(1/2, 1/2)."""
     if a <= 0:
         raise ValueError("interval radius must be positive")
-    m = EquilibriumMeasure("interval", 1, a, 1.0 / math.pi)
-    _validate_mass(m)
-    return m
+    return EquilibriumMeasure("interval", 1, a, 1.0 / _multi_beta((0.5, 0.5)))
 
 
 def cube_measure(dimension: int, a: float = 1.0) -> EquilibriumMeasure:
     """Product of per-coordinate arcsine laws on [-a, a]^d."""
     if dimension < 1 or a <= 0:
         raise ValueError("cube needs dimension >= 1 and a > 0")
-    m = EquilibriumMeasure("cube", dimension, a, math.pi ** (-dimension))
-    _validate_mass(m)
-    return m
+    return EquilibriumMeasure("cube", dimension, a, _multi_beta((0.5, 0.5)) ** -dimension)
 
 
 def ball_measure(dimension: int, a: float = 1.0) -> EquilibriumMeasure:
-    """Density C_d * a^-(d-1) * (a^2 - |x|^2)^(-1/2) on the ball of radius a."""
+    """Density a^-(d-1) (a^2 - |x|^2)^(-1/2) / B(1/2, ..., 1/2) on the ball of radius a.
+
+    (x_1^2, ..., x_d^2, a^2 - |x|^2) / a^2 is Dirichlet(1/2, ..., 1/2) in d + 1 parts.
+    """
     if dimension < 1 or a <= 0:
         raise ValueError("ball needs dimension >= 1 and a > 0")
-    if dimension > 3:
-        raise ValueError("ball measures are implemented for dimension <= 3")
-    if dimension == 1:
-        return EquilibriumMeasure("ball", 1, a, arcsine(a).norm_const)
-    total = _sphere_area(dimension) * _half_sin_power(dimension - 1)
-    m = EquilibriumMeasure("ball", dimension, a, 1.0 / total)
-    _validate_mass(m)
-    return m
+    return EquilibriumMeasure("ball", dimension, a, 1.0 / _multi_beta((0.5,) * (dimension + 1)))
 
 
 def simplex_measure(dimension: int, a: float = 1.0) -> EquilibriumMeasure:
-    """Density C_d * a^-((d-1)/2) * ((a - sum x) * prod x_i)^(-1/2) on the simplex."""
+    """Density a^-((d-1)/2) ((a - sum x) prod x_i)^(-1/2) / B(1/2, ..., 1/2) on the simplex.
+
+    (x_1, ..., x_d, a - sum x) / a is Dirichlet(1/2, ..., 1/2) in d + 1 parts.
+    """
     if dimension < 1 or a <= 0:
         raise ValueError("simplex needs dimension >= 1 and a > 0")
-    if dimension > 3:
-        raise ValueError("simplex measures are implemented for dimension <= 3")
-    total = math.prod(_beta(0.5, 0.5 * (dimension - j + 1)) for j in range(1, dimension + 1))
-    m = EquilibriumMeasure("simplex", dimension, a, 1.0 / total)
-    _validate_mass(m)
-    return m
+    return EquilibriumMeasure("simplex", dimension, a, 1.0 / _multi_beta((0.5,) * (dimension + 1)))
 
 
 def weighted_ball_measure(dimension: int = 1) -> EquilibriumMeasure:
     """Uniform measure on the complex ball |z| <= 1/sqrt(2).
 
     This is the equilibrium measure of the unit complex ball under the
-    weight w = exp(-|z|^2); the constant is one over the volume of the
-    2d-real-dimensional ball of that radius.  For d = 1, every D-optimal
-    design whose support lies inside the disk already has E|z|^2 = 1/4,
-    the limit's value, at every degree (log det M is stationary under
-    z -> cz), so convergence to this measure shows in the higher radial
-    moments.
+    weight w = exp(-|z|^2).  (2|z_1|^2, ..., 2|z_d|^2, 1 - 2|z|^2) is
+    Dirichlet(1, ..., 1) in d + 1 parts, and the map from z carries the
+    Jacobian factor (pi/2)^d.  For d = 1, every D-optimal design whose
+    support lies inside the disk already has E|z|^2 = 1/4, the limit's
+    value, at every degree (log det M is stationary under z -> cz), so
+    convergence to this measure shows in the higher radial moments.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    vol = _sphere_area(2 * dimension) * 0.5**dimension / (2 * dimension)  # r^(2d) / (2d), r^2 = 1/2
-    return EquilibriumMeasure("weighted-ball", dimension, 1.0, 1.0 / vol)
-
-
-def _validate_mass(m: EquilibriumMeasure) -> None:
-    total = eq_moment(m, (0,) * m.dimension)
-    if abs(total - 1.0) > 1e-6:
-        raise ArithmeticError(f"{m.kind} equilibrium density integrates to {total!r}")
+    return EquilibriumMeasure(
+        "weighted-ball", dimension, 1.0, 1.0 / ((0.5 * math.pi) ** dimension * _multi_beta((1.0,) * (dimension + 1)))
+    )
 
 
 def _one_or_many(values: np.ndarray):
@@ -179,55 +153,54 @@ def eq_cdf(m: EquilibriumMeasure, x):
     return _one_or_many(0.5 + np.fromiter(map(math.asin, u), float, u.size) / math.pi)
 
 
-def _moment(m: EquilibriumMeasure, alpha: tuple[int, ...]) -> float:
-    a, d = m.a, m.dimension
-    k_tot = sum(alpha)
-    if m.kind in ("interval", "cube") or (m.kind == "ball" and d == 1):
-        return math.prod(a**k * _arcsine_moment(k) for k in alpha)
-    if m.kind == "ball":
-        # x = a sin(phi) times a direction on the sphere, in polar or spherical angles
-        ang = _trig_moment(alpha[0], alpha[1])
-        if d == 3:
-            ang *= 0.0 if alpha[2] % 2 else _beta(0.5 * (alpha[0] + alpha[1] + 2), 0.5 * (alpha[2] + 1))
-        return m.norm_const * a**k_tot * _half_sin_power(k_tot + d - 1) * ang
-    if m.kind == "simplex":
-        # Dirichlet(1/2, ..., 1/2) integrals, one coordinate at a time
-        num = math.prod(_beta(alpha[j - 1] + 0.5, 0.5 * (d - j + 1) + sum(alpha[j:])) for j in range(1, d + 1))
-        return m.norm_const * a**k_tot * num
-    if m.kind == "weighted-ball":
-        # holomorphic moments vanish by rotational symmetry
-        return 1.0 if k_tot == 0 else 0.0
-    raise ValueError(f"unknown equilibrium kind {m.kind!r}")
+def _exponents(m: EquilibriumMeasure, *alphas) -> list[tuple[int, ...]]:
+    """Each exponent as a tuple of m.dimension nonnegative ints; together of total degree <= 40."""
+    out = [tuple(int(k) for k in np.atleast_1d(alpha)) for alpha in alphas]
+    for alpha in out:
+        if len(alpha) != m.dimension:
+            raise ValueError(f"alpha has length {len(alpha)}, expected {m.dimension}")
+        if any(k < 0 for k in alpha):
+            raise ValueError("moment exponents must be nonnegative")
+    if sum(map(sum, out)) > _MAX_MOMENT_DEGREE:
+        raise ValueError(f"moments are supported up to total degree {_MAX_MOMENT_DEGREE}")
+    return out
 
 
 def eq_moment(m: EquilibriumMeasure, alpha) -> float:
-    """Moment of the monomial x^alpha, from its closed form in Beta functions.
+    """Moment of the monomial x^alpha, a ratio of multivariate Beta functions.
 
     Exact up to a few roundings for |alpha| <= 40.
     """
-    alpha = tuple(int(k) for k in np.atleast_1d(alpha))
-    if len(alpha) != m.dimension:
-        raise ValueError(f"alpha has length {len(alpha)}, expected {m.dimension}")
-    if any(k < 0 for k in alpha):
-        raise ValueError("moment exponents must be nonnegative")
-    if sum(alpha) > _MAX_MOMENT_DEGREE:
-        raise ValueError(f"moments are supported up to total degree {_MAX_MOMENT_DEGREE}")
-    return _moment(m, alpha)
+    (alpha,) = _exponents(m, alpha)
+    d, scale = m.dimension, m.a ** sum(alpha)
+    if m.kind == "weighted-ball":  # z^alpha = z^alpha conj(z)^0
+        return eq_moment_mixed(m, alpha, (0,) * d)
+    if m.kind == "simplex":
+        return scale * _dirichlet_moment((0.5,) * (d + 1), alpha + (0,))
+    if any(k % 2 for k in alpha):
+        return 0.0  # the interval, cube and ball are symmetric under x_i -> -x_i
+    half = tuple(k // 2 for k in alpha)
+    if m.kind == "ball":
+        return scale * _dirichlet_moment((0.5,) * (d + 1), half + (0,))
+    if m.kind in ("interval", "cube"):
+        return scale * math.prod(_dirichlet_moment((0.5, 0.5), (k, 0)) for k in half)
+    raise ValueError(f"unknown equilibrium kind {m.kind!r}")
 
 
-def eq_moment_mixed(m: EquilibriumMeasure, beta: int, gamma_: int) -> float:
-    """Mixed moment E[z^beta conj(z)^gamma] of a weighted-ball measure (d = 1).
+def eq_moment_mixed(m: EquilibriumMeasure, beta, gamma_) -> float:
+    """Mixed moment E[z^beta conj(z)^gamma] of a weighted-ball measure.
 
-    Rotational symmetry kills every term except beta == gamma, which
-    reduces to the radial moment E[|z|^(2 beta)].
+    ``beta`` and ``gamma_`` are multi-indices (plain ints when d = 1).
+    Rotational symmetry in each coordinate kills every term except
+    beta == gamma, which is E prod |z_i|^(2 beta_i) = 2^-|beta| B(p + beta) / B(p)
+    with p = (1, ..., 1).
     """
-    if m.kind != "weighted-ball" or m.dimension != 1:
-        raise ValueError("mixed moments are defined for the weighted complex ball, d = 1")
-    if beta < 0 or gamma_ < 0 or beta + gamma_ > _MAX_MOMENT_DEGREE:
-        raise ValueError("invalid mixed-moment exponents")
+    if m.kind != "weighted-ball":
+        raise ValueError("mixed moments are defined for the weighted complex ball")
+    beta, gamma_ = _exponents(m, beta, gamma_)
     if beta != gamma_:
         return 0.0
-    return 0.5**beta / (beta + 1)  # uniform on |z| <= 1/sqrt(2)
+    return 0.5 ** sum(beta) * _dirichlet_moment((1.0,) * (m.dimension + 1), beta + (0,))
 
 
 def weighted_ball_green(z, dimension: int = 1):

@@ -8,6 +8,7 @@ that time, not the (free) cache hit.
 
 import time
 
+import mpmath
 import pytest
 
 from optdesign import d_optimal, disk, gaussian_weight, interval, unit_weight
@@ -42,3 +43,24 @@ def cached_solve(cheb_interval, gauss_disk):
         return cache[key]
 
     return solve
+
+
+@pytest.fixture(scope="session")
+def mp_dirichlet_moment():
+    """moment(kind, alpha): E x^alpha of the unit ball or simplex measure, from its Dirichlet-type Gamma formula, to 40 digits.
+
+    Ball, density ~ (1 - |x|^2)^(-1/2): prod G((a_i+1)/2) / G(1/2) * G((d+1)/2) / G((|a|+d+1)/2), even a_i.
+    Simplex, Dirichlet(1/2, ..., 1/2) in d + 1 parts: prod G(a_i+1/2) / G(1/2) * G((d+1)/2) / G((d+1)/2+|a|).
+    """
+
+    def moment(kind, alpha):
+        d, k = len(alpha), sum(alpha)
+        with mpmath.workdps(40):
+            g, half = mpmath.gamma, mpmath.mpf(1) / 2
+            if kind == "ball":
+                if any(j % 2 for j in alpha):
+                    return mpmath.mpf(0)
+                return mpmath.fprod(g(half * (j + 1)) / g(half) for j in alpha) * g(half * (d + 1)) / g(half * (k + d + 1))
+            return mpmath.fprod(g(j + half) / g(half) for j in alpha) * g(half * (d + 1)) / g(half * (d + 1) + k)
+
+    return moment

@@ -1,5 +1,6 @@
 """Perturbation identities and weak-* convergence diagnostics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from optdesign import (
     make_design,
     moment_distance,
     moment_matrix,
+    table_weight,
     uniform_design,
     unit_weight,
     weighted_ball_measure,
@@ -76,6 +78,32 @@ def test_moment_distance_uniform_ring_vs_weighted_ball():
     assert moment_distance(d, weighted_ball_measure(), t_max=6) == pytest.approx(
         expect, abs=1e-12
     )
+
+
+def test_moment_distance_in_c2_vanishes_on_an_exact_rule():
+    # (|z_1|^2, |z_2|^2) = (x/2, (1 - x) y/2) maps the unit square onto the image of the uniform
+    # measure on |z| <= 1/sqrt(2) in C^2, with density 2 (1 - x): 3-point Gauss-Legendre in x and y
+    # integrates its moments of order <= 4 exactly, and 5 equal phases per coordinate average every
+    # z^beta conj(z)^gamma with beta != gamma to 0
+    t, w = np.polynomial.legendre.leggauss(3)
+    nodes = list(zip((t + 1) / 2, w / 2))
+    phases = np.exp(2j * math.pi * np.arange(5) / 5)
+    atoms, masses = [], []
+    for (x, wx), (y, wy) in itertools.product(nodes, repeat=2):
+        radii = np.sqrt([x / 2, (1 - x) * y / 2])
+        for p in itertools.product(phases, repeat=2):
+            atoms.append(radii * p)
+            masses.append(2 * (1 - x) * wx * wy / 25)
+    target = weighted_ball_measure(2)
+    assert moment_distance(make_design(atoms, masses), target, t_max=4) <= 1e-12
+    assert moment_distance(make_design(0.9 * np.array(atoms), masses), target, t_max=4) > 1e-2
+
+
+def test_convergence_sweep_refuses_a_weight_without_a_closed_form_limit(monkeypatch):
+    monkeypatch.setattr(asymptotics, "d_optimal", lambda *args, **kwargs: pytest.fail("solved before the check"))
+    space = interval(grid=21)
+    with pytest.raises(ValueError, match="the interval target needs the unit weight, not the table weight"):
+        convergence_sweep(space, table_weight(space.grid, np.ones(21)), [1], arcsine())
 
 
 def test_f_of_t_at_zero_matches_unperturbed_matrix():

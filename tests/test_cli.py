@@ -174,12 +174,17 @@ def test_converge_refuses_a_target_of_another_dimension_before_any_solve(tmp_pat
          "the weighted-ball target is complex but the ball grid is real"),
         (["--domain", "interval", "--grid", "21", "--target", "wball"],
          "the weighted-ball target is complex but the interval grid is real"),
+        (["--weight", "gaussian", "--a", "1.25", "--grid", "401"],
+         "the interval target needs the unit weight, not the gaussian weight"),
+        (["--domain", "disk", "--grid", "12", "--grid-angular", "32", "--target", "wball"],
+         "the weighted-ball target needs the gaussian weight, not the unit weight"),
     ],
-    ids=["disk-arcsine", "ball-wball", "interval-wball"],
+    ids=["disk-arcsine", "ball-wball", "interval-wball", "gaussian-arcsine", "unit-wball"],
 )
 def test_converge_refuses_a_target_of_the_other_field_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
     # the disk against the arcsine law used to report a moment distance of
-    # 0.5, and the real grids against the weighted ball failed after the solve
+    # 0.5, and the real grids against the weighted ball failed after the solve;
+    # a weight other than the target's used to give distances to the wrong limit
     monkeypatch.setattr(asymptotics, "d_optimal", lambda *args, **kwargs: pytest.fail("solved before the check"))
     rc, out = run(tmp_path, "converge", *argv, "--degrees", "1,2", "--tmax", "2")
     assert rc == 2
@@ -188,13 +193,27 @@ def test_converge_refuses_a_target_of_the_other_field_before_any_solve(tmp_path,
 
 
 @pytest.mark.parametrize("target", ["ball", "simplex"])
-def test_equilibrium_refuses_a_dimension_above_three(tmp_path, capsys, target):
-    # moments above dimension 3 are not implemented: this used to end in a traceback
-    rc, out = run(tmp_path, "equilibrium", "--target", target, "--dimension", "4")
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err == f"validation error: {target} measures are implemented for dimension <= 3\n"
-    assert not out.exists() or not any(out.iterdir())
+def test_equilibrium_tabulates_dimension_four(tmp_path, mp_dirichlet_moment, target):
+    # dimension 4 used to be refused: every dimension shares one Dirichlet formula
+    rc, out = run(tmp_path, "equilibrium", "--target", target, "--dimension", "4", "--tmax", "6")
+    assert rc == 0
+    cells = _cells(out / "moments.csv")
+    assert len(cells) == 210  # the multi-indices of degree <= 6 in 4 variables
+    for alpha, moment in cells:
+        want = mp_dirichlet_moment(target, tuple(map(int, alpha.split("|"))))
+        assert abs(float(moment) - float(want)) <= 1e-15
+
+
+def test_equilibrium_tabulates_the_weighted_ball_in_c2(tmp_path):
+    # it used to exit 2: mixed moments were defined for d = 1 only
+    rc, out = run(tmp_path, "equilibrium", "--target", "wball", "--dimension", "2", "--tmax", "2")
+    assert rc == 0
+    moments = {alpha: float(m) for alpha, m in _cells(out / "moments.csv")}
+    assert list(moments) == ["0|0|0|0", "1|0|1|0", "0|1|0|1", "2|0|2|0", "1|1|1|1", "0|2|0|2"]
+    assert moments["1|0|1|0"] + moments["0|1|0|1"] == pytest.approx(1 / 3, abs=1e-15)  # E |z|^2
+    assert moments["2|0|2|0"] + 2 * moments["1|1|1|1"] + moments["0|2|0|2"] == pytest.approx(1 / 8, abs=1e-15)
+    green = [tuple(map(float, line.split())) for line in (out / "green.dat").read_text().splitlines()]
+    assert len(green) == 121 and green[50] == (0.5, pytest.approx(0.25, abs=1e-15))
 
 
 def _cells(path):

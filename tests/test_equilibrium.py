@@ -1,5 +1,6 @@
 """Closed-form limiting measures: densities, moments, Green function."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -187,33 +188,18 @@ def _mp_arcsine_moments(k_max):
                 for k in range(k_max + 1)]
 
 
-def _mp_dirichlet_moment(kind, alpha):
-    """E x^alpha of the unit ball or simplex measure, from its Dirichlet-type Gamma formula, to 40 digits.
-
-    Ball, density ~ (1 - |x|^2)^(-1/2): prod G((a_i+1)/2) / G(1/2) * G((d+1)/2) / G((|a|+d+1)/2), even a_i.
-    Simplex, Dirichlet(1/2, ..., 1/2) in d + 1 parts: prod G(a_i+1/2) / G(1/2) * G((d+1)/2) / G((d+1)/2+|a|).
-    """
-    d, k = len(alpha), sum(alpha)
-    with mpmath.workdps(40):
-        g, half = mpmath.gamma, mpmath.mpf(1) / 2
-        if kind == "ball":
-            if any(j % 2 for j in alpha):
-                return mpmath.mpf(0)
-            return mpmath.fprod(g(half * (j + 1)) / g(half) for j in alpha) * g(half * (d + 1)) / g(half * (k + d + 1))
-        return mpmath.fprod(g(j + half) / g(half) for j in alpha) * g(half * (d + 1)) / g(half * (d + 1) + k)
-
-
-def test_moments_match_a_forty_digit_mpmath_oracle():
+def test_moments_match_a_forty_digit_mpmath_oracle(mp_dirichlet_moment):
     arc = _mp_arcsine_moments(20)
     worst = 0.0
     for k in range(21):
         worst = max(worst, abs(eq_moment(arcsine(), (k,)) - float(arc[k])))
     cases = [(ball_measure(2), "ball"), (ball_measure(3), "ball"), (simplex_measure(2), "simplex"),
              (simplex_measure(3), "simplex"), (cube_measure(2), "cube")]
+    cases += [(f(d), kind) for d in (4, 5) for f, kind in ((ball_measure, "ball"), (simplex_measure, "simplex"))]
     for m, kind in cases:
-        top = 20 if m.dimension < 3 else 12
+        top = {2: 20, 3: 12}.get(m.dimension, 10)
         for alpha in optdesign.multi_indices(m.dimension, top):
-            want = arc[alpha[0]] * arc[alpha[1]] if kind == "cube" else _mp_dirichlet_moment(kind, alpha)
+            want = arc[alpha[0]] * arc[alpha[1]] if kind == "cube" else mp_dirichlet_moment(kind, alpha)
             worst = max(worst, abs(eq_moment(m, alpha) - float(want)))
     # the weighted ball is uniform on |z| <= 1/sqrt(2): radial moments E|z|^(2 beta)
     wball = weighted_ball_measure()
@@ -223,7 +209,82 @@ def test_moments_match_a_forty_digit_mpmath_oracle():
         for beta in range(21):
             want = mpmath.quad(lambda t: t ** (2 * beta + 1), [0, r]) / area
             worst = max(worst, abs(eq_moment_mixed(wball, beta, beta) - float(want)))
+    # in C^2 it is uniform on |z| <= 1/sqrt(2) too: E |z_1|^(2 b1) |z_2|^(2 b2), and no other mixed moment
+    wball2 = weighted_ball_measure(2)
+    for beta in optdesign.multi_indices(2, 6):
+        worst = max(worst, abs(eq_moment_mixed(wball2, beta, beta) - float(_mp_c2_ball_moment(*beta))))
+        for gamma_ in optdesign.multi_indices(2, 6 - sum(beta)):
+            if gamma_ != beta:
+                worst = max(worst, abs(eq_moment_mixed(wball2, beta, gamma_)))
+    mixed = lambda *beta: eq_moment_mixed(wball2, beta, beta)
+    worst = max(worst, abs(mixed(1, 0) + mixed(0, 1) - 1 / 3))  # E |z|^2
+    worst = max(worst, abs(mixed(2, 0) + 2 * mixed(1, 1) + mixed(0, 2) - 1 / 8))  # E |z|^4
     assert worst <= 1e-15
+
+
+def _mp_c2_ball_moment(b1, b2):
+    """E |z_1|^(2 b1) |z_2|^(2 b2) under the uniform measure on |z| <= 1/sqrt(2) in C^2, to 40 digits.
+
+    In polar coordinates the density is proportional to rho_1 rho_2 on rho_1^2 + rho_2^2 <= 1/2;
+    rho_2 = sqrt(1/2 - rho_1^2) t maps that quarter disk to a rectangle with a polynomial integrand.
+    """
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1) / 2
+
+        def integral(b1, b2):
+            f = lambda rho, t: rho ** (2 * b1 + 1) * (half - rho * rho) ** (b2 + 1) * t ** (2 * b2 + 1)
+            return mpmath.quad(f, [0, mpmath.sqrt(half)], [0, 1], method="gauss-legendre")
+
+        return integral(b1, b2) / integral(0, 0)
+
+
+def _nested_sines(r, theta, power):
+    """Points x_j = r_j sin(theta_j)^power, r_1 = r, r_(j+1) = r_j cos(theta_j)^power, and their Jacobian.
+
+    One point per row of theta.  Power 1 maps angles in [-pi/2, pi/2]^d onto the ball of radius r,
+    power 2 maps angles in [0, pi/2]^d onto the simplex of edge r; the remainder r_(d+1) carries the
+    inverse-square-root boundary singularity of the ball and simplex densities, which the Jacobian cancels.
+    """
+    x, jac, r = np.empty_like(theta), np.ones(len(theta)), np.full(len(theta), r)
+    for j, t in enumerate(theta.T):
+        x[:, j] = r * np.sin(t) ** power
+        jac *= r * power * np.sin(t) ** (power - 1) * np.cos(t)
+        r = r * np.cos(t) ** power
+    return x, jac
+
+
+def _density_mass(m, nodes=24):
+    """The integral of eq_density over the support, in angles that make the integrand smooth.
+
+    A product Gauss-Legendre rule, not an adaptive one: a^2 - |x|^2 loses its relative accuracy near the
+    boundary, and adaptive refinement chases that rounding noise until the density reads +inf there.
+    """
+    a, d, h = m.a, m.dimension, math.pi / 2
+    lo = 0.0 if m.kind in ("simplex", "weighted-ball") else -h
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    theta = np.array(list(itertools.product(lo + (h - lo) * (t + 1) / 2, repeat=d)))
+    weights = np.prod(list(itertools.product(w * (h - lo) / 2, repeat=d)), axis=1)
+    if m.kind in ("interval", "cube"):  # x_j = a sin(theta_j)
+        x, jac = a * np.sin(theta), np.prod(a * np.cos(theta), axis=1)
+    elif m.kind == "simplex":
+        x, jac = _nested_sines(a, theta, 2)
+    elif m.kind == "ball":
+        x, jac = _nested_sines(a, theta, 1)
+    else:  # weighted ball: the radii |z_j| fill the positive orthant, times a phase each, over the area element
+        rho, jac = _nested_sines(math.sqrt(0.5), theta, 1)
+        x = rho * np.exp(1j * (np.arange(d) + 0.5))
+        jac *= np.prod(rho, axis=1) * (2.0 * math.pi) ** d
+    return float(weights @ (eq_density(m, x) * jac))
+
+
+@pytest.mark.parametrize(
+    "kind, d",
+    [("interval", 1)] + [(k, d) for k in ("cube", "ball", "simplex", "weighted-ball") for d in (1, 2, 3)],
+)
+def test_every_density_integrates_to_one(kind, d):
+    # norm_const is read by eq_density alone: the moments are normalized by construction
+    m = _MEASURES[kind](d, 1.5)
+    assert _density_mass(m) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_import_loads_no_scipy_quadrature_or_special_functions():
