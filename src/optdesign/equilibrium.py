@@ -28,7 +28,10 @@ _MAX_MOMENT_DEGREE = 40
 def _multi_beta(p) -> float:
     """B(p) = prod Gamma(p_i) / Gamma(sum p), the normalizing constant of Dirichlet(p)."""
     # math.gamma, not exp(lgamma): the latter loses several ulp
-    return math.prod(map(math.gamma, p)) / math.gamma(sum(p))
+    try:
+        return math.prod(map(math.gamma, p)) / math.gamma(sum(p))
+    except OverflowError:
+        raise ValueError(f"dimension {len(p) - 1} is out of range: Gamma({sum(p):g}) overflows a double") from None
 
 
 def _dirichlet_moment(p: tuple[float, ...], beta: tuple[int, ...]) -> float:

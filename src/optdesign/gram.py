@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import PolyBasis, as_points
-from .measure import DiscreteDesign, WeightFunction, _greedy_rows, _matmul, _squared_norms, weighted_rows
+from .basis import PolyBasis, _matmul, as_points
+from .measure import DiscreteDesign, WeightFunction, _greedy_rows, _squared_norms, weighted_rows
 
 _PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||_2
 
@@ -145,18 +145,25 @@ def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> 
     K and the Hessian is H[o, p] = -tr(A_o A_p) / (c_o c_p), where
     A_o = Z_o^H Z_o = L R_o^H R_o L^H.  tr(A_o A_p) sums |z_r z_t^H|^2 over
     the rows r of orbit o and t of orbit p: the squared moduli of P = Z Z^H,
-    summed over each orbit's block of rows and columns.  ``row_orbit``
-    numbers the orbits 0 .. len(counts) - 1, each of which owns at least
-    one row.
+    summed over each orbit's block of rows and columns.  When orbits own
+    many rows, summing vec A_o = sum_r conj(z_r) (x) z_r over each orbit
+    and taking tr(A_o A_p) = re <vec A_o, vec A_p> is cheaper.
+    ``row_orbit`` numbers the orbits 0 .. len(counts) - 1, each of which
+    owns at least one row.
     """
     order = np.argsort(row_orbit, kind="stable")
     Zs = Z[order]
+    (rows, n), k = Zs.shape, counts.size
+    starts = np.searchsorted(row_orbit[order], np.arange(k))
+    if rows * rows > (k * k + rows) * n:  # (k^2 + rows) n^2 multiply-adds against rows^2 n for P
+        V = np.add.reduceat(np.einsum("ri,rj->rij", Zs.conj(), Zs).reshape(rows, n * n), starts, axis=0)
+        F = V.view(np.float64) if np.iscomplexobj(V) else V
+        return -_matmul(F, np.ascontiguousarray(F.T)) / np.outer(counts, counts)
     # a contiguous right factor: numpy hands Zs @ Zs^H to syrk, which
     # threads (301 x 15 rows woke the second OpenBLAS thread)
     P = _matmul(Zs, np.ascontiguousarray(Zs.conj().T))
     T = P.real**2 + P.imag**2 if np.iscomplexobj(P) else P * P
-    if Zs.shape[0] > counts.size:  # with one row per orbit the block sums only copy
-        starts = np.searchsorted(row_orbit[order], np.arange(counts.size))
+    if rows > k:  # with one row per orbit the block sums only copy
         T = np.add.reduceat(np.add.reduceat(T, starts, axis=0), starts, axis=1)
     return -T / np.outer(counts, counts)
 

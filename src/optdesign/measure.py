@@ -19,11 +19,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import PolyBasis, as_points, eval_basis_many, stabilized_basis
+from .basis import PolyBasis, _matmul, arnoldi_basis, as_points, eval_basis_many
 
 _ATOM_TOL = 1e-12  # two atoms closer than this are considered identical
 _SUM_TOL = 1e-9  # admissible drift of a weight vector's total mass
-_FEKETE_PASSES = 2  # exchange passes after the greedy pick of approximate Fekete rows
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +139,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def interval(a: float = 1.0, grid: int = 401, spacing: str = "chebyshev") -> DesignSpace:
-    """The interval [-a, a] with a Chebyshev-mapped (or uniform) grid."""
+    """The interval [-a, a] with a Chebyshev-mapped (or uniform) grid.
+
+    Nodes k and grid - 1 - k are mirror images; these orbits are recorded
+    in params["orbits"], as ``cube(1)`` records them.
+    """
     if a <= 0:
         raise ValueError("interval radius a must be positive")
     if grid < 2:
         raise ValueError("interval grid needs at least 2 points")
+    k = np.arange(grid)
     if spacing == "chebyshev":
-        k = np.arange(grid)
         x = -a * np.cos(np.pi * k / (grid - 1))
     elif spacing == "uniform":
         x = np.linspace(-a, a, grid)
@@ -158,7 +161,8 @@ def interval(a: float = 1.0, grid: int = 401, spacing: str = "chebyshev") -> Des
     def member(p: np.ndarray) -> np.ndarray:
         return (np.abs(p[:, 0].imag) <= tol) & (np.abs(p[:, 0].real) <= a + tol)
 
-    return DesignSpace("interval", 1, a, pts, member, {"grid": grid, "spacing": spacing})
+    orbit = _freeze(np.minimum(k, grid - 1 - k))
+    return DesignSpace("interval", 1, a, pts, member, {"grid": grid, "spacing": spacing, "orbits": orbit})
 
 
 def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
@@ -324,29 +328,8 @@ def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = 
 
 
 def basis_for_space(space: DesignSpace, s: int) -> PolyBasis:
-    """The stabilized evaluation basis of a design space.
-
-    Per-coordinate centers and scales come from the grid's bounding box.
-    """
-    g = space.grid
-    d = space.dimension
-    centers = np.empty(d, dtype=complex)
-    scales = np.empty(d)
-    complex_coords = np.empty(d, dtype=bool)
-    for i in range(d):
-        col = g[:, i]
-        if np.any(np.abs(col.imag) > 0):
-            complex_coords[i] = True
-            c = complex(col.mean())
-            r = float(np.max(np.abs(col - c)))
-            centers[i], scales[i] = c, (r if r > 0 else 1.0)
-        else:
-            complex_coords[i] = False
-            lo, hi = float(col.real.min()), float(col.real.max())
-            centers[i] = 0.5 * (lo + hi)
-            h = 0.5 * (hi - lo)
-            scales[i] = h if h > 0 else 1.0
-    return stabilized_basis(d, s, centers, scales, complex_coords)
+    """The Arnoldi basis of a design space's grid under unit weight, for evaluation off the grid."""
+    return arnoldi_basis(space.grid, np.ones(space.grid_size), s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +359,8 @@ class WeightFunction:
     def _lookup(self, pts: np.ndarray) -> np.ndarray:
         """The value at the table point nearest each query point (ties: lowest index), within 1e-9."""
         ref = self.table_points
+        if pts.shape[1] != ref.shape[1]:
+            raise ValueError(f"tabulated weight has {ref.shape[1]} coordinates per point, queried with {pts.shape[1]}")
         X = _real_coordinates(np.concatenate([ref, pts]))
         i, j = _near_pairs(X, math.sqrt(pts.shape[1]) * 1e-9)
         cross = (i < len(ref)) & (j >= len(ref))  # i a table point, j a query point
@@ -545,48 +530,17 @@ def _squared_norms(Z: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", F, F)
 
 
-# Most multiply-adds _matmul hands to one BLAS call.  numpy 2.4.6's bundled
-# OpenBLAS runs dgemm on one thread up to this size: on 2 cores a 2000 x 100
-# by 100 x 5 product (1.0e6) left the worker thread idle, a 2097 x 100 by
-# 100 x 5 one (1.05e6) woke it, and it then spun through the calls after it.
-# A one-column B goes to dgemv, which threads from a smaller size: 60000 x 5
-# by 5 x 1 (3e5) stayed on one thread, 100000 x 5 by 5 x 1 (5e5) woke it.
-_GEMM_MAX_MACS = 10**6
-_GEMV_MAX_MACS = 2 * 10**5
-
-
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B in row blocks of A small enough that OpenBLAS stays on one thread.
-
-    A complex product runs as a real one of twice the width, since OpenBLAS
-    threads complex GEMMs from a much smaller size: (a + ib)(c + id) =
-    (ac - bd) + i(ad + bc), so the float64 view of A, whose columns
-    interleave real and imaginary parts, times the real 2k x 2n image of B
-    is the float64 view of A @ B.
-    """
-    if np.iscomplexobj(A) or np.iscomplexobj(B):
-        A = np.ascontiguousarray(A, dtype=complex)
-        k, n = B.shape
-        W = np.array([[B.real, B.imag], [-B.imag, B.real]]).transpose(2, 0, 3, 1).reshape(2 * k, 2 * n)
-        return _matmul(A.view(np.float64), W).view(complex)
-    cap = _GEMV_MAX_MACS if B.shape[1] == 1 else _GEMM_MAX_MACS
-    if A.shape[0] * A.shape[1] * B.shape[1] <= cap:
-        return np.matmul(A, B)
-    rows = max(1, cap // (A.shape[1] * B.shape[1]))
-    out = np.empty((A.shape[0], B.shape[1]), dtype=np.result_type(A, B))
-    for i in range(0, A.shape[0], rows):
-        np.matmul(A[i : i + rows], B, out=out[i : i + rows])
-    return out
-
-
 def _greedy_rows(A: np.ndarray) -> list[int]:
     """Up to n rows of the m x n matrix A chosen greedily for volume.
 
     Each step takes the row with the largest residual norm and projects
     its direction out of every row (modified Gram-Schmidt on the rows),
-    the pivot order of a column-pivoted QR of A^T, computed elementwise.
-    The pick stops early once no residual exceeds max(m, n) * eps times
-    the largest row norm, so it returns rank(A) rows.
+    the pivot order of a column-pivoted QR of A^T.  Complex rows are
+    updated through real products of their float64 views.  Norms within a
+    relative 1e-12 of the largest count as ties, which go to the lowest
+    row, so rounding never chooses between symmetric points.  The pick
+    stops early once no residual exceeds max(m, n) * eps times the largest
+    row norm, so it returns rank(A) rows.
     """
     R = A.copy()
     m, n = R.shape
@@ -594,62 +548,59 @@ def _greedy_rows(A: np.ndarray) -> list[int]:
     tol = (max(m, n) * np.finfo(np.float64).eps) ** 2 * norms.max()
     sel = []
     for _ in range(n):
-        j = int(np.argmax(norms))
+        j = int(np.argmax(norms >= (1.0 - 1e-12) * norms.max()))
         if not norms[j] > tol:
             break
         sel.append(j)
         q = R[j] / math.sqrt(norms[j])
-        R -= np.multiply.outer(np.einsum("ij,j->i", R, q.conj()), q)
+        c = _matmul(R, q.conj()[:, None])
+        R -= _matmul(c, q[None, :]) if np.iscomplexobj(R) else c * q
         norms = _squared_norms(R)
     return sel
 
 
-def _exchange(A: np.ndarray, sel: list[int], passes: int) -> list[int]:
-    """Sweep row exchanges that raise |det A[sel]|, at most ``passes`` times.
+def _exchange(A: np.ndarray, sel: list[int]) -> list[int]:
+    """Sweep row exchanges that raise |det A[sel]| until a sweep makes none.
 
-    G = A inv(A[sel]) holds the Lagrange polynomials of the selection at
-    every grid point: putting row j in slot k multiplies |det A[sel]| by
-    |G[j, k]|.  After a swap, G follows by the rank-one update
-    G -= G[:, k] (G[j] - e_k) / G[j, k], so each pass inverts once.
+    With B = inv(A[sel]), column k of A B holds the Lagrange polynomial of
+    slot k at every grid point: putting row j in slot k multiplies
+    |det A[sel]| by |(A B)[j, k]|.  Each sweep inverts once and starts at
+    the first slot that gains; after a swap, B follows by the
+    Sherman-Morrison update B -= B[:, k] (A[j] B - e_k) / (A B)[j, k], and
+    the later slots read their columns afresh.  The fixed point is a local
+    maximum of the volume that does not depend on the basis of the rows.
     """
     n = len(sel)
-    for _ in range(passes):
-        G = _matmul(A, np.linalg.inv(A[sel]))
-        improved = False
-        for k in range(n):
-            gain = np.abs(G[:, k])
+    while True:
+        B = np.linalg.inv(A[sel])
+        G = np.abs(_matmul(A, B))
+        slots = np.flatnonzero(G > 1.0 + 1e-10) % n  # the slots some row would raise
+        if not slots.size:
+            return sel
+        first = int(slots.min())
+        for k in range(first, n):
+            gain = G[:, k] if k == first else np.abs(_matmul(A, B[:, k : k + 1])[:, 0])
             j = int(np.argmax(gain))
-            if gain[j] > 1.0 + 1e-10 and j != sel[k]:
-                G -= np.multiply.outer(G[:, k] / G[j, k], G[j] - np.eye(1, n, k)[0])
+            if gain[j] > 1.0 + 1e-10:
+                g = A[j] @ B
+                B -= np.multiply.outer(B[:, k] / g[k], g - np.eye(1, n, k)[0])
                 sel[k] = j
-                improved = True
-        if not improved:
-            break
-    return sel
 
 
-def _admissibility(A: np.ndarray, picks: list[int]) -> AdmissibilityReport:
-    """Whether at least n weighted rows A are nonzero (w^{2s} > 0: the basis holds a constant) with rank n.
-
-    ``picks`` are the rows ``_greedy_rows(A)`` chose; there are rank(A) of them.
-    """
+def _admissibility(A: np.ndarray, rank: int) -> AdmissibilityReport:
+    """Whether at least n Arnoldi rows A are nonzero (w^{2s} > 0, so column 0 is) and they have rank n."""
     n = A.shape[1]
-    count = int(np.count_nonzero(np.any(A != 0, axis=1)))
+    count = int(np.count_nonzero(A[:, 0]))
     if count < n:
         return AdmissibilityReport(False, count, n, None, f"only {count} positive-weight grid points, need {n}")
-    rank = len(picks)
     reason = None if rank == n else f"weighted Vandermonde rank {rank} < {n} on positive-weight points"
     return AdmissibilityReport(rank == n, count, n, rank, reason)
 
 
 def check_admissible(weight: WeightFunction, space: DesignSpace, s: int) -> AdmissibilityReport:
-    """Whether w admits a nonsingular degree-s design on this grid.
-
-    Requires at least n = C(s+d, d) grid points where w^{2s} is positive
-    and a full-rank weighted Vandermonde matrix on those points.
-    """
-    A = weighted_rows(basis_for_space(space, s), space.grid, weight.values(space.grid))
-    return _admissibility(A, _greedy_rows(A))
+    """Whether w admits a degree-s design: n = C(s+d, d) grid points with w^{2s} > 0, Arnoldi rows of rank n."""
+    _, A, rank = arnoldi_basis(space.grid, weight.values(space.grid), s)
+    return _admissibility(A, rank)
 
 
 class AdmissibilityError(ValueError):
@@ -659,18 +610,17 @@ class AdmissibilityError(ValueError):
 def _fekete_rows(space: DesignSpace, weight: WeightFunction, s: int):
     """(basis, weight values, weighted rows A, picks): the approximate Fekete points of the grid.
 
-    The algorithm of Bos, De Marchi, Sommariva & Vianello (2010): the
-    greedy volume pick of n rows of A, refused with ``AdmissibilityError``
-    unless it reaches rank n, then ``_FEKETE_PASSES`` exchange sweeps.
+    The algorithm of Bos, De Marchi, Sommariva & Vianello (2010) on the
+    grid's weighted Arnoldi rows: refused with ``AdmissibilityError``
+    unless they reach rank n, then the greedy volume pick of n rows,
+    exchanged until no swap raises the volume.
     """
-    basis = basis_for_space(space, s)
     wvals = weight.values(space.grid)
-    A = weighted_rows(basis, space.grid, wvals)
-    picks = _greedy_rows(A)
-    report = _admissibility(A, picks)
+    basis, A, rank = arnoldi_basis(space.grid, wvals, s)
+    report = _admissibility(A, rank)
     if not report.passed:
         raise AdmissibilityError(f"degree-{s} design infeasible: {report.reason}")
-    return basis, wvals, A, _exchange(A, picks, _FEKETE_PASSES)
+    return basis, wvals, A, _exchange(A, _greedy_rows(A))
 
 
 # ---------------------------------------------------------------------------

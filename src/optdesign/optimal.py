@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import eval_basis, eval_basis_many, monomial_basis, space_dimension
+from .basis import _matmul, eval_basis, eval_basis_many, monomial_basis, space_dimension
 from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
 from .gram import _assemble, _cholesky_log_det, _factor, _inverse_factor, _lagrange, _orbit_hessian, _orbit_rows
 from .measure import (
@@ -54,7 +54,6 @@ from .measure import (
     DiscreteDesign,
     WeightFunction,
     _fekete_rows,
-    _matmul,
     _squared_norms,
     make_design,
 )

@@ -1,21 +1,26 @@
 """Polynomial basis construction and evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from optdesign import (
     ConditioningWarning,
+    arnoldi_basis,
     basis_for_space,
+    cube,
+    custom_grid,
     degree_sum,
+    disk,
     eval_basis,
     eval_basis_many,
+    gaussian_weight,
     interval,
     monomial_basis,
     multi_indices,
     space_dimension,
-    stabilized_basis,
 )
 from optdesign.basis import as_points
 
@@ -58,25 +63,42 @@ def test_monomial_evaluation_against_direct_powers():
         assert np.allclose(vals[:, j], direct, rtol=1e-14, atol=1e-14)
 
 
-def test_stabilized_interval_rows_are_chebyshev_polynomials():
-    # oracle: numpy's Chebyshev Vandermonde on the same points
-    basis = stabilized_basis(
-        1, 4, np.array([0.0]), np.array([1.0]), np.array([False])
-    )
-    x = np.linspace(-1.0, 1.0, 9)
-    vals = eval_basis_many(basis, x.reshape(-1, 1))
-    ref = np.polynomial.chebyshev.chebvander(x, 4)
-    assert np.allclose(vals, ref, rtol=1e-14, atol=1e-14)
+def _check_against_qr(space, weight, s):
+    # oracle: the Q factor of the weighted monomial Vandermonde, its column
+    # phases set so that every leading coefficient is positive, as Arnoldi's are
+    basis, rows, rank = arnoldi_basis(space.grid, weight.values(space.grid), s)
+    assert rank == basis.n
+    ws = weight.values(space.grid)[:, None] ** s
+    Q, R = np.linalg.qr(ws * eval_basis_many(monomial_basis(space.dimension, s), space.grid))
+    np.testing.assert_allclose(rows, Q * (R.diagonal() / np.abs(R.diagonal())), atol=1e-12)
+    # replaying the recurrence reproduces the rows the build made
+    np.testing.assert_allclose(ws * eval_basis_many(basis, space.grid), rows, atol=1e-13)
+    return rows
 
 
-def test_stabilized_complex_rows_are_scaled_powers():
-    c, h = 0.3 + 0.1j, 2.0
-    basis = stabilized_basis(1, 3, np.array([c]), np.array([h]), np.array([True]))
-    z = np.array([0.5 + 0.2j, -1.0 + 1.0j])
-    vals = eval_basis_many(basis, z.reshape(-1, 1))
-    u = (z - c) / h
-    for k in range(4):
-        assert np.allclose(vals[:, k], u**k, rtol=1e-14, atol=1e-14)
+def test_arnoldi_interval_rows_are_the_qr_factor_of_the_weighted_vandermonde():
+    rows = _check_against_qr(interval(a=2.0, grid=41), gaussian_weight(), 5)
+    assert rows.dtype == np.float64  # a real grid gives real rows
+
+
+def test_arnoldi_complex_rows_are_the_qr_factor_of_the_weighted_vandermonde():
+    # the disk's rotation symmetry makes some inner products real, so a
+    # cloud without symmetry is checked too
+    rng = np.random.default_rng(2)
+    cloud = custom_grid(rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60))
+    for space in (disk(radial=6, angular=12), cloud):
+        rows = _check_against_qr(space, gaussian_weight(), 4)
+        assert np.iscomplexobj(rows)
+        np.testing.assert_allclose(rows.conj().T @ rows, np.eye(5), atol=1e-14)
+
+
+def test_a_real_grid_basis_is_the_same_polynomials_at_complex_points():
+    # the recurrence is real; at complex points it runs as 2 x 2 blocks h I
+    basis, mono = basis_for_space(interval(grid=33), 4), monomial_basis(1, 4)
+    x = np.linspace(-0.9, 0.9, 5)
+    coef = np.linalg.solve(eval_basis_many(mono, x).real, eval_basis_many(basis, x))
+    z = np.array([0.3 + 0.4j, -0.5 - 0.2j, 1.1j])
+    np.testing.assert_allclose(eval_basis_many(basis, z), eval_basis_many(mono, z) @ coef, rtol=1e-10, atol=1e-12)
 
 
 def test_log_lead_shifts_determinant_to_monomial_scale():
@@ -89,10 +111,25 @@ def test_log_lead_shifts_determinant_to_monomial_scale():
     assert mono == pytest.approx(stab - stab_basis.log_lead, abs=1e-10)
 
 
-def test_log_lead_chebyshev_unit_interval_value():
-    # leading coefficients 1, 1, 2, 4 for T_0..T_3 on [-1, 1]
-    basis = stabilized_basis(1, 3, np.array([0.0]), np.array([1.0]), np.array([False]))
-    assert basis.log_lead == pytest.approx(math.log(8.0), abs=1e-14)
+_CLOUD = custom_grid(np.random.default_rng(4).uniform(-1, 1, (40, 2)) @ np.array([1.0, 1j]))  # no symmetry
+
+
+@pytest.mark.parametrize("space, s", [(cube(2, per_axis=7), 3), (_CLOUD, 5)], ids=["cube", "complex-cloud"])
+def test_log_lead_shifts_determinant_to_monomial_scale_in_two_and_complex_dimensions(space, s):
+    basis = basis_for_space(space, s)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-0.9, 0.9, (basis.n, space.dimension))
+    if space.is_complex:
+        z = z + 1j * rng.uniform(-0.5, 0.5, z.shape)
+    mono = np.linalg.slogdet(eval_basis_many(monomial_basis(space.dimension, s), z))[1]
+    assert mono == pytest.approx(np.linalg.slogdet(eval_basis_many(basis, z))[1] - basis.log_lead, abs=1e-9)
+
+
+def test_log_lead_three_point_grid_value():
+    # the orthonormal polynomials of {-1, 0, 1} have leading coefficients
+    # 1/sqrt(3), 1/sqrt(2) and 1/sqrt(2/3), whose product is 1/2
+    basis = basis_for_space(interval(grid=3), 2)
+    assert basis.log_lead == pytest.approx(-math.log(2.0), abs=1e-14)
 
 
 def test_eval_basis_single_point_matches_batch():
@@ -118,6 +155,19 @@ def test_high_degree_warns_but_still_builds():
     assert basis.n == 26
 
 
-def test_scale_must_be_positive():
-    with pytest.raises(ValueError):
-        stabilized_basis(1, 2, np.array([0.0]), np.array([0.0]), np.array([False]))
+def test_arnoldi_basis_does_not_warn_at_high_degree():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, rank = arnoldi_basis(cube(2, per_axis=41).grid, np.ones(41**2), 16)
+    assert rank == 153
+
+
+def test_arnoldi_rank_counts_every_collapsed_column():
+    # on the diagonal x1 = x2 the columns x2, x1 x2 and x2^2 collapse; x1^2
+    # comes after the first of them and does not
+    grid = cube(2, per_axis=9).grid
+    on_diagonal = np.abs(grid[:, 0] - grid[:, 1]) < 1e-12
+    basis, rows, rank = arnoldi_basis(grid, on_diagonal.astype(float), 2)
+    assert rank == 3
+    assert np.array_equal(np.flatnonzero(np.abs(rows).max(axis=0) == 0), [2, 4, 5])
+    assert math.isfinite(basis.log_lead)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optdesign import ConditioningWarning, design_from_json, design_to_json, disk, interval, make_design, table_weight
+from optdesign import ConditioningWarning, cube, design_from_json, design_to_json, disk, interval, make_design, table_weight
 from optdesign import weight_to_json
 from optdesign import asymptotics, cli, fekete, optimal
 from optdesign.cli import _build_parser, _make_space, _resolve_config, main
@@ -43,10 +43,11 @@ def test_design_writes_design_and_certificate(tmp_path):
 
 
 def test_design_exit_three_when_budget_too_small(tmp_path):
-    # from the approximate Fekete start degree 12 needs 6 steps at 1e-9
-    rc, out = run(
-        tmp_path, "design", "--degree", "12", "--epsilon", "1e-9", "--max-iter", "5"
-    )
+    # one step fewer than the uncapped solve takes from the Fekete start
+    rc, out = run(tmp_path, "design", "--degree", "12", "--epsilon", "1e-9")
+    steps = json.loads((out / "certificate.json").read_text())["results"]["iterations"]
+    assert rc == 0 and steps >= 1
+    rc, out = run(tmp_path, "design", "--degree", "12", "--epsilon", "1e-9", "--max-iter", str(steps - 1))
     assert rc == 3
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["results"]["converged"] is False
@@ -216,6 +217,16 @@ def test_equilibrium_tabulates_the_weighted_ball_in_c2(tmp_path):
     assert len(green) == 121 and green[50] == (0.5, pytest.approx(0.25, abs=1e-15))
 
 
+@pytest.mark.parametrize("target, dimension", [("wball", 200), ("ball", 343), ("simplex", 343)])
+def test_equilibrium_dimension_past_the_gamma_range_is_a_validation_error(tmp_path, capsys, target, dimension):
+    # Gamma of the Dirichlet parameters' sum overflows: it used to exit 3 with "math range error"
+    rc, out = run(tmp_path, "equilibrium", "--target", target, "--dimension", str(dimension), "--tmax", "0")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: dimension {dimension} is out of range: Gamma(") and err.count("\n") == 1
+    assert not (out / "moments.csv").exists()
+
+
 def _cells(path):
     """The cells of a CSV artifact's rows, below its two comment lines and its header."""
     return [line.split(",") for line in path.read_text().splitlines()[3:]]
@@ -319,15 +330,30 @@ def test_weight_file_round_trip(tmp_path):
     assert rc2 == 2
 
 
-def test_underflowing_weight_is_a_validation_error(tmp_path, capsys):
+def test_weight_on_a_line_is_a_rank_validation_error(tmp_path, capsys):
+    # a weight positive only on the diagonal x1 = x2 of the square: the 9
+    # points there carry the quadratics in one variable, rank 3 of 6
+    grid = cube(2, per_axis=9).grid
+    wfile = tmp_path / "weight.json"
+    wfile.write_text(weight_to_json(table_weight(grid, np.abs(grid[:, 0] - grid[:, 1]) < 1e-12)))
     rc, out = run(
-        tmp_path,
-        "design", "--domain", "interval", "--a", "30", "--weight", "gaussian", "--degree", "12",
+        tmp_path, "design", "--domain", "cube", "--dimension", "2", "--grid", "9", "--degree", "2", "--weight", str(wfile)
     )
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("validation error: degree-12 design infeasible: weighted Vandermonde rank")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        "validation error: degree-2 design infeasible: weighted Vandermonde rank 3 < 6 on positive-weight points\n"
+    )
+    assert not (out / "certificate.json").exists()
+
+
+def test_table_weight_of_another_dimension_is_a_validation_error(tmp_path, capsys):
+    wfile = tmp_path / "weight.json"
+    wfile.write_text(weight_to_json(table_weight(cube(2, per_axis=9).grid, np.ones(81))))
+    rc, out = run(tmp_path, "design", "--domain", "cube", "--grid", "9", "--degree", "2", "--weight", str(wfile))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "validation error: tabulated weight has 2 coordinates per point, queried with 1\n"
+    )
     assert not (out / "certificate.json").exists()
 
 

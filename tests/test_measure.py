@@ -74,6 +74,13 @@ def test_cube_records_its_signed_permutation_orbits(per_axis):
         assert pts == {(sx * b, sy * a) for a, b in pts for sx in (1, -1) for sy in (1, -1)}
 
 
+@pytest.mark.parametrize("spacing", ["chebyshev", "uniform"])
+def test_interval_records_its_mirror_orbits(spacing):
+    sp = interval(a=2.0, grid=7, spacing=spacing)
+    assert sp.params["orbits"].tolist() == [0, 1, 2, 3, 2, 1, 0] == cube(1, per_axis=7).params["orbits"].tolist()
+    np.testing.assert_allclose(sp.grid[:, 0], -sp.grid[::-1, 0], atol=1e-15)
+
+
 def test_ball_grid_inside_and_center():
     sp = ball(dimension=2, radial=6, angular=24)
     radii = np.linalg.norm(sp.grid.real, axis=1)
@@ -392,7 +399,7 @@ def test_non_finite_points_rejected(bad):
     ],
 )
 def test_matmul_keeps_each_blas_call_below_the_threading_size(monkeypatch, rows, k, n, dtype, calls):
-    from optdesign import measure
+    from optdesign import basis
 
     rng = np.random.default_rng(rows)
 
@@ -409,10 +416,10 @@ def test_matmul_keeps_each_blas_call_below_the_threading_size(monkeypatch, rows,
         return matmul(a, b, **kw)
 
     monkeypatch.setattr(np, "matmul", record)
-    got = measure._matmul(A, B)
+    got = basis._matmul(A, B)
     monkeypatch.undo()
     assert len(sizes) == calls
-    assert max(sizes) <= (measure._GEMV_MAX_MACS if n == 1 else measure._GEMM_MAX_MACS)
+    assert max(sizes) <= (basis._GEMV_MAX_MACS if n == 1 else basis._GEMM_MAX_MACS)
     assert got.dtype == np.result_type(A, B) and got.shape == (rows, n)
     np.testing.assert_allclose(got, A @ B, rtol=1e-12, atol=1e-12 * np.abs(A @ B).max())
 

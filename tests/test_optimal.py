@@ -288,15 +288,20 @@ def test_pruning_every_weight_is_a_numerical_error():
         d_optimal(interval(grid=21), unit_weight(), 1, epsilon=1e3)
 
 
-def test_underflowing_weight_power_is_an_admissibility_error():
-    # w^24 underflows far from the origin of [-30, 30]: the weighted rows the
-    # solver would factor have rank below n, so it refuses before any step
-    space = interval(a=30.0)
-    report = check_admissible(gaussian_weight(), space, 12)
-    assert not report.passed and report.rank < report.required == 13
-    assert report.positive_count >= 13  # w itself is positive at every grid point
-    with pytest.raises(AdmissibilityError, match=f"weighted Vandermonde rank {report.rank} < 13"):
-        d_optimal(space, gaussian_weight(), 12)
+@pytest.mark.parametrize(
+    "a, grid, s",
+    [(3.0, 401, 14), (3.0, 401, 16), (2.5, 401, 16), (1.25, 801, 24), (1.25, 801, 32), (30.0, 401, 12)],
+    ids=lambda v: f"{v:g}",
+)
+def test_gaussian_intervals_certify_where_a_weight_blind_basis_lost_rank(a, grid, s):
+    # rows w^s T_k on the bounding box lost rank on these grids (on [-30, 30]
+    # w^24 underflows far from the origin); each grid still holds more than n
+    # distinct points of positive weight, and the weighted Arnoldi rows see them
+    space = interval(a=a, grid=grid)
+    assert check_admissible(gaussian_weight(), space, s).passed
+    res = d_optimal(space, gaussian_weight(), s)
+    assert res.converged and res.kw_gap <= res.epsilon * res.n
+    assert res.mass_identity_residual <= 1e-13
 
 
 _VERTEX_CASES = {
