@@ -50,8 +50,8 @@ def approx_fekete(space: DesignSpace, weight: WeightFunction, s: int) -> FeketeR
     the points every ``d_optimal`` solve starts from.  Needs s >= 1.
     """
     _require_positive_degree(s)
-    basis, _, A, sel = _fekete_rows(space, weight, s)
-    log_vdm = float(np.linalg.slogdet(A[sel])[1]) - basis.log_lead
+    basis, _, _, sel, log_det = _fekete_rows(space, weight, s)
+    log_vdm = log_det - basis.log_lead
     grid = space.grid
     sel_sorted = [sel[i] for i in np.lexsort((grid[sel, 0].imag, grid[sel, 0].real))]
     return FeketeResult(

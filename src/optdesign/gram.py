@@ -5,7 +5,7 @@ For a design mu and weight w, the degree-s moment matrix has entries
     M[i, j] = sum_k mu_k * conj(p_i(x_k)) * p_j(x_k) * w(x_k)**(2*s),
 
 the Gram matrix of the basis in the weighted inner product.  Every moment
-matrix is factored in the Lagrange basis of n picked rows (``_lagrange``,
+matrix is factored in the Lagrange basis of n picked rows (A inv(A[picks]),
 then ``_factor``), where it is well conditioned.  The inverse factor
 turns the basis into an orthonormal family, and the Christoffel function
 
@@ -119,12 +119,6 @@ def _inverse_factor(C: np.ndarray) -> np.ndarray:
     return np.linalg.inv(C.conj().T).conj().T
 
 
-def _lagrange(A: np.ndarray, picks: list[int]) -> tuple[np.ndarray, float]:
-    """T = inv(A[picks]) and log |det A[picks]|: the rows A T hold the picked points' Lagrange basis."""
-    P = A[picks]
-    return np.linalg.inv(P), float(np.linalg.slogdet(P)[1])
-
-
 def _factor(R: np.ndarray, coef) -> tuple[np.ndarray | None, float, int]:
     """(L or None, log det, pivot) of M = (R^H * coef) R: L M L^H = I, pivot as in ``_cholesky_log_det``."""
     C, log_det, pivot = _cholesky_log_det(_assemble(R, coef))
@@ -211,9 +205,9 @@ def moment_matrix(
     picks = _greedy_rows(S)
     L, log_det, pivot = None, -math.inf, len(picks) + 1
     if len(picks) == basis.n:
-        T, picks_log_det = _lagrange(S, picks)
+        T = np.linalg.inv(S[picks])  # the rows S T hold the picked points' Lagrange basis
         L, log_det, pivot = _factor(_matmul(S, T), 1.0)
-        log_det += 2.0 * picks_log_det
+        log_det += 2.0 * float(np.linalg.slogdet(S[picks])[1])
         L = None if L is None else _matmul(L, T.conj().T)  # back in the basis of A
     M = _assemble(A, design.weights)
     return MomentMatrix(matrix=M, degree=s, basis=basis, log_det=log_det, L=L, pivot=pivot)

@@ -14,7 +14,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,7 +111,11 @@ class DesignSpace:
     ``grid`` has shape (m, d) and complex dtype; real spaces carry zero
     imaginary parts.  ``membership`` maps an (m, d) point array to m
     booleans: whether each point belongs to the underlying continuum set
-    (used for validation, not for optimization).
+    (used for validation, not for optimization).  ``orbits``, when not
+    None, gives each grid point the id of its orbit under symmetries of
+    the grid that leave the degree-s polynomials and the D-criterion
+    invariant; the solver keeps one mass per orbit when the weight is
+    constant on them.
     """
 
     kind: str
@@ -119,7 +123,7 @@ class DesignSpace:
     a: float
     grid: np.ndarray
     membership: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
+    orbits: np.ndarray | None = None
 
     @property
     def grid_size(self) -> int:
@@ -138,11 +142,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _orbit_ids(keys) -> np.ndarray:
+    """Orbit ids 0, 1, ... of rows of integer keys that are equal up to a permutation of their entries.
+
+    Each row is sorted and read as one mixed-radix integer, so the ids
+    follow the lexicographic order of the sorted keys.
+    """
+    keys = np.sort(np.asarray(keys, dtype=np.int64).reshape(len(keys), -1), axis=1)
+    base = int(keys.max()) + 1
+    code = keys @ np.array([base**j for j in reversed(range(keys.shape[1]))], dtype=np.int64)
+    return _freeze(np.unique(code, return_inverse=True)[1])
+
+
 def interval(a: float = 1.0, grid: int = 401, spacing: str = "chebyshev") -> DesignSpace:
     """The interval [-a, a] with a Chebyshev-mapped (or uniform) grid.
 
     Nodes k and grid - 1 - k are mirror images; these orbits are recorded
-    in params["orbits"], as ``cube(1)`` records them.
+    in ``orbits``, as ``cube(1)`` records them.
     """
     if a <= 0:
         raise ValueError("interval radius a must be positive")
@@ -161,8 +177,7 @@ def interval(a: float = 1.0, grid: int = 401, spacing: str = "chebyshev") -> Des
     def member(p: np.ndarray) -> np.ndarray:
         return (np.abs(p[:, 0].imag) <= tol) & (np.abs(p[:, 0].real) <= a + tol)
 
-    orbit = _freeze(np.minimum(k, grid - 1 - k))
-    return DesignSpace("interval", 1, a, pts, member, {"grid": grid, "spacing": spacing, "orbits": orbit})
+    return DesignSpace("interval", 1, a, pts, member, _orbit_ids(np.minimum(k, grid - 1 - k)))
 
 
 def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
@@ -170,7 +185,7 @@ def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
 
     The grid is invariant under sign flips and permutations of the axes;
     those orbits (1, 4 or 8 points each for d = 2) are recorded in
-    params["orbits"], as the disk records its rings.
+    ``orbits``, as the disk records its rings.
     """
     if dimension < 1:
         raise ValueError("cube dimension must be >= 1")
@@ -183,15 +198,13 @@ def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
     # node k and node per_axis - 1 - k are mirror images; a point's orbit is
     # the sorted tuple of its folded node indices
     folded = np.meshgrid(*([np.minimum(k, per_axis - 1 - k)] * dimension), indexing="ij")
-    keys = np.sort(np.stack([g.ravel() for g in folded], axis=1), axis=1)
-    orbit = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1).astype(np.intp)
-    orbit.setflags(write=False)
+    orbits = _orbit_ids(np.stack([g.ravel() for g in folded], axis=1))
     tol = 1e-12 * max(1.0, a)
 
     def member(p: np.ndarray) -> np.ndarray:
         return np.all((np.abs(p.imag) <= tol) & (np.abs(p.real) <= a + tol), axis=1)
 
-    return DesignSpace("cube", dimension, a, _freeze(pts), member, {"per_axis": per_axis, "orbits": orbit})
+    return DesignSpace("cube", dimension, a, _freeze(pts), member, orbits)
 
 
 def ball(dimension: int = 2, a: float = 1.0, radial: int = 12, angular: int = 48) -> DesignSpace:
@@ -199,11 +212,12 @@ def ball(dimension: int = 2, a: float = 1.0, radial: int = 12, angular: int = 48
 
     Shell radii follow a sine map so points cluster near the boundary,
     where optimal designs place most of their mass.  d = 1 falls back to
-    the interval grid; d in {2, 3} use polar and spherical shells.
+    the interval grid and its mirror orbits; d in {2, 3} use polar and
+    spherical shells.
     """
     if dimension == 1:
         sp = interval(a=a, grid=radial * max(2, angular // 8))
-        return DesignSpace("ball", 1, a, sp.grid, sp.membership, {"radial": radial, "angular": angular})
+        return DesignSpace("ball", 1, a, sp.grid, sp.membership, sp.orbits)
     if dimension not in (2, 3):
         raise ValueError("ball grids are implemented for dimension <= 3")
     if a <= 0 or radial < 2:
@@ -237,33 +251,32 @@ def ball(dimension: int = 2, a: float = 1.0, radial: int = 12, angular: int = 48
     def member(p: np.ndarray) -> np.ndarray:
         return np.all(np.abs(p.imag) <= tol, axis=1) & (np.sqrt(np.sum(p.real**2, axis=1)) <= a + tol)
 
-    return DesignSpace("ball", dimension, a, _freeze(pts), member, {"radial": radial, "angular": angular})
+    return DesignSpace("ball", dimension, a, _freeze(pts), member)
 
 
 def simplex(dimension: int = 2, a: float = 1.0, refine: int = 24) -> DesignSpace:
-    """The simplex {x_i >= 0, sum x_i <= a} with a barycentric lattice grid."""
+    """The simplex {x_i >= 0, sum x_i <= a} with a barycentric lattice grid.
+
+    A lattice point has barycentric integers (k_1, ..., k_d, refine - sum k).
+    The (d+1)! affine maps that permute the vertices permute these integers
+    and leave the degree-s polynomials and the D-criterion invariant; their
+    orbits are recorded in ``orbits``.
+    """
     if dimension not in (1, 2, 3):
         raise ValueError("simplex grids are implemented for dimension <= 3")
     if a <= 0 or refine < 1:
         raise ValueError("simplex needs a > 0 and refine >= 1")
-
-    def lattice(d: int, total: int):
-        if d == 1:
-            for k in range(total + 1):
-                yield (k,)
-            return
-        for k in range(total + 1):
-            for rest in lattice(d - 1, total - k):
-                yield (k,) + rest
-
-    pts = np.array([p for p in lattice(dimension, refine)], dtype=float) * (a / refine)
+    k = np.indices((refine + 1,) * dimension).reshape(dimension, -1).T
+    k = k[k.sum(axis=1) <= refine]  # the lattice in lexicographic order
+    pts = k * (a / refine)
     tol = 1e-12 * max(1.0, a)
 
     def member(p: np.ndarray) -> np.ndarray:
         x = p.real
         return np.all((np.abs(p.imag) <= tol) & (x >= -tol), axis=1) & (np.sum(x, axis=1) <= a + tol)
 
-    return DesignSpace("simplex", dimension, a, _freeze(pts.astype(complex)), member, {"refine": refine})
+    orbits = _orbit_ids(np.column_stack([k, refine - k.sum(axis=1)]))
+    return DesignSpace("simplex", dimension, a, _freeze(pts.astype(complex)), member, orbits)
 
 
 def disk(
@@ -277,8 +290,8 @@ def disk(
 
     Equal angular counts keep the grid invariant under rotation by
     2*pi/angular, so radially symmetric problems stay symmetric on the
-    grid; the rotation orbits (rings) are recorded in params["orbits"]
-    so solvers can project iterates back onto the symmetric subspace.
+    grid; the rotation orbits (rings, and the centre on its own) are
+    recorded in ``orbits``, so solvers can keep one mass per ring.
     """
     if a <= 0 or radial < 2 or angular < 4:
         raise ValueError("disk needs a > 0, radial >= 2, angular >= 4")
@@ -292,27 +305,16 @@ def disk(
     th = 2 * np.pi * np.arange(angular) / angular
     ring = np.exp(1j * th)
     pts = (radii[:, None] * ring[None, :]).ravel()
-    orbit = np.repeat(steps, angular)
+    rings = np.repeat(steps, angular)  # each point's ring index, 0 for the centre
     if include_center:
         pts = np.concatenate([[0.0 + 0.0j], pts])
-        orbit = np.concatenate([[0], orbit])
+        rings = np.concatenate([[0], rings])
     tol = 1e-12 * max(1.0, a)
 
     def member(p: np.ndarray) -> np.ndarray:
         return np.abs(p[:, 0]) <= a + tol
 
-    orbit = orbit.astype(np.intp)
-    orbit.setflags(write=False)
-    return DesignSpace(
-        "disk", 1, a, _freeze(pts.reshape(-1, 1)), member,
-        {
-            "radial": radial,
-            "angular": angular,
-            "include_center": include_center,
-            "spacing": spacing,
-            "orbits": orbit,
-        },
-    )
+    return DesignSpace("disk", 1, a, _freeze(pts.reshape(-1, 1)), member, _orbit_ids(rings))
 
 
 def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = None, a: float = 1.0) -> DesignSpace:
@@ -324,7 +326,7 @@ def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = 
     pts = _point_array(points)
     _require_distinct(pts, 0.0, "grid points")
     member = membership if membership is not None else (lambda p: np.ones(len(p), dtype=bool))
-    return DesignSpace("custom", pts.shape[1], a, _freeze(pts.copy()), member, {})
+    return DesignSpace("custom", pts.shape[1], a, _freeze(pts.copy()), member)
 
 
 def basis_for_space(space: DesignSpace, s: int) -> PolyBasis:
@@ -559,7 +561,7 @@ def _greedy_rows(A: np.ndarray) -> list[int]:
     return sel
 
 
-def _exchange(A: np.ndarray, sel: list[int]) -> list[int]:
+def _exchange(A: np.ndarray, sel: list[int]) -> tuple[list[int], np.ndarray]:
     """Sweep row exchanges that raise |det A[sel]| until a sweep makes none.
 
     With B = inv(A[sel]), column k of A B holds the Lagrange polynomial of
@@ -569,14 +571,16 @@ def _exchange(A: np.ndarray, sel: list[int]) -> list[int]:
     Sherman-Morrison update B -= B[:, k] (A[j] B - e_k) / (A B)[j, k], and
     the later slots read their columns afresh.  The fixed point is a local
     maximum of the volume that does not depend on the basis of the rows.
+    Returns the picks and the Lagrange rows A inv(A[sel]) of the last sweep.
     """
     n = len(sel)
     while True:
         B = np.linalg.inv(A[sel])
-        G = np.abs(_matmul(A, B))
+        lagrange = _matmul(A, B)
+        G = np.abs(lagrange)
         slots = np.flatnonzero(G > 1.0 + 1e-10) % n  # the slots some row would raise
         if not slots.size:
-            return sel
+            return sel, lagrange
         first = int(slots.min())
         for k in range(first, n):
             gain = G[:, k] if k == first else np.abs(_matmul(A, B[:, k : k + 1])[:, 0])
@@ -608,19 +612,22 @@ class AdmissibilityError(ValueError):
 
 
 def _fekete_rows(space: DesignSpace, weight: WeightFunction, s: int):
-    """(basis, weight values, weighted rows A, picks): the approximate Fekete points of the grid.
+    """(basis, weight values, Lagrange rows, picks, log |det A[picks]|): the approximate Fekete points of the grid.
 
     The algorithm of Bos, De Marchi, Sommariva & Vianello (2010) on the
-    grid's weighted Arnoldi rows: refused with ``AdmissibilityError``
+    grid's weighted Arnoldi rows A: refused with ``AdmissibilityError``
     unless they reach rank n, then the greedy volume pick of n rows,
-    exchanged until no swap raises the volume.
+    exchanged until no swap raises the volume.  The Lagrange rows
+    A inv(A[picks]) hold the picked points' Lagrange basis at every grid
+    point.
     """
     wvals = weight.values(space.grid)
     basis, A, rank = arnoldi_basis(space.grid, wvals, s)
     report = _admissibility(A, rank)
     if not report.passed:
         raise AdmissibilityError(f"degree-{s} design infeasible: {report.reason}")
-    return basis, wvals, A, _exchange(A, _greedy_rows(A))
+    picks, lagrange = _exchange(A, _greedy_rows(A))
+    return basis, wvals, lagrange, picks, float(np.linalg.slogdet(A[picks])[1])
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ import numpy as np
 
 from .basis import _matmul, eval_basis, eval_basis_many, monomial_basis, space_dimension
 from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
-from .gram import _assemble, _cholesky_log_det, _factor, _inverse_factor, _lagrange, _orbit_hessian, _orbit_rows
+from .gram import _assemble, _cholesky_log_det, _factor, _inverse_factor, _orbit_hessian, _orbit_rows
 from .measure import (
     DesignSpace,
     DiscreteDesign,
@@ -71,8 +71,9 @@ _CERTIFIED_TOL = 1e-8  # a certified design's mass identity residual and negativ
 def _symmetry_orbits(space, wvals: np.ndarray):
     """Return (orbit id per point, orbit sizes) for the solver to iterate on.
 
-    A space may record symmetry orbits of its grid (the rings of a disk,
-    the signed axis permutations of a cube).  If the weight values are
+    A space may record symmetry orbits of its grid (the mirror pairs of an
+    interval, the signed axis permutations of a cube, the rings of a disk,
+    the vertex permutations of a simplex).  If the weight values are
     constant on every orbit, an orbit-constant iterate stays orbit-constant
     under every step, so the solver keeps one mass per orbit and averages K
     over each orbit.  Otherwise (no recorded orbits, or wvals depend on more
@@ -80,10 +81,9 @@ def _symmetry_orbits(space, wvals: np.ndarray):
     """
     m = wvals.shape[0]
     trivial = np.arange(m), np.ones(m, dtype=np.intp)
-    orbits = space.params.get("orbits") if space.params else None
-    if orbits is None:
+    if space.orbits is None:
         return trivial
-    _, orbits, counts = np.unique(orbits, return_inverse=True, return_counts=True)
+    _, orbits, counts = np.unique(space.orbits, return_inverse=True, return_counts=True)
     means = np.bincount(orbits, weights=wvals) / counts
     if np.max(np.abs(wvals - means[orbits])) > 1e-9 * max(np.max(np.abs(wvals)), 1e-300):
         return trivial
@@ -288,7 +288,10 @@ def d_optimal(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if max_iter is not None and max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
-    basis, wvals, A, picks = _fekete_rows(space, weight, s)
+    # the rows in the Lagrange basis of the picked points: M starts near I / n
+    # and stays well conditioned, since the optimum is near the Fekete
+    # points; det M in the basis of the Arnoldi rows is |det A[picks]|^2 times as large
+    basis, wvals, A, picks, lagrange_log_det = _fekete_rows(space, weight, s)
     n = basis.n
     grid = space.grid
     m = grid.shape[0]
@@ -296,11 +299,6 @@ def d_optimal(
         max_iter = min(1_000_000, 50 * m + math.ceil(4.0 / (epsilon * n)))
 
     orbits, counts = _symmetry_orbits(space, wvals)
-    # the rows in the Lagrange basis of the picked points: M starts near I / n
-    # and stays well conditioned, since the optimum is near the Fekete
-    # points; det M in the basis of A is |det A[picks]|^2 times as large
-    T, lagrange_log_det = _lagrange(A, picks)
-    A = _matmul(A, T)
     # one mass per orbit, one Gram row set per orbit; exact under the
     # grid's symmetry, and it stops rounding noise from drifting along
     # det-flat angular modes

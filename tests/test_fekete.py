@@ -166,7 +166,7 @@ def _exchange_by_inverse(A, sel):
 def test_rank_one_exchange_matches_the_per_swap_inverse(space, weight, s):
     A, basis = _weighted_vandermonde(space, weight, s)
     start = measure._greedy_rows(A)
-    fast = measure._exchange(A, list(start))
+    fast, _ = measure._exchange(A, list(start))
     slow = _exchange_by_inverse(A, start)
     assert _log_volume(A, fast, basis) == pytest.approx(_log_volume(A, slow, basis), abs=1e-12)
     assert _log_volume(A, fast, basis) >= _log_volume(A, start, basis)
@@ -189,5 +189,5 @@ def test_approx_fekete_runs_real_on_real_grids(space, monkeypatch):
     # the complex path: the same rows held in complex dtype
     A, basis = _weighted_vandermonde(space, gaussian_weight(), s, real=False)
     assert np.iscomplexobj(A)
-    sel = measure._exchange(A, greedy(A))
+    sel, _ = measure._exchange(A, greedy(A))
     assert res.weighted_vdm_log == pytest.approx(_log_volume(A, sel, basis), abs=1e-12)

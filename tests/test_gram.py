@@ -202,7 +202,7 @@ def test_weighted_rows_are_w_to_the_s_times_the_basis_values(space):
 def test_orbit_rows_keep_each_orbit_gram_block_and_mean_christoffel():
     space, s = disk(), 4
     A = _grid_rows(space, gaussian_weight(), s)
-    orbits = np.asarray(space.params["orbits"])
+    orbits = space.orbits
     counts = np.bincount(orbits)
     R, row_orbit = _orbit_rows(A, orbits, counts)
     assert np.bincount(row_orbit).max() <= A.shape[1]
@@ -241,7 +241,7 @@ def test_orbit_hessian_is_minus_the_trace_of_orbit_block_products(kind):
     # H[o, p] = -tr(A_o A_p) / (c_o c_p) with A_o = Z_o^H Z_o, summed explicitly
     if kind == "disk":
         space, weight, s, picked = disk(), gaussian_weight(), 4, 12
-        orbits = np.asarray(space.params["orbits"])
+        orbits = space.orbits
     else:
         space, weight, s, picked = cube(2, per_axis=9), unit_weight(), 3, 30
         orbits = np.arange(space.grid_size)  # every point its own orbit

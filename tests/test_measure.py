@@ -1,5 +1,6 @@
 """Design spaces, weights, discrete designs, and serialization."""
 
+import itertools
 import json
 import math
 
@@ -62,7 +63,7 @@ def test_cube_grid_is_tensor_product():
 @pytest.mark.parametrize("per_axis", [5, 33])
 def test_cube_records_its_signed_permutation_orbits(per_axis):
     sp = cube(dimension=2, per_axis=per_axis)
-    orbits = sp.params["orbits"]
+    orbits = sp.orbits
     counts = np.bincount(orbits)
     half = (per_axis + 1) // 2  # folded node indices per axis
     assert counts.size == half * (half + 1) // 2
@@ -77,8 +78,42 @@ def test_cube_records_its_signed_permutation_orbits(per_axis):
 @pytest.mark.parametrize("spacing", ["chebyshev", "uniform"])
 def test_interval_records_its_mirror_orbits(spacing):
     sp = interval(a=2.0, grid=7, spacing=spacing)
-    assert sp.params["orbits"].tolist() == [0, 1, 2, 3, 2, 1, 0] == cube(1, per_axis=7).params["orbits"].tolist()
+    assert sp.orbits.tolist() == [0, 1, 2, 3, 2, 1, 0] == cube(1, per_axis=7).orbits.tolist()
     np.testing.assert_allclose(sp.grid[:, 0], -sp.grid[::-1, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("dimension, per_axis", [(2, 33), (3, 9)])
+def test_orbit_ids_number_sorted_keys_as_a_row_unique_does(dimension, per_axis):
+    # the mixed-radix code of each sorted row orders the orbits as
+    # np.unique(axis=0) orders the sorted rows, so the cube keeps its numbering
+    k = np.arange(per_axis)
+    folded = np.meshgrid(*([np.minimum(k, per_axis - 1 - k)] * dimension), indexing="ij")
+    keys = np.stack([g.ravel() for g in folded], axis=1)
+    expect = np.unique(np.sort(keys, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+    assert np.array_equal(measure._orbit_ids(keys), expect)
+    assert np.array_equal(cube(dimension, per_axis=per_axis).orbits, expect)
+
+
+@pytest.mark.parametrize("dimension, refine, count", [(1, 7, 4), (2, 80, 574), (3, 12, 34)])
+def test_simplex_records_its_barycentric_permutation_orbits(dimension, refine, count):
+    # an orbit is one multiset of barycentric integers (k_1, ..., k_d, refine - sum k):
+    # a partition of refine into at most d + 1 parts
+    sp = simplex(dimension, a=2.0, refine=refine)
+    k = np.rint(sp.grid.real * refine / 2.0).astype(int)
+    bary = np.column_stack([k, refine - k.sum(axis=1)])
+    orbits = sp.orbits
+    assert np.bincount(orbits).size == count and orbits.max() == count - 1
+    for o in range(count):
+        members = {tuple(b) for b in bary[orbits == o].tolist()}
+        assert members == set(itertools.permutations(next(iter(members))))
+
+
+def test_ball_1d_carries_its_interval_mirror_orbits():
+    sp = ball(1, a=1.5, radial=3, angular=16)
+    x = sp.grid[:, 0].real
+    assert np.array_equal(sp.orbits, interval(a=1.5, grid=sp.grid_size).orbits)
+    for o in range(np.bincount(sp.orbits).size):
+        assert np.allclose(np.sort(x[sp.orbits == o]), np.sort(-x[sp.orbits == o]), atol=1e-15)
 
 
 def test_ball_grid_inside_and_center():
@@ -96,6 +131,9 @@ def test_simplex_lattice_count_and_membership():
     for d, refine in ((1, 7), (2, 6), (3, 4)):
         sp = simplex(dimension=d, refine=refine)
         assert sp.grid_size == math.comb(refine + d, d)
+        # the lattice in lexicographic order, which decides ties in the Fekete pick
+        lattice = [k for k in itertools.product(range(refine + 1), repeat=d) if sum(k) <= refine]
+        assert np.array_equal(sp.grid.real, np.array(lattice, dtype=float) * (1.0 / refine))
         sums = sp.grid.real.sum(axis=1)
         assert sums.max() <= 1.0 + 1e-12 and sp.grid.real.min() >= -1e-15
 
@@ -108,7 +146,7 @@ def test_disk_grid_rotation_invariance():
     # rotating by one angular step permutes the grid
     for zr in rotated:
         assert np.min(np.abs(z - zr)) < 1e-12
-    orbits = sp.params["orbits"]
+    orbits = sp.orbits
     counts = np.bincount(orbits)
     assert counts[0] == 1 and np.all(counts[1:] == 12)
 

@@ -43,7 +43,7 @@ from optdesign.measure import _greedy_rows, weighted_rows
 
 
 def _without_orbits(space):
-    return dataclasses.replace(space, params={k: v for k, v in space.params.items() if k != "orbits"})
+    return dataclasses.replace(space, orbits=None)
 
 
 def _grid_christoffel(res, space, weight, s):
@@ -327,10 +327,11 @@ def test_vertex_steps_alone_never_lower_log_det(monkeypatch, space, weight, s):
 
 
 def test_centerless_disk_orbits_solve_without_warnings(gauss_disk):
-    # its rings are numbered from 1, so orbit id 0 has no points; the s = 6
-    # optimum puts no mass on the center, and the solve takes steps on both
-    # grids and reaches the same design
+    # its rings are numbered from 1 here, so orbit id 0 has no points; the
+    # s = 6 optimum puts no mass on the center, and the solve takes steps on
+    # both grids and reaches the same design
     centerless, full_disk = disk(include_center=False), gauss_disk
+    centerless = dataclasses.replace(centerless, orbits=centerless.orbits + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = d_optimal(centerless, gaussian_weight(), 6, epsilon=1e-5)
@@ -530,6 +531,29 @@ def test_cube_orbit_solve_matches_the_per_point_solve():
     # and sign flips
     atoms = {tuple(np.round(p.real, 12)) for p in orbits.design.points}
     assert atoms == {(sx * b, sy * a) for a, b in atoms for sx in (1, -1) for sy in (1, -1)}
+
+
+@pytest.mark.parametrize("refine, s", [(24, 6), (36, 12)])
+def test_simplex_orbit_solve_matches_the_per_point_solve(refine, s):
+    space = simplex(2, refine=refine)
+    orbits = d_optimal(space, unit_weight(), s, epsilon=1e-5)
+    points = d_optimal(_without_orbits(space), unit_weight(), s, epsilon=1e-5)
+    assert orbits.converged and points.converged
+    assert orbits.mass_identity_residual <= 1e-12 * orbits.n
+    assert abs(orbits.log_det - points.log_det) <= orbits.epsilon * orbits.n
+    # the support is closed under the permutations of the barycentric integers
+    k = np.rint(orbits.design.points.real * refine).astype(int)
+    atoms = {tuple(b) for b in np.column_stack([k, refine - k.sum(axis=1)]).tolist()}
+    assert atoms == {p for b in atoms for p in itertools.permutations(b)}
+
+
+def test_gaussian_weight_on_the_simplex_falls_back_to_single_points():
+    # exp(-|x|^2) is not invariant under the vertex permutations, so the
+    # recorded orbits cannot be used
+    space = simplex(2)
+    orbits, counts = optimal._symmetry_orbits(space, gaussian_weight().values(space.grid))
+    assert np.array_equal(orbits, np.arange(space.grid_size)) and np.all(counts == 1)
+    assert optimal._symmetry_orbits(space, unit_weight().values(space.grid))[1].size < space.grid_size
 
 
 def _einsum_hessian(Z, row_orbit, counts):
