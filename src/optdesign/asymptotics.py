@@ -22,6 +22,8 @@ from .gram import moment_matrix
 from .measure import DesignSpace, DiscreteDesign, WeightFunction, basis_for_space
 from .optimal import d_optimal
 
+_FD_STEP = 1e-4  # step of first_derivative_residual's centered difference
+
 
 def _field_values(u: Callable, mu_s: DiscreteDesign) -> np.ndarray:
     """Real parts of u at the atoms of mu_s; a scalar argument for one-dimensional designs."""
@@ -69,16 +71,12 @@ def f_of_t(
 
 
 def first_derivative_residual(
-    space: DesignSpace,
-    weight: WeightFunction,
-    s: int,
-    u: Callable,
-    mu_s: DiscreteDesign,
-    h: float = 1e-4,
+    space: DesignSpace, weight: WeightFunction, s: int, u: Callable, mu_s: DiscreteDesign
 ) -> float:
     """|centered difference of f_of_t at 0 - (d+1)/d * integral u d mu_s|."""
     basis = basis_for_space(space, s)
     u_vals = _field_values(u, mu_s)
+    h = _FD_STEP
     fd = (_f(mu_s, weight, s, basis, u_vals, h) - _f(mu_s, weight, s, basis, u_vals, -h)) / (2.0 * h)
     d = space.dimension
     exact = (d + 1) / d * float(mu_s.weights @ u_vals)

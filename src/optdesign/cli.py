@@ -90,12 +90,12 @@ _OPTIONS = {
     "atoms": {"type": int, "default": 4},
 }
 
-_COMMON = ("domain", "dimension", "a", "grid", "grid_angular", "spacing", "weight", "seed", "out")
+_GRID = "domain dimension a grid grid_angular spacing weight"  # every grid command's options
 
 
 def _command_defaults(cmd: str) -> dict:
-    _, _, own, differing = _COMMANDS[cmd]
-    return {key: differing.get(key, _OPTIONS[key]["default"]) for key in (*_COMMON, *own.split())}
+    _, _, options, differing = _COMMANDS[cmd]
+    return {key: differing.get(key, _OPTIONS[key]["default"]) for key in (*options.split(), "out")}
 
 
 @functools.cache  # main() is called many times in one process; argparse keeps no state between parses
@@ -476,18 +476,19 @@ def _cmd_oracle(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-# subcommand: (handler, help, its options after _COMMON, the defaults that differ from _OPTIONS)
+# subcommand: (handler, help, the options it reads besides --out, the defaults that differ from _OPTIONS)
 _COMMANDS = {
-    "design": (_cmd_design, "solve a D-optimal design and certify it", "degree epsilon max_iter", {}),
-    "gvalue": (_cmd_gvalue, "G-value of a stored design over the domain grid", "design degree", {"degree": None}),
-    "fekete": (_cmd_fekete, "approximate weighted Fekete points", "degree", {}),
-    "tfd": (_cmd_tfd, "s-th order diameters vs Gram determinant roots", "degrees epsilon max_iter", {}),
-    "equilibrium": (_cmd_equilibrium, "tabulate an equilibrium measure", "target tmax", {}),
-    "converge": (_cmd_converge, "weak-* convergence diagnostics across degrees", "degrees target tmax epsilon max_iter",
-                 {"degrees": "2,4,8"}),
+    "design": (_cmd_design, "solve a D-optimal design and certify it", f"{_GRID} degree epsilon max_iter", {}),
+    "gvalue": (_cmd_gvalue, "G-value of a stored design over the domain grid", f"{_GRID} design degree",
+               {"degree": None}),
+    "fekete": (_cmd_fekete, "approximate weighted Fekete points", f"{_GRID} degree", {}),
+    "tfd": (_cmd_tfd, "s-th order diameters vs Gram determinant roots", f"{_GRID} degrees epsilon max_iter", {}),
+    "equilibrium": (_cmd_equilibrium, "tabulate an equilibrium measure", "dimension a target tmax", {}),
+    "converge": (_cmd_converge, "weak-* convergence diagnostics across degrees",
+                 f"{_GRID} degrees target tmax epsilon max_iter", {"degrees": "2,4,8"}),
     "simulate": (_cmd_simulate, "Monte Carlo check of the regression identities",
-                 "design degree sigma obs trials epsilon max_iter", {"degree": None, "epsilon": 1e-6}),
-    "oracle": (_cmd_oracle, "cross-check determinants against brute-force sums", "atoms degree", {}),
+                 f"{_GRID} seed design degree sigma obs trials epsilon max_iter", {"degree": None, "epsilon": 1e-6}),
+    "oracle": (_cmd_oracle, "cross-check determinants against brute-force sums", f"{_GRID} atoms degree", {}),
 }
 
 

@@ -56,7 +56,6 @@ class MomentMatrix:
     """
 
     matrix: np.ndarray
-    degree: int
     basis: PolyBasis
     log_det: float
     L: np.ndarray | None
@@ -210,7 +209,7 @@ def moment_matrix(
         log_det += 2.0 * float(np.linalg.slogdet(S[picks])[1])
         L = None if L is None else _matmul(L, T.conj().T)  # back in the basis of A
     M = _assemble(A, design.weights)
-    return MomentMatrix(matrix=M, degree=s, basis=basis, log_det=log_det, L=L, pivot=pivot)
+    return MomentMatrix(matrix=M, basis=basis, log_det=log_det, L=L, pivot=pivot)
 
 
 @dataclass(frozen=True)
@@ -223,12 +222,7 @@ class ChristoffelEvaluator:
 
     L: np.ndarray
     basis: PolyBasis
-    degree: int
     weight: WeightFunction
-
-    @property
-    def n(self) -> int:
-        return self.L.shape[0]
 
 
 def orthonormal_factor(mm: MomentMatrix, weight: WeightFunction) -> ChristoffelEvaluator:
@@ -249,7 +243,7 @@ def orthonormal_factor(mm: MomentMatrix, weight: WeightFunction) -> ChristoffelE
             f"threshold {threshold:.3e}) at pivot {weakest}",
             weakest,
         )
-    return ChristoffelEvaluator(L=mm.L, basis=mm.basis, degree=mm.degree, weight=weight)
+    return ChristoffelEvaluator(L=mm.L, basis=mm.basis, weight=weight)
 
 
 def christoffel_many(ev: ChristoffelEvaluator, points) -> np.ndarray:

@@ -279,13 +279,7 @@ def simplex(dimension: int = 2, a: float = 1.0, refine: int = 24) -> DesignSpace
     return DesignSpace("simplex", dimension, a, _freeze(pts.astype(complex)), member, orbits)
 
 
-def disk(
-    a: float = 1.0,
-    radial: int = 24,
-    angular: int = 80,
-    include_center: bool = True,
-    spacing: str = "chebyshev",
-) -> DesignSpace:
+def disk(a: float = 1.0, radial: int = 24, angular: int = 80, spacing: str = "chebyshev") -> DesignSpace:
     """The complex disk |z| <= a with concentric rings of equal angular count.
 
     Equal angular counts keep the grid invariant under rotation by
@@ -304,11 +298,8 @@ def disk(
         raise ValueError(f"unknown disk spacing {spacing!r}")
     th = 2 * np.pi * np.arange(angular) / angular
     ring = np.exp(1j * th)
-    pts = (radii[:, None] * ring[None, :]).ravel()
-    rings = np.repeat(steps, angular)  # each point's ring index, 0 for the centre
-    if include_center:
-        pts = np.concatenate([[0.0 + 0.0j], pts])
-        rings = np.concatenate([[0], rings])
+    pts = np.concatenate([[0.0 + 0.0j], (radii[:, None] * ring[None, :]).ravel()])
+    rings = np.concatenate([[0], np.repeat(steps, angular)])  # each point's ring index, 0 for the centre
     tol = 1e-12 * max(1.0, a)
 
     def member(p: np.ndarray) -> np.ndarray:
@@ -317,16 +308,19 @@ def disk(
     return DesignSpace("disk", 1, a, _freeze(pts.reshape(-1, 1)), member, _orbit_ids(rings))
 
 
-def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = None, a: float = 1.0) -> DesignSpace:
+def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = None) -> DesignSpace:
     """Wrap an explicit point set as a design space; repeated points are refused.
 
     ``membership`` maps an (m, d) point array to m booleans; by default
-    every point belongs.
+    every point belongs.  ``a`` is the largest coordinate modulus of the
+    points, as on the interval, cube, simplex and disk grids.
     """
     pts = _point_array(points)
+    if pts.size == 0:
+        raise ValueError("a custom grid needs at least one point with at least one coordinate")
     _require_distinct(pts, 0.0, "grid points")
     member = membership if membership is not None else (lambda p: np.ones(len(p), dtype=bool))
-    return DesignSpace("custom", pts.shape[1], a, _freeze(pts.copy()), member)
+    return DesignSpace("custom", pts.shape[1], float(np.max(np.abs(pts))), _freeze(pts.copy()), member)
 
 
 def basis_for_space(space: DesignSpace, s: int) -> PolyBasis:

@@ -30,7 +30,9 @@ largest K, which raises log det whenever the gap is positive.
 The certificate is the iterate's K over every orbit, none of which ever
 leaves the frame.  A certified iterate whose mass identity
 sum(mass K) = n or gap >= 0 fails by more than 1e-8 n is refused with
-``SingularGramError``, not returned.
+``SingularGramError``, not returned; one where K at a grid point exceeds
+its orbit's mean by more than 1e-8 n, with ``ValueError``: its recorded
+orbits are not symmetries of the problem.
 
 Brute-force oracles re-derive the determinant and the Christoffel
 function from sums of squared Vandermonde determinants, providing an
@@ -47,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import _matmul, eval_basis, eval_basis_many, monomial_basis, space_dimension
-from .gram import ChristoffelEvaluator, SingularGramError, christoffel_many
+from .gram import ChristoffelEvaluator, SingularGramError, _christoffel_rows, christoffel_many
 from .gram import _assemble, _cholesky_log_det, _factor, _inverse_factor, _orbit_hessian, _orbit_rows
 from .measure import (
     DesignSpace,
@@ -325,17 +327,25 @@ def d_optimal(
         mono_viol = max(mono_viol, it.log_det - new.log_det)
         it = new
 
-    resid = abs(float(it.mass @ it.K) - n)
-    if converged and (resid > _CERTIFIED_TOL * n or gap < -_CERTIFIED_TOL * n):
-        # a certificate that only looks valid: rounding broke sum(mass K) = n;
-        # the pivot it reports comes from the rows factored afresh at its masses
+    if converged:  # the rows factored afresh at the certified masses check the certificate
+        resid = abs(float(it.mass @ it.K) - n)
         L, _, pivot = _factor(R, (it.mass / counts)[row_orbit])
-        weakest = n if pivot else 1 + int(np.argmax(np.abs(L.diagonal())))
-        raise SingularGramError(
-            f"certificate does not hold at iteration {steps}: mass identity residual {resid:.3e} "
-            f"and KW gap {gap:.3e}, limits {_CERTIFIED_TOL * n:.1e} and {-_CERTIFIED_TOL * n:.1e} (n = {n})",
-            weakest,
-        )
+        if pivot or resid > _CERTIFIED_TOL * n or gap < -_CERTIFIED_TOL * n:  # rounding broke sum(mass K) = n
+            weakest = n if pivot else 1 + int(np.argmax(np.abs(L.diagonal())))
+            raise SingularGramError(
+                f"certificate does not hold at iteration {steps}: mass identity residual {resid:.3e} "
+                f"and KW gap {gap:.3e}, limits {_CERTIFIED_TOL * n:.1e} and {-_CERTIFIED_TOL * n:.1e} (n = {n})",
+                weakest,
+            )
+        # K at every point: a grouping that is not a symmetry certifies only the orbit means
+        K = _christoffel_rows(A, L)
+        excess = K - (np.bincount(orbits, weights=K) / counts)[orbits]  # 0 on single-point orbits
+        i = int(np.argmax(excess))
+        if excess[i] > _CERTIFIED_TOL * n:
+            raise ValueError(
+                f"orbit {space.orbits[i]} is not a symmetry of the problem: K at its grid point {i} "
+                f"{np.real_if_close(grid[i]).tolist()} exceeds the orbit's mean K by {excess[i]:.3e} (n = {n})"
+            )
     K, w = it.K[orbits], (it.mass / counts)[orbits]
     g_idx = int(np.argmax(K))
     g_val = float(K[g_idx])

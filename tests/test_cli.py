@@ -367,7 +367,8 @@ def test_fine_unit_disk_design_converges(tmp_path):
 @pytest.mark.parametrize("target", ["arcsine", "cube", "ball", "simplex", "wball"])
 @pytest.mark.parametrize("command", ["equilibrium", "converge"])
 def test_negative_tmax_is_a_validation_error(tmp_path, capsys, command, target):
-    rc, out = run(tmp_path, command, "--target", target, "--tmax", "-1", "--grid", "51")
+    grid = ["--grid", "51"] if command == "converge" else []  # equilibrium builds no grid
+    rc, out = run(tmp_path, command, "--target", target, "--tmax", "-1", *grid)
     assert rc == 2
     assert capsys.readouterr().err == "validation error: --tmax must be nonnegative, got -1\n"
     assert not any(out.iterdir())
@@ -506,31 +507,95 @@ def test_rank_deficient_fekete_weight_is_a_validation_error(tmp_path, capsys):
     assert not (out / "fekete.json").exists()
 
 
-_COMMON_DEFAULTS = {
+_GRID_DEFAULTS = {
     "domain": "interval", "dimension": 1, "a": 1.0, "grid": 401, "grid_angular": 64,
-    "spacing": "chebyshev", "weight": "unit", "seed": 0, "out": ".",
+    "spacing": "chebyshev", "weight": "unit",
 }
 
 # the resolved defaults every artifact echoes, key for key and in order
 _PINNED_DEFAULTS = {
-    "design": {"degree": 2, "epsilon": 1e-5, "max_iter": None},
-    "gvalue": {"design": None, "degree": None},
-    "fekete": {"degree": 2},
-    "tfd": {"degrees": "1,2,4,8", "epsilon": 1e-5, "max_iter": None},
-    "equilibrium": {"target": "arcsine", "tmax": 6},
-    "converge": {"degrees": "2,4,8", "target": "arcsine", "tmax": 6, "epsilon": 1e-5, "max_iter": None},
-    "simulate": {
-        "design": None, "degree": None, "sigma": 0.1, "obs": 100, "trials": 10000, "epsilon": 1e-6, "max_iter": None,
+    "design": {**_GRID_DEFAULTS, "degree": 2, "epsilon": 1e-5, "max_iter": None},
+    "gvalue": {**_GRID_DEFAULTS, "design": None, "degree": None},
+    "fekete": {**_GRID_DEFAULTS, "degree": 2},
+    "tfd": {**_GRID_DEFAULTS, "degrees": "1,2,4,8", "epsilon": 1e-5, "max_iter": None},
+    "equilibrium": {"dimension": 1, "a": 1.0, "target": "arcsine", "tmax": 6},
+    "converge": {
+        **_GRID_DEFAULTS, "degrees": "2,4,8", "target": "arcsine", "tmax": 6, "epsilon": 1e-5, "max_iter": None,
     },
-    "oracle": {"atoms": 4, "degree": 2},
+    "simulate": {
+        **_GRID_DEFAULTS, "seed": 0, "design": None, "degree": None, "sigma": 0.1, "obs": 100, "trials": 10000,
+        "epsilon": 1e-6, "max_iter": None,
+    },
+    "oracle": {**_GRID_DEFAULTS, "atoms": 4, "degree": 2},
 }
 
 
 @pytest.mark.parametrize("command", list(_PINNED_DEFAULTS))
 def test_resolved_defaults_are_pinned(command):
     cfg = _resolve_config(_build_parser().parse_args([command]))
-    expected = {**_COMMON_DEFAULTS, **_PINNED_DEFAULTS[command], "command": command}
+    expected = {**_PINNED_DEFAULTS[command], "out": ".", "command": command}
     assert list(cfg.items()) == list(expected.items())
+
+
+# the pairs a command once accepted and echoed into its artifacts without reading them
+_UNREAD = [("equilibrium", key) for key in ("domain", "grid", "grid_angular", "spacing", "weight", "seed")] + [
+    (command, "seed") for command in ("design", "gvalue", "fekete", "tfd", "converge", "oracle")
+]
+
+
+@pytest.mark.parametrize("command, key", _UNREAD)
+def test_an_option_the_command_does_not_read_is_refused(tmp_path, capsys, command, key):
+    value = cli._OPTIONS[key]["default"]
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, flag, str(value))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc, _ = run(tmp_path, command, "--config", str(cfg))
+    assert rc == 2
+    assert capsys.readouterr().err == f"validation error: unknown config keys: [{key!r}]\n"
+    assert not (tmp_path / "out").exists()
+
+
+_READ_SPACES = (  # between them these reach every grid option
+    ["--grid", "21"],
+    ["--domain", "disk", "--grid", "3", "--grid-angular", "8"],
+    ["--domain", "cube", "--dimension", "2", "--grid", "5"],
+)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_option_of_a_command_is_read(tmp_path, monkeypatch, command):
+    # a config that records each key read from it by subscript (artifacts
+    # iterate over every key, which does not count); an option no run of the
+    # command reads would be echoed into its artifacts as if it had been used
+    read = set()
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    resolve = cli._resolve_config
+    monkeypatch.setattr(cli, "_resolve_config", lambda args: Reads(resolve(args)))
+    if command == "equilibrium":
+        runs = [["--target", target, "--tmax", "2"] for target in ("arcsine", "wball")]
+    elif command == "converge":
+        targets = [["--target", "arcsine"], ["--weight", "gaussian", "--target", "wball"]]  # interval, disk
+        runs = [[*flags, *target, "--degrees", "1,2", "--tmax", "2"] for flags, target in zip(_READ_SPACES, targets)]
+    else:
+        own = {"gvalue": [], "tfd": ["--degrees", "1,2"], "simulate": ["--degree", "1", "--obs", "9", "--trials", "9"]}
+        runs = [[*flags, *own.get(command, ["--degree", "1"])] for flags in _READ_SPACES]
+    for i, flags in enumerate(runs):
+        if command == "gvalue":  # equal masses on the whole grid
+            grid = _make_space(resolve(_build_parser().parse_args([command, *flags]))).grid
+            design = tmp_path / f"design{i}.json"
+            design.write_text(design_to_json(make_design(grid, np.full(len(grid), 1 / len(grid))), degree=1))
+            flags = [*flags, "--design", str(design)]
+        assert main([command, *flags, "--out", str(tmp_path / str(i))]) == 0
+    assert set(cli._command_defaults(command)) - read == set()
 
 
 def test_help_lists_each_default(capsys):

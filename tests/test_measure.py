@@ -168,6 +168,15 @@ def test_custom_grid_wraps_points():
     assert sp.kind == "custom" and sp.grid.shape == (3, 1)
     assert sp.contains(123.0)  # default membership accepts everything
     assert sp.membership(np.array([[2.0], [1j]])).tolist() == [True, True]
+    assert sp.a == 1.0 and custom_grid([[0.5, -2j], [0.1, 1.0]]).a == 2.0  # the largest coordinate modulus
+    with pytest.raises(ValueError, match="at least one point"):
+        custom_grid([])
+
+
+@pytest.mark.parametrize("name", ["interval", "cube2", "cube3", "simplex2", "simplex3", "disk"])
+def test_custom_grid_of_a_builders_grid_records_its_a(name):
+    space = _BUILT[name]
+    assert custom_grid(space.grid).a == pytest.approx(space.a, rel=1e-15)  # the disk's |r exp(i th)| rounds
 
 
 def _one_point_member(space, p):

@@ -20,6 +20,7 @@ from optdesign import (
     christoffel,
     christoffel_many,
     cube,
+    custom_grid,
     d_optimal,
     disk,
     eval_basis,
@@ -327,11 +328,11 @@ def test_vertex_steps_alone_never_lower_log_det(monkeypatch, space, weight, s):
 
 
 def test_centerless_disk_orbits_solve_without_warnings(gauss_disk):
-    # its rings are numbered from 1 here, so orbit id 0 has no points; the
-    # s = 6 optimum puts no mass on the center, and the solve takes steps on
-    # both grids and reaches the same design
-    centerless, full_disk = disk(include_center=False), gauss_disk
-    centerless = dataclasses.replace(centerless, orbits=centerless.orbits + 1)
+    # the disk without its center keeps its ring ids 1, 2, ..., so orbit id 0
+    # has no points; the s = 6 optimum puts no mass on the center, and the
+    # solve takes steps on both grids and reaches the same design
+    full_disk = gauss_disk
+    centerless = dataclasses.replace(custom_grid(full_disk.grid[1:]), orbits=full_disk.orbits[1:])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = d_optimal(centerless, gaussian_weight(), 6, epsilon=1e-5)
@@ -545,6 +546,31 @@ def test_simplex_orbit_solve_matches_the_per_point_solve(refine, s):
     k = np.rint(orbits.design.points.real * refine).astype(int)
     atoms = {tuple(b) for b in np.column_stack([k, refine - k.sum(axis=1)]).tolist()}
     assert atoms == {p for b in atoms for p in itertools.permutations(b)}
+
+
+def test_orbits_that_are_not_symmetries_are_refused():
+    # triples of neighbouring nodes share one mass: the solve certifies their
+    # mean K (gap / n 3e-9), while K at single points stays 4e-3 n above n
+    space = dataclasses.replace(interval(grid=201), orbits=np.arange(201) // 3)
+    with pytest.raises(ValueError, match=r"^orbit \d+ is not a symmetry of the problem: K at its grid point \d+ "):
+        d_optimal(space, unit_weight(), 6)
+
+
+def test_tight_simplex_solve_takes_vertex_steps_unaided(monkeypatch):
+    # below gap / n ~ 5e-9 no Newton trial gains what log det resolves, so
+    # the orbit solve finishes on Wynn-Fedorov vertex steps
+    newton, vertex = optimal._newton_step, []
+
+    def spy(*args):
+        new = newton(*args)
+        vertex.append(new is None)
+        return new
+
+    monkeypatch.setattr(optimal, "_newton_step", spy)
+    res = d_optimal(simplex(2), unit_weight(), 6, epsilon=1e-9)
+    assert res.converged and any(vertex)
+    assert res.monotonicity_violation <= 1e-12
+    assert res.mass_identity_residual <= 1e-8 * res.n
 
 
 def test_gaussian_weight_on_the_simplex_falls_back_to_single_points():
