@@ -77,25 +77,28 @@ class PolyBasis:
     dimension, degree : int
         Ambient dimension d and maximal total degree s.
     indices : tuple of exponent tuples
-        Multi-indices in graded lexicographic order, shared by every kind.
+        Multi-indices in graded lexicographic order, shared by every basis.
+    recurrence : (n, n) array
+        The upper-triangular H of p_0 = 1 / (c^s H[0, 0]) and
+        p_j = (x_i p_parent - sum_{k<j} H[k, j] p_k) / H[j, j]: the
+        identity for the monomials, and for the Arnoldi basis
+        (``arnoldi_basis``) complex exactly when its grid is.
     log_lead : float
         log |det T| of the lower-triangular matrix T expressing this basis
-        in monomials.  Zero for the monomial kind.  Basis-dependent
-        determinants are mapped to the monomial normalization by
-        subtracting ``log_lead`` (once per Vandermonde factor).
-    recurrence : array or None
-        None for the monomials.  For the Arnoldi basis (``arnoldi_basis``),
-        the upper-triangular H of p_0 = 1 / H[0, 0] and
-        p_j = (x_i p_parent - sum_{k<j} H[k, j] p_k) / H[j, j], as a real
-        matrix: H itself on a real grid, and on a complex one each entry
-        h as the 2 x 2 block [[re h, im h], [-im h, re h]].
+        in monomials.  Basis-dependent determinants are mapped to the
+        monomial normalization by subtracting ``log_lead`` (once per
+        Vandermonde factor).
+    weight_scale : float
+        c above: the largest grid weight of an Arnoldi basis, 1 for the
+        monomials.  ``weighted_rows`` folds c^-s into (w / c)^s.
     """
 
     dimension: int
     degree: int
     indices: tuple[tuple[int, ...], ...]
+    recurrence: np.ndarray
     log_lead: float = 0.0
-    recurrence: np.ndarray | None = None
+    weight_scale: float = 1.0
 
     @property
     def n(self) -> int:
@@ -104,11 +107,11 @@ class PolyBasis:
 
 def monomial_basis(d: int, s: int) -> PolyBasis:
     """The monomial basis of degree <= s in graded lexicographic order; warns past the comfort zone."""
-    space_dimension(d, s)  # refuses d < 1, s < 0 and sizes past the integer range
+    n = space_dimension(d, s)  # refuses d < 1, s < 0 and sizes past the integer range
     if s > (cap := _DEGREE_CAPS.get(d, 8)):
         msg = f"degree {s} in dimension {d} exceeds the double-precision comfort zone (cap {cap}); expect lost accuracy"
         warnings.warn(msg, ConditioningWarning, stacklevel=2)
-    return PolyBasis(dimension=d, degree=s, indices=multi_indices(d, s))
+    return PolyBasis(d, s, multi_indices(d, s), np.eye(n))
 
 
 @functools.cache
@@ -130,20 +133,23 @@ _GEMM_MAX_MACS = 10**6
 _GEMV_MAX_MACS = 2 * 10**5
 
 
+def _floats(A: np.ndarray) -> np.ndarray:
+    """The float64 view of complex A, columns interleaving real and imaginary parts; copied only if rows are strided."""
+    A = np.asarray(A, dtype=complex)
+    return (A if A.shape[-1] == 1 or A.strides[-1] == A.itemsize else A.copy()).view(np.float64)
+
+
 def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B in row blocks of A small enough that OpenBLAS stays on one thread.
 
     A complex product runs as a real one of twice the width, since OpenBLAS
-    threads complex GEMMs from a much smaller size: (a + ib)(c + id) =
-    (ac - bd) + i(ad + bc), so the float64 view of A, whose columns
-    interleave real and imaginary parts, times the real 2k x 2n image of B
-    is the float64 view of A @ B.
+    threads complex GEMMs from a much smaller size: the float64 view of A
+    times the real 2k x 2n matrix whose rows 2i and 2i + 1 are the views of
+    B[i] and i B[i] is the float64 view of A @ B.
     """
-    if np.iscomplexobj(A) or np.iscomplexobj(B):
-        A = np.ascontiguousarray(A, dtype=complex)
-        k, n = B.shape
-        W = np.array([[B.real, B.imag], [-B.imag, B.real]]).transpose(2, 0, 3, 1).reshape(2 * k, 2 * n)
-        return _matmul(A.view(np.float64), W).view(complex)
+    if A.dtype.kind == "c" or B.dtype.kind == "c":
+        W = np.concatenate([B, 1j * B], axis=1).reshape(2 * B.shape[0], B.shape[1]).view(np.float64)
+        return _matmul(_floats(A), W).view(complex)
     cap = _GEMV_MAX_MACS if B.shape[1] == 1 else _GEMM_MAX_MACS
     if A.shape[0] * A.shape[1] * B.shape[1] <= cap:
         return np.matmul(A, B)
@@ -154,59 +160,71 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^H B by ``_matmul``, for complex operands as one real product of their float64 views.
+
+    Viewed as complex, its rows 2i and 2i + 1 sum re(a_i) b and im(a_i) b
+    over the rows, so A^H B is row 2i minus i times row 2i + 1.
+    """
+    if A.dtype.kind != "c" and B.dtype.kind != "c":
+        return _matmul(A.T, B)
+    G = _matmul(_floats(A).T, _floats(B)).view(complex)
+    return G[0::2] - 1j * G[1::2]
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||; where the sum of squares would overflow or underflow, of the entries scaled exactly by a power of two."""
+    V = v.view(np.float64) if np.iscomplexobj(v) else v
+    if 1e-250 < (ss := float(np.einsum("i,i", V, V))) < math.inf:
+        return math.sqrt(ss)
+    V = np.ldexp(V, -(e := math.frexp(float(np.max(np.abs(V))))[1]))
+    return math.ldexp(math.sqrt(np.einsum("i,i", V, V)), e)
+
+
 def arnoldi_basis(points, wvals, s: int) -> tuple[PolyBasis, np.ndarray, int]:
     """The weighted Arnoldi basis of a grid: (basis, its weighted rows on the grid, their rank).
 
     Vandermonde with Arnoldi (Brubeck, Nakatsukasa & Trefethen, SIAM Rev.
-    63, 2021): column 0 is sqrt(w^{2s}) at the points, and column alpha is
-    x_i times column alpha - e_i, with i the first coordinate where
+    63, 2021): column 0 is (w / max w)^s at the points, and column alpha
+    is x_i times column alpha - e_i, i the first coordinate with
     alpha_i > 0.  Each is orthogonalized twice against the columns before
-    it (the Hermitian product on complex grids) and normalized, so the rows
-    have orthonormal columns on the grid.  Graded lexicographic order is a
-    monomial order, so the change of basis to monomials is triangular and
+    it (Hermitian products on complex grids) and normalized, so the rows
+    have orthonormal columns on the grid; the projections and norms fill
+    the recurrence H.  The change of basis to monomials is triangular, and
     ``log_lead`` sums the logs of the leading coefficients.
 
     A column whose norm falls to max(m, n) eps of its norm before
     orthogonalization lies in the span of the earlier ones on the
     positive-weight points: it stays zero on the grid, keeps scale 1 off
-    it, and is not counted in the rank.  Complex columns are multiplied
-    through their float64 views, whose columns interleave real and
-    imaginary parts, in products small enough for one BLAS thread.
+    it, and is not counted in the rank.
     """
     X = np.asarray(points, dtype=complex)
     m, d = X.shape
     X = X.real.copy() if not np.any(X.imag) else X
     n = space_dimension(d, s)
     coord, parent = _recurrence(d, s)
+    w = np.asarray(wvals, dtype=float)
+    scale = float(np.max(w)) or 1.0
     Q = np.zeros((m, n), dtype=X.dtype)
-    F = Q.view(np.float64)
-    w = F.shape[1] // n  # floats per entry
-    R = np.zeros((w * n, w * n))
+    H = np.zeros((n, n), dtype=X.dtype)
     tol = max(m, n) * np.finfo(np.float64).eps
-    lead = np.zeros(n)  # log |leading coefficient| of each column
+    lead = np.full(n, -s * math.log(scale))  # log |leading coefficient| of each column's polynomial
     rank = n
-    matmul = np.matmul if m * n * w * w <= _GEMV_MAX_MACS else _matmul  # one-thread sizes need no blocking
-    weights = np.sqrt(np.asarray(wvals, dtype=float) ** (2 * s)).astype(X.dtype)
     for j in range(n):
-        v = X[:, coord[j]] * Q[:, parent[j]] if j else weights
-        V = v.view(np.float64).reshape(m, w)
-        norm0 = math.sqrt(np.einsum("ij,ij", V, V))
-        Fj = F[:, : w * j]
+        v = X[:, coord[j]] * Q[:, parent[j]] if j else ((w / scale) ** s).astype(X.dtype)
+        norm0 = _norm(v)
         for _ in range(2 if j else 0):
-            C = matmul(Fj.T, V)  # with G_k the 2 x 2 block of q_k: C = G + J G J^T is the image of Q^H v
-            if w == 2:
-                G = C.reshape(-1, 2, 2)
-                C = (G + G[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]).reshape(-1, 2)
-            V -= matmul(Fj, C)
-            R[: w * j, w * j : w * (j + 1)] += C
-        h = math.sqrt(np.einsum("ij,ij", V, V))
+            c = _inner(Q[:, :j], v[:, None])[:, 0]
+            v -= _matmul(Q[:, :j], c[:, None])[:, 0]
+            H[:j, j] += c
+        h = _norm(v)
         if h > tol * norm0:
             np.divide(v, h, out=Q[:, j])
         else:
             h, rank = 1.0, rank - 1
-        R[range(w * j, w * (j + 1)), range(w * j, w * (j + 1))] = h
+        H[j, j] = h
         lead[j] = lead[parent[j]] - math.log(h)
-    return PolyBasis(d, s, multi_indices(d, s), float(lead.sum()), R), Q, rank
+    return PolyBasis(d, s, multi_indices(d, s), H, float(lead.sum()), scale), Q, rank
 
 
 def as_points(points, d: int) -> np.ndarray:
@@ -229,41 +247,23 @@ def as_points(points, d: int) -> np.ndarray:
     raise ValueError(f"cannot interpret array of shape {arr.shape} as points")
 
 
-def eval_basis_many(basis: PolyBasis, points) -> np.ndarray:
-    """Evaluate every basis element at many points; returns an (m, n) array.
-
-    Monomials come back complex; the Arnoldi basis replays its recurrence,
-    and comes back real where the recurrence and the points are real.
-    """
+def _replay(basis: PolyBasis, points, start) -> np.ndarray:
+    """The recurrence replayed at many points from p_0 = start / H[0, 0]; complex where H or a point is."""
     pts = as_points(points, basis.dimension)
-    m, n = pts.shape[0], basis.n
-    if basis.recurrence is None:
-        tables = []  # the powers 0..s of each coordinate
-        for i in range(basis.dimension):
-            t = np.empty((m, basis.degree + 1), dtype=complex)
-            t[:, 0] = 1.0
-            for k in range(1, basis.degree + 1):
-                t[:, k] = t[:, k - 1] * pts[:, i]
-            tables.append(t)
-        out = np.ones((m, n), dtype=complex)
-        for j, alpha in enumerate(basis.indices):
-            for i, k in enumerate(alpha):
-                if k:
-                    out[:, j] *= tables[i][:, k]
-        return out
-    R = basis.recurrence
-    X = pts if R.shape[0] > n or np.any(pts.imag) else pts.real
-    if np.iscomplexobj(X) and R.shape[0] == n:
-        R = np.kron(R, np.eye(2))  # a real h is the block h I
+    H = basis.recurrence
+    X = pts if np.iscomplexobj(H) or np.any(pts.imag) else pts.real
     coord, parent = _recurrence(basis.dimension, basis.degree)
-    Q = np.empty((m, n), dtype=X.dtype)
-    F = Q.view(np.float64)
-    w = F.shape[1] // n
-    Q[:, 0] = 1.0 / R[0, 0]
-    for j in range(1, n):
+    Q = np.empty((pts.shape[0], basis.n), dtype=X.dtype)
+    Q[:, 0] = start / H[0, 0]
+    for j in range(1, basis.n):
         v = X[:, coord[j]] * Q[:, parent[j]]
-        Q[:, j] = (v - _matmul(F[:, : w * j], R[: w * j, w * j : w * (j + 1)]).view(X.dtype)[:, 0]) / R[w * j, w * j]
+        Q[:, j] = (v - _matmul(Q[:, :j], H[:j, j : j + 1])[:, 0]) / H[j, j]
     return Q
+
+
+def eval_basis_many(basis: PolyBasis, points) -> np.ndarray:
+    """Evaluate every basis element at many points: an (m, n) array, complex where the recurrence or a point is."""
+    return _replay(basis, points, basis.weight_scale**-basis.degree)
 
 
 def eval_basis(basis: PolyBasis, z) -> np.ndarray:

@@ -290,9 +290,9 @@ def _load_design(cfg: dict):
 
 
 def _require_atoms(design, weight, s: int) -> int:
-    """n, once n atoms carry positive mass and w^(2s): with fewer the moment matrix is singular, a bad input."""
+    """n, once n atoms carry positive mass and weight: with fewer the moment matrix is singular, a bad input."""
     n = space_dimension(design.dimension, s)
-    live = int(np.count_nonzero((design.weights > 0) & (weight.values(design.points) ** (2 * s) > 0)))
+    live = int(np.count_nonzero((design.weights > 0) & (weight.values(design.points) > 0)))
     if live < n:
         got = "" if live == design.size else f" (got {live} of {design.size} with positive mass and weight)"
         raise ValueError(f"need at least {n} atoms for degree {s}{got}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import PolyBasis, _matmul, as_points
+from .basis import PolyBasis, _inner, _matmul, as_points
 from .measure import DiscreteDesign, WeightFunction, _greedy_rows, _squared_norms, weighted_rows
 
 _PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||_2
@@ -71,19 +71,9 @@ class MomentMatrix:
 
 
 def _assemble(B: np.ndarray, coef) -> np.ndarray:
-    """(B^H * coef) B, symmetrized to kill roundoff; ``coef`` is a scalar or one per row.
-
-    Complex rows are multiplied as real ones: with F the float64 view of B,
-    whose columns interleave real and imaginary parts, G = (F * coef)^T F
-    holds re M = G[0::2, 0::2] + G[1::2, 1::2] and
-    im M = G[0::2, 1::2] - G[1::2, 0::2].
-    """
-    F = np.ascontiguousarray(B).view(np.float64) if np.iscomplexobj(B) else B
-    G = _matmul(F.T * coef, F)
-    G = 0.5 * (G + G.T)
-    if F is B:
-        return G
-    return (G[0::2, 0::2] + G[1::2, 1::2]) + 1j * (G[0::2, 1::2] - G[1::2, 0::2])
+    """(B^H * coef) B, symmetrized to kill roundoff; ``coef`` is a scalar or one per row."""
+    G = _inner(B * np.reshape(coef, (-1, 1)), B)
+    return 0.5 * (G + G.conj().T)
 
 
 def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float, int]:
@@ -149,9 +139,8 @@ def _orbit_hessian(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> 
     (rows, n), k = Zs.shape, counts.size
     starts = np.searchsorted(row_orbit[order], np.arange(k))
     if rows * rows > (k * k + rows) * n:  # (k^2 + rows) n^2 multiply-adds against rows^2 n for P
-        V = np.add.reduceat(np.einsum("ri,rj->rij", Zs.conj(), Zs).reshape(rows, n * n), starts, axis=0)
-        F = V.view(np.float64) if np.iscomplexobj(V) else V
-        return -_matmul(F, np.ascontiguousarray(F.T)) / np.outer(counts, counts)
+        V = np.add.reduceat(np.einsum("ri,rj->ijr", Zs.conj(), Zs).reshape(n * n, rows), starts, axis=1)
+        return -_inner(V, V).real / np.outer(counts, counts)
     # a contiguous right factor: numpy hands Zs @ Zs^H to syrk, which
     # threads (301 x 15 rows woke the second OpenBLAS thread)
     P = _matmul(Zs, np.ascontiguousarray(Zs.conj().T))

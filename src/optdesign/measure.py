@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import PolyBasis, _matmul, arnoldi_basis, as_points, eval_basis_many
+from .basis import PolyBasis, _matmul, _replay, arnoldi_basis, as_points
 
 _ATOM_TOL = 1e-12  # two atoms closer than this are considered identical
 _SUM_TOL = 1e-9  # admissible drift of a weight vector's total mass
@@ -511,13 +511,16 @@ class AdmissibilityReport:
 
 
 def weighted_rows(basis: PolyBasis, points: np.ndarray, wvals: np.ndarray) -> np.ndarray:
-    """The weighted Vandermonde rows sqrt(w^{2s}) p(x), w = wvals and s the basis degree.
+    """The weighted Vandermonde rows w^s p(x), w = wvals and s the basis degree.
 
-    A design's moment matrix is the Gram matrix of its rows under its
-    masses.  They are real when no basis value has an imaginary part.
+    Formed as (w / c)^s times the recurrence started from 1 / H[0, 0],
+    with c the basis's ``weight_scale``, so they stay in range when w^s
+    does not.  A design's moment matrix is the Gram matrix of its rows
+    under its masses.  They are real when no basis value has an imaginary
+    part.
     """
-    B = eval_basis_many(basis, points)
-    return np.sqrt(wvals ** (2 * basis.degree))[:, None] * (B if np.any(B.imag) else B.real)
+    B = _replay(basis, points, 1.0)
+    return ((wvals / basis.weight_scale) ** basis.degree)[:, None] * (B if np.any(B.imag) else B.real)
 
 
 def _squared_norms(Z: np.ndarray) -> np.ndarray:
@@ -586,7 +589,7 @@ def _exchange(A: np.ndarray, sel: list[int]) -> tuple[list[int], np.ndarray]:
 
 
 def _admissibility(A: np.ndarray, rank: int) -> AdmissibilityReport:
-    """Whether at least n Arnoldi rows A are nonzero (w^{2s} > 0, so column 0 is) and they have rank n."""
+    """Whether at least n Arnoldi rows A are nonzero (w > 0, so column 0 is) and they have rank n."""
     n = A.shape[1]
     count = int(np.count_nonzero(A[:, 0]))
     if count < n:
@@ -596,7 +599,7 @@ def _admissibility(A: np.ndarray, rank: int) -> AdmissibilityReport:
 
 
 def check_admissible(weight: WeightFunction, space: DesignSpace, s: int) -> AdmissibilityReport:
-    """Whether w admits a degree-s design: n = C(s+d, d) grid points with w^{2s} > 0, Arnoldi rows of rank n."""
+    """Whether w admits a degree-s design: n = C(s+d, d) grid points with w > 0, Arnoldi rows of rank n."""
     _, A, rank = arnoldi_basis(space.grid, weight.values(space.grid), s)
     return _admissibility(A, rank)
 

@@ -279,7 +279,8 @@ def d_optimal(
         function, and polynomial degree.
     epsilon
         Stop once the Kiefer-Wolfowitz gap max K - n over the whole grid
-        falls below epsilon * n; must be positive and finite.
+        falls below epsilon * n; must be positive and finite.  The
+        returned design drops points lighter than min(epsilon, 1) / (10 m).
     max_iter
         Step cap, at least 0; Newton and vertex steps both count.  The
         default scales like 1 / (epsilon * n), the first-order rate of the
@@ -349,10 +350,7 @@ def d_optimal(
     K, w = it.K[orbits], (it.mass / counts)[orbits]
     g_idx = int(np.argmax(K))
     g_val = float(K[g_idx])
-    weight_tol = epsilon / (10.0 * m)
-    keep = w >= weight_tol
-    if not np.any(keep):
-        raise FloatingPointError(f"every grid weight fell below the pruning threshold {weight_tol:.3e}")
+    keep = w >= min(epsilon, 1.0) / (10.0 * m)  # the heaviest point, at least 1 / m, always stays
     design = make_design(grid[keep], w[keep] / w[keep].sum())
     return OptimalResult(
         design=design,

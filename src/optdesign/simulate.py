@@ -98,7 +98,7 @@ def _trial_estimates(exp: RegressionExperiment, counts: np.ndarray) -> np.ndarra
     rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, 0], dtype=np.uint64)))
     E = rng.standard_normal((exp.trials, 2 if complex_noise else 1, P.shape[0]))
     E = (E[:, 0] + 1j * E[:, 1]) / math.sqrt(2.0) if complex_noise else E[:, 0]
-    Q, R = np.linalg.qr(np.sqrt(counts[pos])[:, None] * (P if complex_noise else P.real))
+    Q, R = np.linalg.qr(np.sqrt(counts[pos])[:, None] * P)
     # trsm threads even at n = 5, so R^-T is one small inverse, folded into the k x n map from E
     return theta + _matmul(E, exp.sigma * (Q.conj() @ np.linalg.inv(R).T))
 
@@ -146,7 +146,7 @@ def _run(exp: RegressionExperiment, points: np.ndarray):
     ev = orthonormal_factor(mm, unit_weight())
     # plain transpose: sum_j p_j(z) theta_hat_j; one row per point, so each sum runs pairwise over the trials
     P = eval_basis_many(basis, points)
-    vals = np.ascontiguousarray(_matmul(theta_hats, (P if np.any(P.imag) else P.real).T).T)
+    vals = np.ascontiguousarray(_matmul(theta_hats, P.T).T)
     vals -= vals.mean(axis=1)[:, None]
     emp = np.sum((vals * vals.conj()).real, axis=1) / max(exp.trials - 1, 1)
     theo = exp.sigma**2 / exp.num_obs * christoffel_many(ev, points)

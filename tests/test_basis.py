@@ -55,12 +55,25 @@ def test_multi_indices_graded_lex_order():
 
 def test_monomial_evaluation_against_direct_powers():
     rng = np.random.default_rng(7)
-    pts = rng.standard_normal((11, 2)) + 1j * rng.standard_normal((11, 2))
-    basis = monomial_basis(2, 3)
-    vals = eval_basis_many(basis, pts)
-    for j, alpha in enumerate(basis.indices):
-        direct = pts[:, 0] ** alpha[0] * pts[:, 1] ** alpha[1]
-        assert np.allclose(vals[:, j], direct, rtol=1e-14, atol=1e-14)
+    for d in (1, 2, 3):
+        real = rng.standard_normal((11, d))
+        for pts in (real, real + 1j * rng.standard_normal((11, d))):
+            basis = monomial_basis(d, 3)
+            vals = eval_basis_many(basis, pts)
+            assert np.iscomplexobj(vals) == np.iscomplexobj(pts)
+            for j, alpha in enumerate(basis.indices):
+                direct = np.prod([pts[:, i] ** k for i, k in enumerate(alpha)], axis=0)
+                assert np.allclose(vals[:, j], direct, rtol=1e-14, atol=1e-14)
+
+
+def test_every_basis_carries_an_n_by_n_recurrence():
+    for basis, dtype in (
+        (basis_for_space(disk(), 3), np.complex128),
+        (basis_for_space(interval(), 3), np.float64),
+        (monomial_basis(2, 3), np.float64),
+    ):
+        assert basis.recurrence.shape == (basis.n, basis.n) and basis.recurrence.dtype == dtype
+    assert np.array_equal(monomial_basis(2, 3).recurrence, np.eye(10))
 
 
 def _check_against_qr(space, weight, s):
@@ -93,7 +106,7 @@ def test_arnoldi_complex_rows_are_the_qr_factor_of_the_weighted_vandermonde():
 
 
 def test_a_real_grid_basis_is_the_same_polynomials_at_complex_points():
-    # the recurrence is real; at complex points it runs as 2 x 2 blocks h I
+    # the recurrence is real; at complex points it runs in complex arithmetic
     basis, mono = basis_for_space(interval(grid=33), 4), monomial_basis(1, 4)
     x = np.linspace(-0.9, 0.9, 5)
     coef = np.linalg.solve(eval_basis_many(mono, x).real, eval_basis_many(basis, x))
@@ -171,3 +184,18 @@ def test_arnoldi_rank_counts_every_collapsed_column():
     assert rank == 3
     assert np.array_equal(np.flatnonzero(np.abs(rows).max(axis=0) == 0), [2, 4, 5])
     assert math.isfinite(basis.log_lead)
+
+
+@pytest.mark.parametrize("c", [1e300, 1e-300, 0.37])
+def test_a_constant_weight_scales_the_rows_out_and_log_lead_by_n_s_log_c(c):
+    # the rows are (w / max w)^s times the basis, so a constant weight leaves
+    # them and the recurrence as they are and moves only log_lead
+    grid, s = interval(grid=21).grid, 3
+    unit, rows, _ = arnoldi_basis(grid, np.ones(21), s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis, scaled, rank = arnoldi_basis(grid, np.full(21, c), s)
+    assert rank == 4 and basis.weight_scale == c
+    np.testing.assert_array_equal(scaled, rows)
+    np.testing.assert_array_equal(basis.recurrence, unit.recurrence)
+    assert basis.log_lead == pytest.approx(unit.log_lead - 4 * s * math.log(c), rel=1e-15)

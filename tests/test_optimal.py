@@ -22,6 +22,7 @@ from optdesign import (
     cube,
     custom_grid,
     d_optimal,
+    degree_sum,
     disk,
     eval_basis,
     eval_basis_many,
@@ -283,10 +284,37 @@ def test_orbit_compression_matches_the_per_point_solve(gauss_disk):
         assert flat.design.weights[flat_radii == r].sum() == pytest.approx(res.design.weights[radii == r].sum(), abs=1e-4)
 
 
-def test_pruning_every_weight_is_a_numerical_error():
-    # epsilon so large that the threshold epsilon / (10 m) exceeds every weight
-    with pytest.raises(FloatingPointError, match="pruning threshold"):
-        d_optimal(interval(grid=21), unit_weight(), 1, epsilon=1e3)
+@pytest.mark.parametrize("c", [1e100, 1e300, 1e-100])
+def test_huge_and_tiny_constant_weights_certify_with_log_det_shifted_by_2_n_s_log_c(c):
+    # the Arnoldi rows start from (w / max w)^s, so w^(2s) never has to be formed
+    space, s, n = interval(grid=21), 2, 3
+    base = d_optimal(space, unit_weight(), s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = d_optimal(space, table_weight(space.grid, np.full(21, c)), s)
+    assert res.converged and res.iterations == base.iterations
+    assert res.log_det == pytest.approx(base.log_det + 2 * n * s * math.log(c), rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [1e150, 1e160, 1e300])
+def test_a_huge_interval_certifies_with_log_det_shifted_by_2_m_s_log_a(a):
+    # column norms come from entries scaled by a power of two, so x^2 never overflows
+    base = d_optimal(interval(grid=11), unit_weight(), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = d_optimal(interval(a=a, grid=11), unit_weight(), 2)
+    assert res.converged and res.iterations == base.iterations
+    assert res.log_det == pytest.approx(base.log_det + 2 * degree_sum(1, 2) * math.log(a), rel=1e-14)
+
+
+def test_a_large_epsilon_still_returns_a_converged_design():
+    # epsilon / (10 m) would exceed every weight; the threshold is capped at
+    # 1 / (10 m), below the heaviest point's mass of at least 1 / m
+    for grid, s, epsilon in ((11, 2, 50.0), (21, 1, 1e3)):
+        res = d_optimal(interval(grid=grid), unit_weight(), s, epsilon=epsilon)
+        assert res.converged and res.design.size >= 1
+        assert res.design.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(res.design.weights >= 1.0 / (10.0 * grid))
 
 
 @pytest.mark.parametrize(

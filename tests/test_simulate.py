@@ -120,7 +120,7 @@ def test_theoretical_cov_is_real_on_a_real_design_and_matches_the_complex_path()
     assert stats.theoretical_cov.dtype == np.float64
     # the complex path: the observation Gram matrix assembled in complex dtype
     reps = np.repeat(np.arange(exp.design.size), stats.counts)
-    V = eval_basis_many(monomial_basis(1, exp.degree), exp.design.points[reps])
+    V = eval_basis_many(monomial_basis(1, exp.degree), exp.design.points[reps]).astype(complex)
     assert np.iscomplexobj(V)
     C = np.linalg.cholesky(V.conj().T @ V / exp.num_obs)
     L = np.linalg.inv(C)
