@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import PolyBasis, degree_sum, multi_indices, space_dimension
+from .basis import PolyBasis, arnoldi_basis, degree_sum, multi_indices, space_dimension
 from .equilibrium import EquilibriumMeasure, eq_cdf, eq_moment, eq_moment_mixed
 from .gram import moment_matrix
-from .measure import DesignSpace, DiscreteDesign, WeightFunction, basis_for_space
+from .measure import DesignSpace, DiscreteDesign, WeightFunction
 from .optimal import d_optimal
 
 _FD_STEP = 1e-4  # step of first_derivative_residual's centered difference
@@ -67,14 +67,14 @@ def f_of_t(
     ``u`` receives a scalar for one-dimensional spaces and a coordinate
     vector otherwise, and must return a finite real value.
     """
-    return _f(mu_s, weight, s, basis_for_space(space, s), _field_values(u, mu_s), t)
+    return _f(mu_s, weight, s, arnoldi_basis(space.grid, weight.values(space.grid), s)[0], _field_values(u, mu_s), t)
 
 
 def first_derivative_residual(
     space: DesignSpace, weight: WeightFunction, s: int, u: Callable, mu_s: DiscreteDesign
 ) -> float:
     """|centered difference of f_of_t at 0 - (d+1)/d * integral u d mu_s|."""
-    basis = basis_for_space(space, s)
+    basis = arnoldi_basis(space.grid, weight.values(space.grid), s)[0]
     u_vals = _field_values(u, mu_s)
     h = _FD_STEP
     fd = (_f(mu_s, weight, s, basis, u_vals, h) - _f(mu_s, weight, s, basis, u_vals, -h)) / (2.0 * h)
@@ -99,7 +99,7 @@ def concavity_probe(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 3:
         raise ValueError("concavity probe needs at least three t values")
-    basis = basis_for_space(space, s)
+    basis = arnoldi_basis(space.grid, weight.values(space.grid), s)[0]
     u_vals = _field_values(u, mu_s)
     fs = np.array([_f(mu_s, weight, s, basis, u_vals, t) for t in t_grid])
     second = fs[:-2] - 2.0 * fs[1:-1] + fs[2:]

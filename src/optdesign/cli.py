@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import SweepRow, convergence_sweep
-from .basis import monomial_basis, multi_indices, space_dimension
+from .basis import arnoldi_basis, monomial_basis, multi_indices, space_dimension
 from .equilibrium import (
     EquilibriumMeasure,
     arcsine,
@@ -46,7 +46,6 @@ from .fekete import TfdRow, approx_fekete, tfd_table
 from .gram import SingularGramError, christoffel, moment_matrix, orthonormal_factor
 from .measure import (
     ball,
-    basis_for_space,
     cube,
     design_from_json,
     design_to_json,
@@ -278,7 +277,7 @@ def _cmd_design(cfg: dict, out: Path) -> int:
         },
     )
     if not res.converged:
-        print("design did not converge within the iteration budget", file=sys.stderr)
+        print(f"design did not converge: KW gap {res.kw_gap:.3e} after {res.iterations} steps", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -311,7 +310,7 @@ def _cmd_gvalue(cfg: dict, out: Path) -> int:
         raise ValueError(f"design atom {i} at {at} lies outside the {space.kind} domain (a = {space.a:g})")
     weight = _make_weight(cfg)
     n = _require_atoms(design, weight, s)
-    basis = basis_for_space(space, s)
+    basis = arnoldi_basis(space.grid, weight.values(space.grid), s)[0]  # scaled to the weight, as the solver's
     mm = moment_matrix(design, weight, s, basis)
     ev = orthonormal_factor(mm, weight)
     gv = g_value(ev, space)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import PolyBasis, _matmul, _replay, arnoldi_basis, as_points
 
-_ATOM_TOL = 1e-12  # two atoms closer than this are considered identical
+_ATOM_TOL = 1e-12  # atoms closer than this times min(1, the largest coordinate modulus) coincide
 _SUM_TOL = 1e-9  # admissible drift of a weight vector's total mass
 
 
@@ -432,7 +432,8 @@ def make_design(points, weights) -> DiscreteDesign:
     """Validate and build a design from atoms and weights.
 
     Weights must be nonnegative and sum to 1 within 1e-9 (they are then
-    renormalized exactly); atoms must be pairwise distinct beyond 1e-12.
+    renormalized exactly); atoms must differ by more than 1e-12 min(1, s),
+    s the largest coordinate modulus, so a tiny domain keeps its atoms.
     """
     pts = _point_array(points)
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -445,7 +446,7 @@ def make_design(points, weights) -> DiscreteDesign:
     total = float(w.sum())
     if not abs(total - 1.0) < _SUM_TOL:  # also refuses NaN weights
         raise ValueError(f"design weights sum to {total!r}, not 1")
-    _require_distinct(pts, _ATOM_TOL, "atoms")
+    _require_distinct(pts, _ATOM_TOL * min(1.0, float(np.abs(pts).max())), "atoms")
     return DiscreteDesign(points=_freeze(pts.copy()), weights=_freeze(w / total))
 
 

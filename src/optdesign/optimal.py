@@ -15,17 +15,20 @@ near I / n and stays well conditioned; they are assembled and factored
 once per solve, and log det M gets 2 log |det A[picks]| back.
 
 Each step is an active-set Newton step on the masses over the simplex,
-with a backtracking line search on log det itself, so every accepted
-step raises it.  The search reads each trial in the iterate's
-orthonormal frame, one n x n Cholesky C C^H = I + E per trial, and the
-trial it accepts advances that frame by C.  The KKT system adds
-max(1e-12, 0.1 gap / n) of the largest diagonal of -H to -H, which is
-only semidefinite, so the step does not depend on rounding; away from
-the optimum the ridge damps the step along the det-flat directions of
-nearly collinear grid rows, and it fades as the gap closes (Li,
-Fukushima, Qi & Yamashita 2004).  A Newton step that cannot ascend is
-replaced by the Wynn-Fedorov vertex step toward the orbit with the
-largest K, which raises log det whenever the gap is positive.
+with a backtracking line search on log det itself.  The search reads
+each trial in the iterate's orthonormal frame, one n x n Cholesky
+C C^H = I + E per trial, and the trial it accepts advances that frame
+by C.  The KKT system adds rho = max(1e-12, 0.1 gap / n) times the
+largest diagonal of -H to -H, which is only semidefinite, so the
+bordered system [[-H + rho I, 1], [1^T, 0]] is nonsingular and its
+direction d (sum d = 0) ascends: (K - n) . d = d^T (-H + rho I) d > 0
+for d != 0.  Away from the optimum the ridge damps the step along the
+det-flat directions of nearly collinear grid rows; it fades as the gap
+closes (Li, Fukushima, Qi & Yamashita 2004).  A trial must raise log
+det, unless the change is below what log det resolves (from gap / n of
+about 1e-9): then it is kept if K still ascends along it or max K fell.
+Only rounding can leave no step to take; the solve then ends
+uncertified, as an exhausted step budget does.
 
 The certificate is the iterate's K over every orbit, none of which ever
 leaves the frame.  A certified iterate whose mass identity
@@ -67,6 +70,8 @@ _BACKTRACKS = 60  # rungs t = 1, 1/2, ... of the clipped-arc ladder; below the f
 _NEGLIGIBLE_MASS = 1e-12  # orbit masses at or below this count as zero in a Newton step
 _KKT_RIDGE = 1e-12  # least share of the largest diagonal of -H added to its diagonal in the KKT solve
 _GAP_RIDGE = 0.1  # the share grows to this times the relative KW gap gap / n away from the optimum
+_RESOLUTION = 64 * np.finfo(float).eps  # log det changes within this * max(|log det|, 1) are rounding
+_MAX_STEPS = 200  # default step cap; every measured solve certifies within 40 steps, at any epsilon
 _CERTIFIED_TOL = 1e-8  # a certified design's mass identity residual and negative gap stay within this * n
 
 
@@ -200,8 +205,9 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     its mass negative.  The step solves the KKT system of the quadratic
     model of log det on the free face under sum(mass) = 1.  The line
     search accepts the first step length whose log det rises, and by at
-    least _ARMIJO of the first-order gain K . (trial - mass).  It reads
-    each trial in the iterate's frame (``_frame``), and the trial it
+    least _ARMIJO of the first-order gain K . (trial - mass); below log
+    det's resolution, one along which K' still ascends or max K fell.  It
+    reads each trial in the iterate's frame (``_frame``), and the trial it
     accepts advances that frame (``_advance``).
     """
     K = it.K
@@ -227,7 +233,7 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     while True:
         try:
             sol = np.linalg.solve(kkt[np.ix_(idx, idx)], rhs[idx])[:-1]
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError:  # nonsingular in exact arithmetic: -H + ridge I > 0
             return None
         f = idx[:-1]
         held = (p[free[f]] == 0) & (sol < 0)
@@ -236,15 +242,14 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
         idx = np.append(f[~held], k)
     d = np.zeros_like(p)
     d[free[f]] = sol
-    ascent = float(K @ d)
+    ascent = float((K - n) @ d)  # = K . d, since sum(d) = 0, without summing n-sized terms to ~0
     if not (math.isfinite(ascent) and ascent > 0):
         return None
     shrink = np.flatnonzero(d < 0)
     ratios = p[shrink] / -d[shrink]
     t_max = min(1.0, float(ratios.min())) if shrink.size else 1.0
-    # halve from the full step clipped onto the simplex, which empties every
-    # orbit it overshoots at once, down to the first face, then step to that
-    # face exactly (ratio test); if none of these ascends, the vertex step does
+    # halve from the full step clipped onto the simplex, which empties every orbit
+    # it overshoots at once, down to the first face, then step to that face exactly
     arc = [0.5**j for j in range(_BACKTRACKS) if 0.5**j > t_max]
     trial = _frame(it, counts, (it.mass > 0) | (K > n))  # the free orbits and the shed ones
     for t in arc + [t_max]:
@@ -255,6 +260,10 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
         log_det, C = trial(q)
         if log_det > floor:
             return _advance(it, q, log_det, C, counts)
+        if abs(log_det - it.log_det) <= _RESOLUTION * max(abs(it.log_det), 1.0):  # judged by K instead
+            new = _advance(it, q, log_det, C, counts)
+            if float((new.K - n) @ (new.mass - p)) > 0 or new.K.max() < K.max():
+                return new
     return None
 
 
@@ -282,14 +291,14 @@ def d_optimal(
         falls below epsilon * n; must be positive and finite.  The
         returned design drops points lighter than min(epsilon, 1) / (10 m).
     max_iter
-        Step cap, at least 0; Newton and vertex steps both count.  The
-        default scales like 1 / (epsilon * n), the first-order rate of the
-        vertex step that stands in when Newton cannot ascend, so tighter
-        tolerances automatically get a larger budget.
+        Cap on the Newton steps taken, at least 0.  The default, 200, does
+        not depend on epsilon: every measured solve certifies within 40
+        steps, down to epsilon 1e-12.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if max_iter is not None and max_iter < 0:
+    max_iter = _MAX_STEPS if max_iter is None else max_iter
+    if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     # the rows in the Lagrange basis of the picked points: M starts near I / n
     # and stays well conditioned, since the optimum is near the Fekete
@@ -298,8 +307,6 @@ def d_optimal(
     n = basis.n
     grid = space.grid
     m = grid.shape[0]
-    if max_iter is None:
-        max_iter = min(1_000_000, 50 * m + math.ceil(4.0 / (epsilon * n)))
 
     orbits, counts = _symmetry_orbits(space, wvals)
     # one mass per orbit, one Gram row set per orbit; exact under the
@@ -314,17 +321,9 @@ def d_optimal(
         gap = float(it.K.max()) - n
         mass_resid = max(mass_resid, abs(float(it.mass @ it.K) - n))
         converged = gap <= epsilon * n
-        if converged or steps == max_iter:
-            break
+        if converged or steps == max_iter or (new := _newton_step(it, counts, n)) is None:
+            break  # certified, out of budget, or no Newton step to take
         steps += 1
-        new = _newton_step(it, counts, n)
-        if new is None:  # Wynn-Fedorov vertex step toward the orbit with the largest K
-            j = int(np.argmax(it.K))
-            a = (it.K[j] - n) / (n * (it.K[j] - 1.0))
-            q = it.mass.copy()
-            q[j] += a / (1.0 - a)  # q / sum q = (1 - a) mass + a e_j, and only orbit j moves
-            log_det, C = _frame(it, counts, np.arange(counts.size) == j)(q)  # I + E >= I has a factor
-            new = _advance(it, q, log_det, C, counts)
         mono_viol = max(mono_viol, it.log_det - new.log_det)
         it = new
 

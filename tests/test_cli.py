@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optdesign import ConditioningWarning, cube, design_from_json, design_to_json, disk, interval, make_design, table_weight
-from optdesign import weight_to_json
+from optdesign import unit_weight, weight_to_json
 from optdesign import asymptotics, cli, fekete, optimal
 from optdesign.cli import _build_parser, _make_space, _resolve_config, main
 
@@ -51,6 +51,16 @@ def test_design_exit_three_when_budget_too_small(tmp_path):
     assert rc == 3
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["results"]["converged"] is False
+
+
+def test_design_exit_three_when_no_newton_step_can_be_taken(tmp_path, capsys, monkeypatch):
+    # a stalled solve ends uncertified at its Fekete start, as an exhausted budget does
+    monkeypatch.setattr(optimal, "_newton_step", lambda *args: None)
+    rc, out = run(tmp_path, "design", "--degree", "12", "--epsilon", "1e-9")
+    assert rc == 3
+    assert "design did not converge" in capsys.readouterr().err
+    results = json.loads((out / "certificate.json").read_text())["results"]
+    assert results["converged"] is False and results["iterations"] == 0
 
 
 def test_design_exit_three_when_the_certificate_only_looks_valid(tmp_path, capsys, monkeypatch):
@@ -492,6 +502,30 @@ def test_atoms_without_weight_are_a_validation_error(tmp_path, capsys, command):
         "validation error: need at least 3 atoms for degree 2 (got 1 of 5 with positive mass and weight)\n"
     )
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("c", [1e100, 1e300, 1e-100])
+def test_gvalue_and_concavity_probe_ignore_a_huge_or_tiny_constant_weight(tmp_path, c):
+    # the one-shot Gram paths use the grid's Arnoldi basis under the weight, whose rows start from
+    # (w / max w)^s, so w^(2s) is never formed: unit weight's results, without a RuntimeWarning
+    space = interval(grid=21, spacing="chebyshev")
+    design = make_design(space.grid[[0, 5, 10, 15, 20]], np.full(5, 0.2))
+    dfile, wfile = tmp_path / "design.json", tmp_path / "weight.json"
+    dfile.write_text(design_to_json(design, degree=2))
+    weight = table_weight(space.grid, np.full(21, c))
+    wfile.write_text(weight_to_json(weight))
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w, args in ((unit_weight(), []), (weight, ["--weight", str(wfile)])):
+            rc, out = run(tmp_path, "gvalue", "--design", str(dfile), "--grid", "21", *args)
+            assert rc == 0
+            probe = asymptotics.concavity_probe(space, w, 2, lambda x: x * x, design, [-0.1, 0.0, 0.1])
+            results.append((json.loads((out / "gvalue.json").read_text())["results"]["g_value"], probe))
+    (unit_g, unit_probe), (g, probe) = results
+    assert g == pytest.approx(unit_g, rel=1e-12)
+    # f_of_t is near -n s log c / m_s here, and its second difference keeps a few eps of that
+    assert probe == pytest.approx(unit_probe, abs=1e-11)
 
 
 def test_rank_deficient_fekete_weight_is_a_validation_error(tmp_path, capsys):

@@ -307,6 +307,19 @@ def test_a_huge_interval_certifies_with_log_det_shifted_by_2_m_s_log_a(a):
     assert res.log_det == pytest.approx(base.log_det + 2 * degree_sum(1, 2) * math.log(a), rel=1e-14)
 
 
+@pytest.mark.parametrize("a", [1e-150, 1e-20, 1e-12, 1e-9, 1.0, 1e150])
+def test_a_tiny_or_huge_interval_returns_the_scaled_unit_design(a):
+    # atoms count as distinct beyond 1e-12 of the design's own scale, so
+    # grid points 1e-151 apart stay two atoms
+    res = d_optimal(interval(a=a, grid=11), unit_weight(), 2)
+    assert res.converged
+    assert np.allclose(res.design.points[:, 0].real / a, [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
+    assert np.allclose(res.design.weights, 1 / 3, rtol=0, atol=1e-12)
+    if a <= 1.0:  # atoms closer than 1e-12 of that scale still coincide
+        with pytest.raises(ValueError, match="atoms 0 and 1 coincide within"):
+            make_design(a * np.array([1.0, 1.0 - 1e-13]), [0.5, 0.5])
+
+
 def test_a_large_epsilon_still_returns_a_converged_design():
     # epsilon / (10 m) would exceed every weight; the threshold is capped at
     # 1 / (10 m), below the heaviest point's mass of at least 1 / m
@@ -333,26 +346,25 @@ def test_gaussian_intervals_certify_where_a_weight_blind_basis_lost_rank(a, grid
     assert res.mass_identity_residual <= 1e-13
 
 
-_VERTEX_CASES = {
+_STALLED_CASES = {
     "disk-s4": (disk(), gaussian_weight(), 4),
     "cube-s4": (cube(2, per_axis=33), unit_weight(), 4),
     "interval-s16": (interval(grid=401), unit_weight(), 16),
 }
 
 
-@pytest.mark.parametrize("space, weight, s", _VERTEX_CASES.values(), ids=_VERTEX_CASES.keys())
-def test_vertex_steps_alone_never_lower_log_det(monkeypatch, space, weight, s):
-    # with Newton off every step is the Wynn-Fedorov vertex step, which only
-    # scales the other masses down and so raises log det whenever the gap is
-    # positive
+@pytest.mark.parametrize("space, weight, s", _STALLED_CASES.values(), ids=_STALLED_CASES.keys())
+def test_a_newton_step_that_cannot_be_taken_ends_the_solve_uncertified(monkeypatch, space, weight, s):
+    # no other step stands in: the solve stops at the Fekete start, as an
+    # exhausted budget would, and counts no step it did not take
     start = d_optimal(space, weight, s, epsilon=1e-3, max_iter=0)
     monkeypatch.setattr(optimal, "_newton_step", lambda *args: None)
     res = d_optimal(space, weight, s, epsilon=1e-3)
     assert start.kw_gap > start.epsilon * start.n
-    assert res.converged and res.iterations > 0 and res.kw_gap < start.kw_gap
-    assert res.log_det > start.log_det
-    assert res.monotonicity_violation <= 1e-12
-    assert res.mass_identity_residual <= 1e-8 * res.n
+    assert not res.converged and res.iterations == 0
+    assert res.log_det == start.log_det and res.kw_gap == start.kw_gap
+    assert np.array_equal(res.design.points, start.design.points)
+    assert np.array_equal(res.design.weights, start.design.weights)
 
 
 def test_centerless_disk_orbits_solve_without_warnings(gauss_disk):
@@ -584,21 +596,44 @@ def test_orbits_that_are_not_symmetries_are_refused():
         d_optimal(space, unit_weight(), 6)
 
 
-def test_tight_simplex_solve_takes_vertex_steps_unaided(monkeypatch):
-    # below gap / n ~ 5e-9 no Newton trial gains what log det resolves, so
-    # the orbit solve finishes on Wynn-Fedorov vertex steps
-    newton, vertex = optimal._newton_step, []
+_TIGHT_CASES = {
+    "simplex-s6": (simplex(2), unit_weight(), 6),
+    "ball-s8": (ball(2), unit_weight(), 8),
+    "interval-s16": (interval(grid=401), unit_weight(), 16),
+    "cube-s4": (cube(2, per_axis=33), unit_weight(), 4),
+}
+
+
+@pytest.mark.parametrize("space, weight, s", _TIGHT_CASES.values(), ids=_TIGHT_CASES.keys())
+def test_tight_tolerances_certify_in_a_few_newton_steps(space, weight, s):
+    # below gap / n ~ 1e-9 a Newton step gains less than log det resolves;
+    # it is kept when K still ascends along it or max K fell (first-order
+    # vertex steps took 59, 143, 43 and 74 steps at epsilon 1e-12)
+    loose = d_optimal(space, weight, s, epsilon=1e-9)
+    tight = d_optimal(space, weight, s, epsilon=1e-12)
+    for res in (loose, tight):
+        assert res.converged and res.iterations <= 20
+        assert res.monotonicity_violation <= 1e-12
+        assert res.mass_identity_residual <= 1e-8 * res.n
+    assert tight.log_det == pytest.approx(loose.log_det, abs=1e-12)
+
+
+@pytest.mark.parametrize("space, weight, s", [c[1:] for c in _START_CASES], ids=[c[0] for c in _START_CASES])
+def test_newton_finishes_every_start_case_at_any_tolerance(monkeypatch, space, weight, s):
+    # every Newton step the solve asks for is taken, down to epsilon 1e-12
+    newton, stalled = optimal._newton_step, []
 
     def spy(*args):
         new = newton(*args)
-        vertex.append(new is None)
+        stalled.append(new is None)
         return new
 
     monkeypatch.setattr(optimal, "_newton_step", spy)
-    res = d_optimal(simplex(2), unit_weight(), 6, epsilon=1e-9)
-    assert res.converged and any(vertex)
-    assert res.monotonicity_violation <= 1e-12
-    assert res.mass_identity_residual <= 1e-8 * res.n
+    for epsilon, steps in ((1e-5, 30), (1e-12, 50)):
+        res = d_optimal(space, weight, s, epsilon=epsilon)
+        assert res.converged and res.iterations <= steps
+        assert res.monotonicity_violation <= 1e-12
+    assert not any(stalled)
 
 
 def test_gaussian_weight_on_the_simplex_falls_back_to_single_points():
