@@ -3,7 +3,8 @@
 ``f_of_t`` freezes an optimal design mu_s and perturbs the weight along
 an external field u, w_t = w * exp(-t * u); the map
 t -> -log det M(mu_s, w_t) / (2 m_s) is concave with derivative
-(d+1)/d * integral of u against mu_s at t = 0.  ``convergence_sweep``
+(d+1)/d * integral of u against mu_s at t = 0; its probes evaluate the
+atoms once and factor once per t.  ``convergence_sweep``
 quantifies weak-* convergence of optimal designs toward the equilibrium
 measure through moment and Kolmogorov distances.
 """
@@ -16,10 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import PolyBasis, arnoldi_basis, degree_sum, multi_indices, space_dimension
+from .basis import arnoldi_basis, degree_sum, multi_indices, space_dimension
 from .equilibrium import EquilibriumMeasure, eq_cdf, eq_moment, eq_moment_mixed
-from .gram import moment_matrix
-from .measure import DesignSpace, DiscreteDesign, WeightFunction
+from .gram import _moment_rows
+from .measure import DesignSpace, DiscreteDesign, WeightFunction, weighted_rows
 from .optimal import d_optimal
 
 _FD_STEP = 1e-4  # step of first_derivative_residual's centered difference
@@ -34,62 +35,56 @@ def _field_values(u: Callable, mu_s: DiscreteDesign) -> np.ndarray:
     return vals
 
 
-def _f(mu_s: DiscreteDesign, weight: WeightFunction, s: int, basis: PolyBasis, u_vals: np.ndarray, t: float) -> float:
-    """f_of_t from the field's values at the atoms.
+def _f_map(space: DesignSpace, weight: WeightFunction, s: int, u: Callable, mu_s: DiscreteDesign):
+    """(t -> f_of_t, the field's values at the atoms), the grid basis and the atoms' rows evaluated once.
 
     w_t^(2s) = w^(2s) exp(-2 s t u), so M(mu, w_t) = Z M(nu, w) with the
     design nu = mu exp(-2 s t u) / Z: log det M(mu, w_t) is the unperturbed
     log det at the masses nu plus n log Z.  The masses are scaled from the
     largest log-mass down, so no exponential overflows.
     """
+    u_vals = _field_values(u, mu_s)
+    basis = arnoldi_basis(space.grid, weight.values(space.grid), s)[0]
+    A = weighted_rows(basis, mu_s.points, weight.values(mu_s.points))
     with np.errstate(divide="ignore"):  # a massless atom has log-mass -inf
-        log_mass = np.log(mu_s.weights) - 2.0 * s * t * u_vals
-    top = float(log_mass.max())
-    mass = np.exp(log_mass - top)
-    total = float(mass.sum())
-    mm = moment_matrix(DiscreteDesign(mu_s.points, mass / total), weight, s, basis)
-    if not math.isfinite(mm.log_det):
-        raise ArithmeticError(f"perturbed moment matrix is singular at t={t}")
-    log_det = mm.log_det_monomial + basis.n * (top + math.log(total))
-    return -log_det / (2.0 * degree_sum(mu_s.dimension, s))
+        log_mu = np.log(mu_s.weights)
+
+    def f(t: float) -> float:
+        log_mass = log_mu - 2.0 * s * t * u_vals
+        top = float(log_mass.max())
+        mass = np.exp(log_mass - top)
+        total = float(mass.sum())
+        mm = _moment_rows(A, mass / total, basis)
+        if not math.isfinite(mm.log_det):
+            raise ArithmeticError(f"perturbed moment matrix is singular at t={t}")
+        log_det = mm.log_det_monomial + basis.n * (top + math.log(total))
+        return -log_det / (2.0 * degree_sum(mu_s.dimension, s))
+
+    return f, u_vals
 
 
-def f_of_t(
-    space: DesignSpace,
-    weight: WeightFunction,
-    s: int,
-    u: Callable,
-    t: float,
-    mu_s: DiscreteDesign,
-) -> float:
+def f_of_t(space: DesignSpace, weight: WeightFunction, s: int, u: Callable, t: float, mu_s: DiscreteDesign) -> float:
     """-log det M(mu_s, w * exp(-t u)) / (2 m_s), monomial normalization.
 
     ``u`` receives a scalar for one-dimensional spaces and a coordinate
     vector otherwise, and must return a finite real value.
     """
-    return _f(mu_s, weight, s, arnoldi_basis(space.grid, weight.values(space.grid), s)[0], _field_values(u, mu_s), t)
+    return _f_map(space, weight, s, u, mu_s)[0](t)
 
 
 def first_derivative_residual(
     space: DesignSpace, weight: WeightFunction, s: int, u: Callable, mu_s: DiscreteDesign
 ) -> float:
     """|centered difference of f_of_t at 0 - (d+1)/d * integral u d mu_s|."""
-    basis = arnoldi_basis(space.grid, weight.values(space.grid), s)[0]
-    u_vals = _field_values(u, mu_s)
-    h = _FD_STEP
-    fd = (_f(mu_s, weight, s, basis, u_vals, h) - _f(mu_s, weight, s, basis, u_vals, -h)) / (2.0 * h)
+    f, u_vals = _f_map(space, weight, s, u, mu_s)
+    fd = (f(_FD_STEP) - f(-_FD_STEP)) / (2.0 * _FD_STEP)
     d = space.dimension
     exact = (d + 1) / d * float(mu_s.weights @ u_vals)
     return abs(fd - exact)
 
 
 def concavity_probe(
-    space: DesignSpace,
-    weight: WeightFunction,
-    s: int,
-    u: Callable,
-    mu_s: DiscreteDesign,
-    t_grid,
+    space: DesignSpace, weight: WeightFunction, s: int, u: Callable, mu_s: DiscreteDesign, t_grid
 ) -> float:
     """Largest centered second difference of f_of_t over the grid interior.
 
@@ -99,9 +94,8 @@ def concavity_probe(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 3:
         raise ValueError("concavity probe needs at least three t values")
-    basis = arnoldi_basis(space.grid, weight.values(space.grid), s)[0]
-    u_vals = _field_values(u, mu_s)
-    fs = np.array([_f(mu_s, weight, s, basis, u_vals, t) for t in t_grid])
+    f = _f_map(space, weight, s, u, mu_s)[0]
+    fs = np.array([f(t) for t in t_grid])
     second = fs[:-2] - 2.0 * fs[1:-1] + fs[2:]
     return float(second.max())
 

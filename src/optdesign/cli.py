@@ -43,7 +43,7 @@ from .equilibrium import (
     weighted_ball_measure,
 )
 from .fekete import TfdRow, approx_fekete, tfd_table
-from .gram import SingularGramError, christoffel, moment_matrix, orthonormal_factor
+from .gram import SingularGramError, _christoffel_rows, _moment_rows, christoffel_many, orthonormal_factor
 from .measure import (
     ball,
     cube,
@@ -54,10 +54,12 @@ from .measure import (
     interval,
     make_design,
     simplex,
+    table_weight,
     unit_weight,
     weight_from_json,
+    weighted_rows,
 )
-from .optimal import d_optimal, g_value, vdm_integral_christoffel, vdm_integral_det
+from .optimal import _grid_max, d_optimal, vdm_integral_christoffel, vdm_integral_det
 from .simulate import RegressionExperiment, _check_settings, simulate_regression
 
 EXIT_OK = 0
@@ -288,10 +290,10 @@ def _load_design(cfg: dict):
     return design, cfg["degree"] if cfg["degree"] is not None else file_degree
 
 
-def _require_atoms(design, weight, s: int) -> int:
-    """n, once n atoms carry positive mass and weight: with fewer the moment matrix is singular, a bad input."""
+def _require_atoms(design, wvals: np.ndarray, s: int) -> int:
+    """n, once n atoms carry positive mass and weight (``wvals``): with fewer M is singular, a bad input."""
     n = space_dimension(design.dimension, s)
-    live = int(np.count_nonzero((design.weights > 0) & (weight.values(design.points) > 0)))
+    live = int(np.count_nonzero((design.weights > 0) & (wvals > 0)))
     if live < n:
         got = "" if live == design.size else f" (got {live} of {design.size} with positive mass and weight)"
         raise ValueError(f"need at least {n} atoms for degree {s}{got}")
@@ -309,11 +311,11 @@ def _cmd_gvalue(cfg: dict, out: Path) -> int:
         at = np.real_if_close(design.points[i]).tolist()
         raise ValueError(f"design atom {i} at {at} lies outside the {space.kind} domain (a = {space.a:g})")
     weight = _make_weight(cfg)
-    n = _require_atoms(design, weight, s)
-    basis = arnoldi_basis(space.grid, weight.values(space.grid), s)[0]  # scaled to the weight, as the solver's
-    mm = moment_matrix(design, weight, s, basis)
-    ev = orthonormal_factor(mm, weight)
-    gv = g_value(ev, space)
+    wvals = weight.values(design.points)
+    n = _require_atoms(design, wvals, s)
+    basis, grid_rows, _ = arnoldi_basis(space.grid, weight.values(space.grid), s)  # the solver's basis and rows
+    ev = orthonormal_factor(_moment_rows(weighted_rows(basis, design.points, wvals), design.weights, basis), weight)
+    gv = _grid_max(_christoffel_rows(grid_rows, ev.L), space.grid)
     _write_json(
         out,
         "gvalue",
@@ -441,18 +443,25 @@ def _cmd_oracle(cfg: dict, out: Path) -> int:
     pts = space.grid[idx]
     w = np.arange(1.0, idx.size + 1)
     design = make_design(pts, w / w.sum())
-    _require_atoms(design, weight, s)
+    wvals = weight.values(design.points)
+    n = _require_atoms(design, wvals, s)
+    # w / c leaves K as it is and scales each determinant by c^(-2sn): where w^(2sn) would leave the
+    # float range, both sides run on a table divided by an exact power of two c (as basis._norm does)
+    scale = 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        if weight.kind == "table" and not 1e-250 < np.max(wvals) ** (2.0 * s * n) < math.inf:
+            scale = math.ldexp(1.0, math.frexp(float(np.max(wvals)))[1])
+            weight, wvals = table_weight(weight.table_points, weight.table_values / scale), wvals / scale
     basis = monomial_basis(space.dimension, s)
-    mm = moment_matrix(design, weight, s, basis)
+    mm = _moment_rows(weighted_rows(basis, design.points, wvals), design.weights, basis)
     det_main = math.exp(mm.log_det_monomial) if math.isfinite(mm.log_det_monomial) else 0.0
     det_oracle = vdm_integral_det(design, weight, s)
     rel_det = abs(det_main - det_oracle) / abs(det_oracle) if det_oracle else math.inf
     ev = orthonormal_factor(mm, weight)
     rows = []
     worst = rel_det
-    probe = list(design.points[: min(3, design.size)]) + [space.grid[space.grid_size // 2]]
-    for z in probe:
-        k_main = christoffel(ev, z)
+    probe = np.concatenate([design.points[:3], space.grid[[space.grid_size // 2]]])
+    for z, k_main in zip(probe, christoffel_many(ev, probe)):
         k_oracle = vdm_integral_christoffel(design, weight, s, z)
         rel = abs(k_main - k_oracle) / abs(k_oracle) if k_oracle else abs(k_main)
         worst = max(worst, rel)
@@ -466,6 +475,7 @@ def _cmd_oracle(cfg: dict, out: Path) -> int:
             "degree": s,
             "det_main": det_main,
             "det_oracle": det_oracle,
+            "weight_divisor": scale,  # both determinants are those of the weight divided by it
             "rel_err_det": rel_det,
             "christoffel": rows,
             "max_rel_err": worst,

@@ -5,8 +5,8 @@ For a design mu and weight w, the degree-s moment matrix has entries
     M[i, j] = sum_k mu_k * conj(p_i(x_k)) * p_j(x_k) * w(x_k)**(2*s),
 
 the Gram matrix of the basis in the weighted inner product.  Every moment
-matrix is factored in the Lagrange basis of n picked rows (A inv(A[picks]),
-then ``_factor``), where it is well conditioned.  The inverse factor
+matrix is factored from the weighted rows A its caller holds, in the Lagrange
+basis of n picked rows (A inv(A[picks]), then ``_factor``).  The inverse factor
 turns the basis into an orthonormal family, and the Christoffel function
 
     K(z) = w(z)**(2*s) * p(z)^T inv(M) conj(p(z)) = sum_j |q_j(z)|^2 * w(z)**(2*s)
@@ -172,24 +172,15 @@ def _orbit_rows(A: np.ndarray, orbits: np.ndarray, counts: np.ndarray):
     return np.concatenate([A[small], blocks.reshape(-1, n)]), np.concatenate([orbits[small], np.repeat(big, n)])
 
 
-def moment_matrix(
-    design: DiscreteDesign,
-    weight: WeightFunction,
-    s: int,
-    basis: PolyBasis,
-) -> MomentMatrix:
-    """Assemble the degree-s weighted moment matrix of a design, and factor it.
+def _moment_rows(A: np.ndarray, mass: np.ndarray, basis: PolyBasis) -> MomentMatrix:
+    """The moment matrix of the weighted rows A (see ``weighted_rows``) under ``mass``, factored.
 
-    The matrix is Hermitian by construction (symmetrized to kill roundoff)
-    and positive semidefinite up to rounding.  The factor is taken on the
-    rows S = sqrt(mu) A: n of them picked greedily, the rows moved to
-    those points' Lagrange basis and factored there, so log det and L
-    carry the conditioning of S[picks], not that of M = S^H S.
+    The factor is taken on the rows S = sqrt(mass) A: n of them picked
+    greedily, the rows moved to those points' Lagrange basis and factored
+    there, so log det and L carry the conditioning of S[picks], not that
+    of M = S^H S.
     """
-    if (basis.dimension, basis.degree) != (design.dimension, s):
-        raise ValueError("basis and design dimensions, or basis and moment degrees, differ")
-    A = weighted_rows(basis, design.points, weight.values(design.points))
-    S = np.sqrt(design.weights)[:, None] * A
+    S = np.sqrt(mass)[:, None] * A
     picks = _greedy_rows(S)
     L, log_det, pivot = None, -math.inf, len(picks) + 1
     if len(picks) == basis.n:
@@ -197,8 +188,18 @@ def moment_matrix(
         L, log_det, pivot = _factor(_matmul(S, T), 1.0)
         log_det += 2.0 * float(np.linalg.slogdet(S[picks])[1])
         L = None if L is None else _matmul(L, T.conj().T)  # back in the basis of A
-    M = _assemble(A, design.weights)
-    return MomentMatrix(matrix=M, basis=basis, log_det=log_det, L=L, pivot=pivot)
+    return MomentMatrix(matrix=_assemble(A, mass), basis=basis, log_det=log_det, L=L, pivot=pivot)
+
+
+def moment_matrix(design: DiscreteDesign, weight: WeightFunction, s: int, basis: PolyBasis) -> MomentMatrix:
+    """The degree-s weighted moment matrix of a design, factored by ``_moment_rows`` on its weighted rows.
+
+    The matrix is Hermitian by construction (symmetrized to kill roundoff)
+    and positive semidefinite up to rounding.
+    """
+    if (basis.dimension, basis.degree) != (design.dimension, s):
+        raise ValueError("basis and design dimensions, or basis and moment degrees, differ")
+    return _moment_rows(weighted_rows(basis, design.points, weight.values(design.points)), design.weights, basis)
 
 
 @dataclass(frozen=True)

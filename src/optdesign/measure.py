@@ -309,7 +309,7 @@ def disk(a: float = 1.0, radial: int = 24, angular: int = 80, spacing: str = "ch
 
 
 def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = None) -> DesignSpace:
-    """Wrap an explicit point set as a design space; repeated points are refused.
+    """Wrap an explicit point set as a design space; points closer than ``make_design`` allows atoms are refused.
 
     ``membership`` maps an (m, d) point array to m booleans; by default
     every point belongs.  ``a`` is the largest coordinate modulus of the
@@ -318,7 +318,7 @@ def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = 
     pts = _point_array(points)
     if pts.size == 0:
         raise ValueError("a custom grid needs at least one point with at least one coordinate")
-    _require_distinct(pts, 0.0, "grid points")
+    _require_distinct(pts, _ATOM_TOL * min(1.0, float(np.abs(pts).max())), "grid points")
     member = membership if membership is not None else (lambda p: np.ones(len(p), dtype=bool))
     return DesignSpace("custom", pts.shape[1], float(np.max(np.abs(pts))), _freeze(pts.copy()), member)
 

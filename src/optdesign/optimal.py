@@ -374,11 +374,15 @@ class GValue(NamedTuple):
     index: int
 
 
+def _grid_max(K: np.ndarray, grid: np.ndarray) -> GValue:
+    """max K, at the lowest index within a relative 1e-12 of it: rounding never picks between symmetric points."""
+    idx = int(np.argmax(K >= (1.0 - 1e-12) * K.max()))
+    return GValue(float(K.max()), grid[idx].copy(), idx)
+
+
 def g_value(ev: ChristoffelEvaluator, space: DesignSpace) -> GValue:
     """Maximum of the Christoffel function over the grid (ties: lowest index)."""
-    K = christoffel_many(ev, space.grid)
-    idx = int(np.argmax(K))
-    return GValue(float(K[idx]), space.grid[idx].copy(), idx)
+    return _grid_max(christoffel_many(ev, space.grid), space.grid)
 
 
 def _oracle_guard(count: float) -> None:

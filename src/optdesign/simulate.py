@@ -5,13 +5,14 @@ fits the degree-s polynomial by least squares, and repeats over
 independent trials.  The empirical covariance of the coefficient
 estimates should match sigma^2 (V* V)^{-1}, and the per-point prediction
 variance should match (sigma^2 / m) K(z) with K the Christoffel function
-of the realized (apportioned) design.  Least squares on an atom observed
-c times sees that atom's noise only through its sum, which for i.i.d.
-N(0, sigma^2) noise (complex: (N + iN)/sqrt(2)) is exactly sqrt(c) sigma
-times one standard normal; each trial therefore draws one normal per
-observed atom, not one per observation, and the estimates keep their
-distribution.  All trials come from one counter-based generator keyed by
-(seed, 0), so one seed reproduces an experiment bit for bit.
+of the realized (apportioned) design, which must observe at least n
+atoms.  Least squares on an atom observed c times sees that atom's noise
+only through its sum, which for i.i.d. N(0, sigma^2) noise (complex:
+(N + iN)/sqrt(2)) is exactly sqrt(c) sigma times one standard normal;
+each trial therefore draws one normal per observed atom, not one per
+observation, and the estimates keep their distribution.  All trials come
+from one counter-based generator keyed by (seed, 0), so one seed
+reproduces an experiment bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import eval_basis_many, monomial_basis, space_dimension
-from .gram import christoffel_many, moment_matrix, orthonormal_factor
+from .gram import _christoffel_rows, moment_matrix, orthonormal_factor
 from .measure import DiscreteDesign, _matmul, _point_array, make_design, unit_weight
 
 
@@ -138,8 +139,10 @@ def _run(exp: RegressionExperiment, points: np.ndarray):
     apportioned design's moment matrix and K evaluator, and the prediction
     rows at ``points`` (k, d)."""
     counts = apportion(exp.design.weights, exp.num_obs)
-    theta_hats = _trial_estimates(exp, counts)
     pos = counts > 0
+    if (k := int(pos.sum())) < exp.theta.size:  # least squares on fewer atoms has no unique fit
+        raise ValueError(f"need at least {exp.theta.size} observed atoms for degree {exp.degree}, got {k}")
+    theta_hats = _trial_estimates(exp, counts)
     mu_x = make_design(exp.design.points[pos], counts[pos] / counts.sum())
     basis = monomial_basis(exp.design.dimension, exp.degree)
     mm = moment_matrix(mu_x, unit_weight(), exp.degree, basis)
@@ -149,7 +152,7 @@ def _run(exp: RegressionExperiment, points: np.ndarray):
     vals = np.ascontiguousarray(_matmul(theta_hats, P.T).T)
     vals -= vals.mean(axis=1)[:, None]
     emp = np.sum((vals * vals.conj()).real, axis=1) / max(exp.trials - 1, 1)
-    theo = exp.sigma**2 / exp.num_obs * christoffel_many(ev, points)
+    theo = exp.sigma**2 / exp.num_obs * _christoffel_rows(P, ev.L)  # unit weight: P are the weighted rows
     rows = tuple(
         PredictionRow(point=z, empirical_var=float(e), theoretical_var=float(t)) for z, e, t in zip(points, emp, theo)
     )

@@ -26,7 +26,7 @@ from optdesign import (
     unit_weight,
     weighted_ball_measure,
 )
-from optdesign import asymptotics
+from optdesign import asymptotics, gram, measure
 
 SPACE = interval(a=1.0, grid=401, spacing="chebyshev")
 
@@ -144,6 +144,23 @@ def test_concavity_on_exact_design():
         SPACE, unit_weight(), 2, lambda z: np.real(z) ** 2, design, np.linspace(-1, 1, 9)
     )
     assert worst <= 1e-10
+
+
+def test_concavity_probe_evaluates_the_atoms_once(monkeypatch):
+    # the benchmark's probe: nine t values share one evaluation of the atoms' rows and weight,
+    # and factor once each
+    design = make_design([-1.0, 0.0, 1.0], np.full(3, 1 / 3))
+    u = lambda z: np.real(z) ** 2
+    t_grid = np.linspace(-1, 1, 9)
+    f = np.array([f_of_t(SPACE, unit_weight(), 2, u, t, design) for t in t_grid])
+    calls = {"values": [], "_replay": [], "_factor": []}
+    for owner, name in ((measure.WeightFunction, "values"), (measure, "_replay"), (gram, "_factor")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, log=calls[name]: log.append(args) or real(*args))
+    worst = concavity_probe(SPACE, unit_weight(), 2, u, design, t_grid)
+    atoms = [args for args in calls["values"] if len(args[1]) == design.size]
+    assert len(atoms) == 1 and len(calls["_replay"]) == 1 and len(calls["_factor"]) == 9
+    assert worst == max(f[:-2] - 2 * f[1:-1] + f[2:])  # the same values as one f_of_t per t
 
 
 def test_concavity_probe_needs_three_points():

@@ -162,6 +162,22 @@ def test_as_points_coercions_and_errors():
         as_points(np.zeros((4, 3)), 2)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: as_points([1.0, 2.0, 3.0], 2), ValueError, "point of length 3 in dimension 2"),
+        (lambda: as_points(np.zeros((2, 2, 2)), 2), ValueError, "cannot interpret array of shape (2, 2, 2) as points"),
+        (lambda: space_dimension(60, 60), OverflowError, "basis size C(120,60) exceeds the integer range"),
+    ],
+)
+def test_bad_points_and_sizes_are_refused_by_name(call, error, message):
+    # no CLI input reaches these: the CLI builds a grid of d coordinates, and a size past 2^62 would
+    # first need a grid or a degree table far beyond memory
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_high_degree_warns_but_still_builds():
     with pytest.warns(ConditioningWarning):
         basis = monomial_basis(1, 25)

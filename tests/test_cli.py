@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optdesign import ConditioningWarning, cube, design_from_json, design_to_json, disk, interval, make_design, table_weight
-from optdesign import unit_weight, weight_to_json
-from optdesign import asymptotics, cli, fekete, optimal
+from optdesign import arnoldi_basis, g_value, gaussian_weight, moment_matrix, orthonormal_factor, unit_weight, weight_to_json
+from optdesign import asymptotics, cli, fekete, gram, measure, optimal
 from optdesign.cli import _build_parser, _make_space, _resolve_config, main
 
 
@@ -837,3 +837,104 @@ def test_small_runs_exit_cleanly_and_write_strict_json(case):
             assert err.count("\n") == 1 and err.endswith("\n")
         for path in (tmp / "out").glob("*.json"):
             json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def _spy(monkeypatch, owner, name, log):
+    """Replace owner.name by a wrapper that appends each call's first point-set size (or None) to log."""
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        sizes = [len(a) for a in args if isinstance(a, np.ndarray) and a.ndim == 2]
+        log.append(sizes[0] if sizes else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("kind", ["table", "gaussian"])
+def test_gvalue_evaluates_each_point_set_once(tmp_path, monkeypatch, kind):
+    # the benchmark's disk cases, equal masses on every grid point at degree 8: one weight lookup
+    # per point set, and K on the grid read from the Arnoldi rows that built the basis, not from a
+    # second evaluation.  Under the Gaussian weight K is constant on each ring of 80 points, so
+    # these K and g_value's (from replayed rows) differ by rounding only, and both name the first
+    # point of the ring where K peaks
+    space = disk()
+    m = space.grid_size
+    design = make_design(space.grid, np.full(m, 1 / m))
+    dfile, wfile = tmp_path / "design.json", tmp_path / "weight.json"
+    dfile.write_text(design_to_json(design, degree=8))
+    weight = gaussian_weight()
+    if kind == "table":
+        weight = table_weight(space.grid, np.random.default_rng(0).uniform(0.5, 1.5, size=m))
+        wfile.write_text(weight_to_json(weight))
+    lookups, arnoldi, replays = [], [], []
+    _spy(monkeypatch, measure.WeightFunction, "_lookup", lookups)
+    _spy(monkeypatch, cli, "arnoldi_basis", arnoldi)
+    _spy(monkeypatch, measure, "_replay", replays)  # every weighted_rows evaluation
+    rc, out = run(tmp_path, "gvalue", "--domain", "disk", "--grid", "24", "--grid-angular", "80",
+                  "--weight", str(wfile) if kind == "table" else kind, "--design", str(dfile))
+    assert rc == 0
+    assert len(arnoldi) == 1 and len(replays) == 1  # the grid's rows, then the atoms' rows
+    assert len(lookups) == (2 if kind == "table" else 0)
+    monkeypatch.undo()
+    basis = arnoldi_basis(space.grid, weight.values(space.grid), 8)[0]
+    gv = g_value(orthonormal_factor(moment_matrix(design, weight, 8, basis), weight), space)
+    results = json.loads((out / "gvalue.json").read_text())["results"]
+    assert results["g_value"] == pytest.approx(gv.value, rel=1e-12) and results["grid_index"] == gv.index
+    if kind == "gaussian":
+        assert (gv.index - 1) % 80 == 0
+
+
+def test_oracle_reads_k_at_its_probe_points_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    _spy(monkeypatch, gram, "_christoffel_rows", calls)
+    rc, out = run(tmp_path, "oracle", "--domain", "disk", "--grid", "24", "--grid-angular", "80",
+                  "--degree", "4", "--atoms", "8")
+    assert rc == 0 and calls == [4]  # three atoms and the middle grid point
+    results = json.loads((out / "oracle.json").read_text())["results"]
+    assert results["passed"] is True and len(results["christoffel"]) == 4
+
+
+@pytest.mark.parametrize("c", [1e100, 1e-100, 1e300])
+def test_oracle_divides_a_huge_or_tiny_table_by_a_power_of_two(tmp_path, c):
+    # w^(2sn) overflowed (1e100, 1e300) or underflowed (1e-100): the run warned and exited 3
+    grid = interval(grid=21).grid
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (1.0, c):
+            wfile = tmp_path / f"weight{value}.json"
+            wfile.write_text(weight_to_json(table_weight(grid, np.full(21, value))))
+            rc, out = run(tmp_path, "oracle", "--grid", "21", "--weight", str(wfile), "--degree", "2", "--atoms", "5")
+            assert rc == 0
+            results.append(json.loads((out / "oracle.json").read_text())["results"])
+    unit, scaled = results
+    assert unit["weight_divisor"] == 1.0 and scaled["passed"] is True
+    divisor = scaled["weight_divisor"]
+    assert math.frexp(divisor)[0] == 0.5 and 0.5 <= c / divisor < 1.0  # an exact power of two
+    # K does not see the scale; each determinant is unit weight's times (c / divisor)^(2 s n)
+    for k_unit, k_scaled in zip(unit["christoffel"], scaled["christoffel"]):
+        assert k_scaled["christoffel"] == pytest.approx(k_unit["christoffel"], rel=1e-12)
+    assert math.log(scaled["det_main"]) == pytest.approx(math.log(unit["det_main"]) + 12 * math.log(c / divisor))
+
+
+@pytest.mark.parametrize("weight", ["unit", "gaussian"])
+def test_oracle_keeps_unit_and_gaussian_weights_as_they_are(tmp_path, weight):
+    rc, out = run(tmp_path, "oracle", "--grid", "51", "--weight", weight, "--degree", "3", "--atoms", "7")
+    assert rc == 0
+    results = json.loads((out / "oracle.json").read_text())["results"]
+    assert results["weight_divisor"] == 1.0 and results["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "atoms, weights, got",
+    [([-1.0, 1.0], [0.5, 0.5], 2), ([-1.0, 0.0, 1.0], [0.98, 0.01, 0.01], 1)],
+)
+def test_simulate_refuses_fewer_observed_atoms_than_coefficients(tmp_path, capsys, atoms, weights, got):
+    # at 10 observations the second design's apportioned counts are [10, 0, 0]
+    dfile = tmp_path / "design.json"
+    dfile.write_text(design_to_json(make_design(atoms, weights), degree=2))
+    rc, out = run(tmp_path, "simulate", "--design", str(dfile), "--obs", "10", "--trials", "10")
+    assert rc == 2
+    assert capsys.readouterr().err == f"validation error: need at least 3 observed atoms for degree 2, got {got}\n"
+    assert not any(out.iterdir())

@@ -155,6 +155,28 @@ def test_moment_argument_validation():
         arcsine(a=-1.0)
 
 
+@pytest.mark.parametrize(
+    "target, dimension, a, message",
+    [
+        ("cube", "0", "1", "cube needs dimension >= 1 and a > 0"),
+        ("cube", "2", "0", "cube needs dimension >= 1 and a > 0"),
+        ("ball", "0", "1", "ball needs dimension >= 1 and a > 0"),
+        ("ball", "2", "0", "ball needs dimension >= 1 and a > 0"),
+        ("simplex", "0", "1", "simplex needs dimension >= 1 and a > 0"),
+        ("simplex", "2", "0", "simplex needs dimension >= 1 and a > 0"),
+        ("wball", "0", "1", "dimension must be >= 1"),
+    ],
+)
+def test_bad_target_dimension_or_radius_is_refused_by_name(tmp_path, capsys, target, dimension, a, message):
+    from optdesign.cli import main
+
+    out = tmp_path / "out"
+    argv = ["equilibrium", "--target", target, "--dimension", dimension, "--a", a, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not any(out.iterdir())
+
+
 def _gamma_ratio(num, den):
     """prod Gamma(num) / prod Gamma(den), through log-gamma."""
     return math.exp(sum(map(math.lgamma, num)) - sum(map(math.lgamma, den)))

@@ -29,6 +29,7 @@ from optdesign import (
     weight_to_json,
 )
 from optdesign import measure
+from optdesign.cli import main
 from optdesign.measure import DiscreteDesign
 
 
@@ -222,6 +223,48 @@ def test_custom_grid_rejects_repeated_points():
         custom_grid([0, 0, 1])
     with pytest.raises(ValueError, match="grid points 1 and 2 coincide"):
         custom_grid([[0.0, 1.0], [1.0, 0.5j], [1.0, 0.5j]])
+
+
+def test_custom_grid_refuses_points_that_would_be_one_atom():
+    # 1e-18 sat 1e-18 from the node 0 of 21 Chebyshev-Lobatto nodes: the grid was accepted and
+    # the solve failed at its end, when make_design found the two atoms coincident
+    with pytest.raises(ValueError, match="^grid points 10 and 21 coincide within 1e-12$"):
+        custom_grid(np.r_[np.cos(np.pi * np.arange(21) / 20), 1e-18])
+    assert custom_grid([0.0, 1e-18]).grid_size == 2  # the tolerance follows the scale of the points
+    defaults = (interval(), cube(), ball(2), ball(3), simplex(2), disk())
+    tiny = (interval(a=1e-150, grid=11), disk(a=1e-12, radial=3, angular=8))
+    for space in (*_BUILT.values(), *defaults, *tiny):  # every builder grid stays legal
+        assert custom_grid(space.grid).grid_size == space.grid_size
+
+
+_NAN_DESIGN = '{"dimension": 1, "degree": 1, "points": [[[0.5, 0.0]], [[NaN, 0.0]]], "weights": [0.5, 0.5]}'
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (["fekete", "--domain", "cube", "--dimension", "0"], "cube dimension must be >= 1"),
+        (["fekete", "--domain", "cube", "--grid", "1"], "cube needs a > 0 and per_axis >= 2"),
+        (["fekete", "--domain", "ball", "--dimension", "4"], "ball grids are implemented for dimension <= 3"),
+        (["fekete", "--domain", "ball", "--dimension", "2", "--a", "0"], "ball needs a > 0 and radial >= 2"),
+        (["fekete", "--domain", "simplex", "--dimension", "4"], "simplex grids are implemented for dimension <= 3"),
+        (["fekete", "--domain", "simplex", "--grid", "0"], "simplex needs a > 0 and refine >= 1"),
+        (lambda: disk(spacing="log"), "unknown disk spacing 'log'"),  # --spacing offers only the known two
+        (["gvalue", "--design", "{tmp}/nan.json"], "design JSON points must be finite"),
+        (["fekete", "--weight", "{tmp}/kind.json"], "unknown weight kind 'uniform'"),
+    ],
+)
+def test_bad_domains_and_files_are_refused_by_name(tmp_path, capsys, call, message):
+    if callable(call):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+        return
+    (tmp_path / "nan.json").write_text(_NAN_DESIGN)  # Python's json reads NaN
+    (tmp_path / "kind.json").write_text('{"kind": "uniform"}')
+    out = tmp_path / "out"
+    assert main([*(arg.format(tmp=tmp_path) for arg in call), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not any(out.iterdir())
 
 
 def test_weight_values_unit_gaussian():

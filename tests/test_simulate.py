@@ -256,3 +256,26 @@ def test_many_trials_match_least_squares_and_stay_real_on_real_designs(kind):
     assert theta_hats.dtype == (np.float64 if kind == "real" else np.complex128)
     ref = np.linalg.lstsq(V, (V @ exp.theta)[:, None] + Y.T, rcond=None)[0].T
     np.testing.assert_allclose(theta_hats, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "atoms, weights, got",
+    [([-1.0, 1.0], [0.5, 0.5], 2), ([-1.0, 0.0, 1.0], [0.98, 0.01, 0.01], 1)],
+)
+def test_fewer_observed_atoms_than_coefficients_are_refused_before_any_draw(monkeypatch, atoms, weights, got):
+    # 10 observations put counts [10, 0, 0] on the second design; least squares had no unique fit
+    from optdesign import simulate
+
+    monkeypatch.setattr(simulate, "_trial_estimates", lambda *args: pytest.fail("drew before the check"))
+    exp = experiment(design=make_design(atoms, weights), num_obs=10, trials=10)
+    for run in (simulate_regression, lambda e: variance_identity_check(e, [0.5])):
+        with pytest.raises(ValueError, match=f"^need at least 3 observed atoms for degree 2, got {got}$"):
+            run(exp)
+
+
+@pytest.mark.parametrize("empirical, theoretical, ratio", [(0.0, 0.0, 1.0), (1e-3, 0.0, math.inf), (2e-3, 1e-3, 2.0)])
+def test_prediction_ratio_at_a_zero_theoretical_variance(empirical, theoretical, ratio):
+    # a point where K vanishes predicts without noise: a ratio of 1 if none was seen either
+    from optdesign.simulate import PredictionRow
+
+    assert PredictionRow(np.zeros(1), empirical, theoretical).ratio == ratio
