@@ -45,6 +45,7 @@ from .equilibrium import (
 from .fekete import TfdRow, approx_fekete, tfd_table
 from .gram import SingularGramError, _christoffel_rows, _moment_rows, christoffel_many, orthonormal_factor
 from .measure import (
+    _fekete_rows,
     ball,
     cube,
     design_from_json,
@@ -437,9 +438,12 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
 def _cmd_oracle(cfg: dict, out: Path) -> int:
     space = _make_space(cfg)
     weight = _make_weight(cfg)
-    s = cfg["degree"]
-    idx = np.linspace(0, space.grid_size - 1, cfg["atoms"]).round().astype(int)
-    idx = np.unique(idx)
+    s, atoms = cfg["degree"], max(cfg["atoms"], 0)
+    # the grid's n Fekete points determine a degree-s fit; any further atoms sit mid-slice among the other points
+    picks = _fekete_rows(space, unit_weight(), s)[3]
+    rest = np.setdiff1d(np.arange(space.grid_size), picks)
+    extra = min(max(atoms - len(picks), 0), rest.size)
+    idx = np.unique(np.r_[picks[:atoms], rest[np.linspace(0, rest.size, 2 * extra + 1)[1::2].astype(int)]])
     pts = space.grid[idx]
     w = np.arange(1.0, idx.size + 1)
     design = make_design(pts, w / w.sum())

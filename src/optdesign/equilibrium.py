@@ -9,7 +9,9 @@ coordinates (x_i^2 / a^2 on the interval, cube and ball, x_i / a on the
 simplex, 2 |z_i|^2 on the weighted ball), so every moment is
 E prod u_i^beta_i = B(p + beta) / B(p) and every density constant is
 1 / (J B(p)), with B(p) = prod Gamma(p_i) / Gamma(sum p) and J the
-Jacobian factor of the coordinate change, in any dimension.
+Jacobian factor of the coordinate change, in any dimension.  Densities
+are read in unit coordinates x / a on the support that the design
+space's own domain rule (``measure._inside``) gives, at any scale a.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .basis import as_points
+from .measure import _inside
 
 _MAX_MOMENT_DEGREE = 40
 
@@ -114,32 +117,27 @@ def _one_or_many(values: np.ndarray):
 def eq_density(m: EquilibriumMeasure, x):
     """Density at each point (w.r.t. Lebesgue measure on the support).
 
-    A float for one point, an array for many.  Boundary singularities
-    evaluate to +inf; points outside the support give 0.
+    In unit coordinates u = x / a every density is a^-d norm_const / sqrt(g(u)),
+    g = prod (1 - u_i^2) on the interval and cube, 1 - |u|^2 on the ball and
+    (1 - sum u) prod u_i on the simplex, on the support ``measure._inside``
+    gives; the weighted ball is constant on the complex ball of radius 1/sqrt(2).
+    A float for one point, an array for many; +inf on a boundary singularity, 0 outside.
     """
     pts = as_points(x, m.dimension)
-    a, d = m.a, m.dimension
-    tol = 1e-12 * max(1.0, a)
-    # coordinates combine one column at a time, so a point's value does not depend on its company
     if m.kind == "weighted-ball":
-        r = np.sqrt(reduce(np.add, (pts.real**2 + pts.imag**2).T))
-        return _one_or_many(np.where(r <= math.sqrt(0.5) + tol, m.norm_const, 0.0))
-    x_re = pts.real
-    inside = np.all(np.abs(pts.imag) <= tol, axis=1)
-    if m.kind in ("interval", "cube"):
-        inside &= np.all(np.abs(x_re) <= a + tol, axis=1)
-        g, scale = reduce(np.multiply, np.maximum(a * a - x_re * x_re, 0.0).T), 1.0
-    elif m.kind == "ball":
-        r2 = reduce(np.add, (x_re**2).T)
-        inside &= r2 <= a * a + tol
-        g, scale = a * a - r2, a ** (1 - d)
-    elif m.kind == "simplex":
-        ssum = reduce(np.add, x_re.T)
-        inside &= np.all(x_re >= -tol, axis=1) & (ssum <= a + tol)
-        g, scale = (a - ssum) * reduce(np.multiply, x_re.T), a ** (-0.5 * (d - 1))
-    else:
-        raise ValueError(f"unknown equilibrium kind {m.kind!r}")
-    val = np.where(g > 0, m.norm_const * scale / np.sqrt(np.where(g > 0, g, 1.0)), math.inf)
+        return _one_or_many(np.where(_inside("disk", math.sqrt(0.5), pts), m.norm_const, 0.0))
+    inside = _inside(m.kind, m.a, pts)
+    u = pts.real / m.a
+    # coordinates combine one column at a time, so a point's value does not depend on its company
+    with np.errstate(over="ignore"):  # far outside the support, or a density beyond the float range
+        if m.kind in ("interval", "cube"):
+            g = reduce(np.multiply, np.maximum(1.0 - u * u, 0.0).T)
+        elif m.kind == "ball":
+            g = 1.0 - reduce(np.add, (u * u).T)
+        else:
+            g = (1.0 - reduce(np.add, u.T)) * reduce(np.multiply, u.T)
+        scale = np.float64(m.a) ** -m.dimension * m.norm_const
+        val = np.where(g > 0, scale / np.sqrt(np.where(g > 0, g, 1.0)), math.inf)
     return _one_or_many(np.where(inside, val, 0.0))
 
 
@@ -215,7 +213,7 @@ def weighted_ball_green(z, dimension: int = 1):
     point, an array for many.
     """
     pts = as_points(z, dimension)
-    r = np.sqrt(reduce(np.add, (pts.real**2 + pts.imag**2).T))  # as in eq_density
+    r = np.sqrt(reduce(np.add, (pts.real**2 + pts.imag**2).T))  # one column at a time, as in eq_density
     r_star = math.sqrt(0.5)
     # math.log, not np.log: the two differ in the last bit on some inputs
     return _one_or_many(np.array([v * v if v <= r_star else math.log(v) + 0.5 - math.log(r_star) for v in r.tolist()]))

@@ -3,7 +3,9 @@
 A design space is a compact set together with a finite evaluation grid.
 Grids cluster points where optimal designs concentrate: Chebyshev maps on
 intervals and cubes, radially graded shells on balls and the complex disk,
-a barycentric lattice on simplices.  Designs are finitely supported
+a barycentric lattice on simplices.  Whether a point lies on a space's
+compact set is one rule in unit coordinates p / a (``_inside``), so it
+does not change with the scale a.  Designs are finitely supported
 probability measures stored as (points, weights) arrays.
 """
 
@@ -15,7 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +86,11 @@ def _near_pairs(X: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(i, j), np.maximum(i, j)
 
 
+def _tol_scale(pts: np.ndarray, unit: float = 1.0) -> float:
+    """min(1, the largest coordinate modulus of pts / unit): a tolerance shrinks with points smaller than ``unit``."""
+    return min(1.0, float(np.abs(pts).max(initial=0.0)) / unit)
+
+
 def _require_distinct(pts: np.ndarray, tol: float, what: str) -> None:
     """Raise ValueError naming the closest pair of points within ``tol``.
 
@@ -104,30 +111,55 @@ def _require_distinct(pts: np.ndarray, tol: float, what: str) -> None:
 # design spaces
 
 
+def _inside(kind: str, a: float, points: np.ndarray) -> np.ndarray:
+    """Whether each (m, d) complex point lies on the domain ``kind`` of radius or edge a, within 1e-12.
+
+    Read in unit coordinates u = p / a, so the rule does not change with a:
+    interval and cube real with |u_i| <= 1, ball real with |u| <= 1, simplex
+    real with u >= 0 and sum u <= 1, disk the complex ball |u| <= 1, custom
+    every point.  Columns combine one at a time: no answer depends on its company.
+    """
+    if kind == "custom":
+        return np.ones(len(points), dtype=bool)
+    tol = 1e-12
+    with np.errstate(over="ignore"):  # a point far outside reads as inf, and inf is outside
+        x, y = points.real / a, points.imag / a
+        if kind == "disk":
+            return np.sqrt(functools.reduce(np.add, (x * x + y * y).T)) <= 1.0 + tol
+        real = np.all(np.abs(y) <= tol, axis=1)
+        if kind in ("interval", "cube"):
+            return real & np.all(np.abs(x) <= 1.0 + tol, axis=1)
+        if kind == "ball":
+            return real & (np.sqrt(functools.reduce(np.add, (x * x).T)) <= 1.0 + tol)
+        if kind == "simplex":
+            return real & np.all(x >= -tol, axis=1) & (functools.reduce(np.add, x.T) <= 1.0 + tol)
+    raise ValueError(f"unknown domain kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class DesignSpace:
     """A compact design space with a finite evaluation grid.
 
     ``grid`` has shape (m, d) and complex dtype; real spaces carry zero
-    imaginary parts.  ``membership`` maps an (m, d) point array to m
-    booleans: whether each point belongs to the underlying continuum set
-    (used for validation, not for optimization).  ``orbits``, when not
-    None, gives each grid point the id of its orbit under symmetries of
-    the grid that leave the degree-s polynomials and the D-criterion
-    invariant; the solver keeps one mass per orbit when the weight is
-    constant on them.
+    imaginary parts.  ``orbits``, when not None, gives each grid point the
+    id of its orbit under symmetries of the grid that leave the degree-s
+    polynomials and the D-criterion invariant; the solver keeps one mass
+    per orbit when the weight is constant on them.
     """
 
     kind: str
     dimension: int
     a: float
     grid: np.ndarray
-    membership: Callable[[np.ndarray], np.ndarray]
     orbits: np.ndarray | None = None
 
     @property
     def grid_size(self) -> int:
         return self.grid.shape[0]
+
+    def membership(self, points: np.ndarray) -> np.ndarray:
+        """Whether each (m, d) point lies on the continuum set (``_inside``); for validation, not optimization."""
+        return _inside(self.kind, self.a, points)
 
     def contains(self, z) -> bool:
         return bool(self.membership(as_points(z, self.dimension))[0])
@@ -172,12 +204,7 @@ def interval(a: float = 1.0, grid: int = 401, spacing: str = "chebyshev") -> Des
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
     pts = _freeze(x.astype(complex).reshape(-1, 1))
-    tol = 1e-12 * max(1.0, a)
-
-    def member(p: np.ndarray) -> np.ndarray:
-        return (np.abs(p[:, 0].imag) <= tol) & (np.abs(p[:, 0].real) <= a + tol)
-
-    return DesignSpace("interval", 1, a, pts, member, _orbit_ids(np.minimum(k, grid - 1 - k)))
+    return DesignSpace("interval", 1, a, pts, _orbit_ids(np.minimum(k, grid - 1 - k)))
 
 
 def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
@@ -199,12 +226,7 @@ def cube(dimension: int = 2, a: float = 1.0, per_axis: int = 33) -> DesignSpace:
     # the sorted tuple of its folded node indices
     folded = np.meshgrid(*([np.minimum(k, per_axis - 1 - k)] * dimension), indexing="ij")
     orbits = _orbit_ids(np.stack([g.ravel() for g in folded], axis=1))
-    tol = 1e-12 * max(1.0, a)
-
-    def member(p: np.ndarray) -> np.ndarray:
-        return np.all((np.abs(p.imag) <= tol) & (np.abs(p.real) <= a + tol), axis=1)
-
-    return DesignSpace("cube", dimension, a, _freeze(pts), member, orbits)
+    return DesignSpace("cube", dimension, a, _freeze(pts), orbits)
 
 
 def ball(dimension: int = 2, a: float = 1.0, radial: int = 12, angular: int = 48) -> DesignSpace:
@@ -217,7 +239,7 @@ def ball(dimension: int = 2, a: float = 1.0, radial: int = 12, angular: int = 48
     """
     if dimension == 1:
         sp = interval(a=a, grid=radial * max(2, angular // 8))
-        return DesignSpace("ball", 1, a, sp.grid, sp.membership, sp.orbits)
+        return DesignSpace("ball", 1, a, sp.grid, sp.orbits)
     if dimension not in (2, 3):
         raise ValueError("ball grids are implemented for dimension <= 3")
     if a <= 0 or radial < 2:
@@ -246,12 +268,7 @@ def ball(dimension: int = 2, a: float = 1.0, radial: int = 12, angular: int = 48
                 )
             )
     pts = np.concatenate(pts_list, axis=0).astype(complex)
-    tol = 1e-12 * max(1.0, a)
-
-    def member(p: np.ndarray) -> np.ndarray:
-        return np.all(np.abs(p.imag) <= tol, axis=1) & (np.sqrt(np.sum(p.real**2, axis=1)) <= a + tol)
-
-    return DesignSpace("ball", dimension, a, _freeze(pts), member)
+    return DesignSpace("ball", dimension, a, _freeze(pts))
 
 
 def simplex(dimension: int = 2, a: float = 1.0, refine: int = 24) -> DesignSpace:
@@ -269,14 +286,8 @@ def simplex(dimension: int = 2, a: float = 1.0, refine: int = 24) -> DesignSpace
     k = np.indices((refine + 1,) * dimension).reshape(dimension, -1).T
     k = k[k.sum(axis=1) <= refine]  # the lattice in lexicographic order
     pts = k * (a / refine)
-    tol = 1e-12 * max(1.0, a)
-
-    def member(p: np.ndarray) -> np.ndarray:
-        x = p.real
-        return np.all((np.abs(p.imag) <= tol) & (x >= -tol), axis=1) & (np.sum(x, axis=1) <= a + tol)
-
     orbits = _orbit_ids(np.column_stack([k, refine - k.sum(axis=1)]))
-    return DesignSpace("simplex", dimension, a, _freeze(pts.astype(complex)), member, orbits)
+    return DesignSpace("simplex", dimension, a, _freeze(pts.astype(complex)), orbits)
 
 
 def disk(a: float = 1.0, radial: int = 24, angular: int = 80, spacing: str = "chebyshev") -> DesignSpace:
@@ -300,27 +311,20 @@ def disk(a: float = 1.0, radial: int = 24, angular: int = 80, spacing: str = "ch
     ring = np.exp(1j * th)
     pts = np.concatenate([[0.0 + 0.0j], (radii[:, None] * ring[None, :]).ravel()])
     rings = np.concatenate([[0], np.repeat(steps, angular)])  # each point's ring index, 0 for the centre
-    tol = 1e-12 * max(1.0, a)
-
-    def member(p: np.ndarray) -> np.ndarray:
-        return np.abs(p[:, 0]) <= a + tol
-
-    return DesignSpace("disk", 1, a, _freeze(pts.reshape(-1, 1)), member, _orbit_ids(rings))
+    return DesignSpace("disk", 1, a, _freeze(pts.reshape(-1, 1)), _orbit_ids(rings))
 
 
-def custom_grid(points, membership: Callable[[np.ndarray], np.ndarray] | None = None) -> DesignSpace:
+def custom_grid(points) -> DesignSpace:
     """Wrap an explicit point set as a design space; points closer than ``make_design`` allows atoms are refused.
 
-    ``membership`` maps an (m, d) point array to m booleans; by default
-    every point belongs.  ``a`` is the largest coordinate modulus of the
-    points, as on the interval, cube, simplex and disk grids.
+    Every point belongs to the space.  ``a`` is the largest coordinate
+    modulus of the points, as on the interval, cube, simplex and disk grids.
     """
     pts = _point_array(points)
     if pts.size == 0:
         raise ValueError("a custom grid needs at least one point with at least one coordinate")
-    _require_distinct(pts, _ATOM_TOL * min(1.0, float(np.abs(pts).max())), "grid points")
-    member = membership if membership is not None else (lambda p: np.ones(len(p), dtype=bool))
-    return DesignSpace("custom", pts.shape[1], float(np.max(np.abs(pts))), _freeze(pts.copy()), member)
+    _require_distinct(pts, _ATOM_TOL * _tol_scale(pts), "grid points")
+    return DesignSpace("custom", pts.shape[1], float(np.max(np.abs(pts))), _freeze(pts.copy()))
 
 
 def basis_for_space(space: DesignSpace, s: int) -> PolyBasis:
@@ -337,7 +341,8 @@ class WeightFunction:
     """A nonnegative weight w on the design space.
 
     Kinds: ``unit`` (w = 1), ``gaussian`` (w = exp(-|z|^2)) and ``table``
-    (values attached to explicit points, nearest-match lookup within 1e-9).
+    (values at explicit points, nearest-match lookup within 1e-9, shrunk in
+    proportion on a table whose largest coordinate modulus is below 1e-3).
     """
 
     kind: str
@@ -353,12 +358,13 @@ class WeightFunction:
         return self._lookup(pts)
 
     def _lookup(self, pts: np.ndarray) -> np.ndarray:
-        """The value at the table point nearest each query point (ties: lowest index), within 1e-9."""
+        """The value at the table point nearest each query point (ties: lowest index), within the class's tolerance."""
         ref = self.table_points
         if pts.shape[1] != ref.shape[1]:
             raise ValueError(f"tabulated weight has {ref.shape[1]} coordinates per point, queried with {pts.shape[1]}")
+        tol = 1e-9 * _tol_scale(ref, 1e-3)  # on a tiny table, neighbours can sit closer than 1e-9
         X = _real_coordinates(np.concatenate([ref, pts]))
-        i, j = _near_pairs(X, math.sqrt(pts.shape[1]) * 1e-9)
+        i, j = _near_pairs(X, math.sqrt(pts.shape[1]) * tol)
         cross = (i < len(ref)) & (j >= len(ref))  # i a table point, j a query point
         i, j = i[cross], j[cross]
         gap = X[i] - X[j]
@@ -367,7 +373,7 @@ class WeightFunction:
         first = np.flatnonzero(np.diff(j, prepend=-1))  # each query point's nearest candidate
         nearest = np.full(pts.shape[0], -1)
         nearest[j[first]] = i[first]
-        if np.any(nearest < 0) or np.any(_point_distance(ref[nearest], pts) > 1e-9):
+        if np.any(nearest < 0) or np.any(_point_distance(ref[nearest], pts) > tol):
             raise ValueError("tabulated weight queried off its grid")
         return self.table_values[nearest]
 
@@ -446,7 +452,7 @@ def make_design(points, weights) -> DiscreteDesign:
     total = float(w.sum())
     if not abs(total - 1.0) < _SUM_TOL:  # also refuses NaN weights
         raise ValueError(f"design weights sum to {total!r}, not 1")
-    _require_distinct(pts, _ATOM_TOL * min(1.0, float(np.abs(pts).max())), "atoms")
+    _require_distinct(pts, _ATOM_TOL * _tol_scale(pts), "atoms")
     return DiscreteDesign(points=_freeze(pts.copy()), weights=_freeze(w / total))
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import eval_basis_many, monomial_basis, space_dimension
-from .gram import _christoffel_rows, moment_matrix, orthonormal_factor
-from .measure import DiscreteDesign, _matmul, _point_array, make_design, unit_weight
+from .gram import _christoffel_rows, _moment_rows, orthonormal_factor
+from .measure import DiscreteDesign, _matmul, _point_array, unit_weight
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,18 @@ def apportion(weights, num_obs: int) -> np.ndarray:
     return counts
 
 
-def _trial_estimates(exp: RegressionExperiment, counts: np.ndarray) -> np.ndarray:
+def _trial_estimates(exp: RegressionExperiment, counts: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
     """Least-squares estimates for every trial, stacked (trials, n); real when the design and theta are.
 
-    With W = diag(sqrt(c)) P over the k atoms observed c > 0 times and W = QR, the estimate is
-    theta + sigma E conj(Q) R^-T, E holding each trial's k per-atom standard normal sums.  The
-    draw is one (trials, parts, k) block: parts 1 for real noise, 2 (real parts, then imaginary
-    parts) for the complex noise a complex design gets.
+    ``P`` holds the monomial rows of the k atoms observed c > 0 times (evaluated here when not
+    given).  With W = diag(sqrt(c)) P and W = QR, the estimate is theta + sigma E conj(Q) R^-T,
+    E holding each trial's k per-atom standard normal sums.  The draw is one (trials, parts, k)
+    block: parts 1 for real noise, 2 (real parts, then imaginary parts) for the complex noise a
+    complex design gets.
     """
     pos = counts > 0
-    P = eval_basis_many(monomial_basis(exp.design.dimension, exp.degree), exp.design.points[pos])
+    if P is None:
+        P = eval_basis_many(monomial_basis(exp.design.dimension, exp.degree), exp.design.points[pos])
     complex_noise = bool(np.any(exp.design.points.imag))
     theta = exp.theta if complex_noise or np.any(exp.theta.imag) else exp.theta.real
     rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, 0], dtype=np.uint64)))
@@ -142,10 +144,10 @@ def _run(exp: RegressionExperiment, points: np.ndarray):
     pos = counts > 0
     if (k := int(pos.sum())) < exp.theta.size:  # least squares on fewer atoms has no unique fit
         raise ValueError(f"need at least {exp.theta.size} observed atoms for degree {exp.degree}, got {k}")
-    theta_hats = _trial_estimates(exp, counts)
-    mu_x = make_design(exp.design.points[pos], counts[pos] / counts.sum())
     basis = monomial_basis(exp.design.dimension, exp.degree)
-    mm = moment_matrix(mu_x, unit_weight(), exp.degree, basis)
+    A = eval_basis_many(basis, exp.design.points[pos])  # the observed atoms' rows: the fit's and the moment matrix's
+    theta_hats = _trial_estimates(exp, counts, A)
+    mm = _moment_rows(A, counts[pos] / exp.num_obs, basis)  # unit weight: A are the weighted rows
     ev = orthonormal_factor(mm, unit_weight())
     # plain transpose: sum_j p_j(z) theta_hat_j; one row per point, so each sum runs pairwise over the trials
     P = eval_basis_many(basis, points)

@@ -482,6 +482,39 @@ def test_gvalue_refuses_atoms_outside_the_domain(tmp_path, capsys, domain, atoms
     assert not (out / "gvalue.json").exists()
 
 
+def test_gvalue_reads_the_domain_at_its_own_scale(tmp_path, capsys):
+    # within 1e-12 max(1, a), an atom 5e-13 from the interval of radius 1e-20 belonged to it, and the run
+    # ended "numerically singular"; the ball of radius 1e160 squared its coordinates into an overflow and
+    # refused a design on its own grid
+    dfile = tmp_path / "design.json"
+    dfile.write_text(design_to_json(make_design([-1e-20, 5e-13], [0.5, 0.5]), degree=1))
+    rc, out = run(tmp_path, "gvalue", "--a", "1e-20", "--grid", "11", "--design", str(dfile))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: design atom 1 at [5e-13] lies outside the interval domain (a = 1e-20)\n"
+    values = []
+    for a in (1.0, 1e160):
+        grid = measure.ball(2, a=a, radial=3, angular=12).grid
+        dfile.write_text(design_to_json(make_design(grid, np.full(len(grid), 1 / len(grid))), degree=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(tmp_path, "gvalue", "--domain", "ball", "--dimension", "2", "--a", repr(a), "--grid", "3",
+                          "--grid-angular", "12", "--design", str(dfile))
+        assert rc == 0
+        values.append(json.loads((out / "gvalue.json").read_text())["results"]["g_value"])
+    assert values[0] == 3.761904761904762 and values[1] == pytest.approx(values[0], rel=1e-12)
+
+
+def test_oracle_atoms_determine_the_fit_on_a_square_grid(tmp_path):
+    # nine atoms at evenly spread indices of the 33 x 33 grid all lay on the diagonal x = y, where
+    # no degree-2 fit is determined: the run ended "not positive definite at pivot 4"
+    rc, out = run(tmp_path, "oracle", "--domain", "cube", "--dimension", "2", "--grid", "33", "--degree", "2",
+                  "--atoms", "9")
+    assert rc == 0
+    results = json.loads((out / "oracle.json").read_text())["results"]
+    assert results["atoms"] == 9 and results["passed"] is True
+
+
 @pytest.mark.parametrize("command", ["gvalue", "oracle"])
 def test_atoms_without_weight_are_a_validation_error(tmp_path, capsys, command):
     # a weight of 1 on the grid's first two points: of the five atoms only the first weighs anything, so the

@@ -370,3 +370,26 @@ def test_weighted_ball_green_reads_every_point():
     green = weighted_ball_green([0.1, 0.9])
     assert np.array_equal(green, [weighted_ball_green(0.1), weighted_ball_green(0.9)])
     assert green[0] == pytest.approx(0.01, rel=1e-15) and isinstance(weighted_ball_green(0.9), float)
+
+
+@pytest.mark.parametrize(
+    "kind, d", [("interval", 1)] + [(k, d) for k in ("cube", "ball", "simplex") for d in (1, 2, 3)]
+)
+def test_density_scales_as_a_to_the_minus_d_with_the_support(kind, d):
+    # the support was "within 1e-12 max(1, a)": arcsine(1e-150) read inf far outside its support,
+    # and arcsine(1e160) read 0.0 at its centre, where the density is 1 / (pi a)
+    unit = _MEASURES[kind](d, 1.0)
+    rng = np.random.default_rng(d)
+    lo = 0.0 if kind == "simplex" else -0.9
+    inner = rng.uniform(lo, 0.9, (200, d))
+    inner = inner[eq_density(unit, inner) > 0]  # points of the support, away from its edges
+    if kind == "simplex":
+        inner = inner[inner.sum(axis=1) < 0.9]
+    e0 = np.eye(1, d)  # the point (1, 0, ..., 0); the rows below lie off every support, some barely
+    outer = np.concatenate([1.5 * e0, -1.5 * e0, (1 + 1e-9) * e0, 1.5 * e0 + 1e-3j, 0.5 * e0 + 1e-9j])
+    for a in (1e-100, 3.0, 1e100):
+        m = _MEASURES[kind](d, a)
+        np.testing.assert_allclose(eq_density(m, a * inner), a**-d * eq_density(unit, inner), rtol=1e-14, atol=0)
+        assert np.all(eq_density(m, a * outer) == 0.0), a
+    assert eq_density(arcsine(1e160), 0.0) == pytest.approx(1.0 / (math.pi * 1e160), rel=1e-14, abs=0)
+    assert eq_density(arcsine(1e-150), 1e-13) == 0.0

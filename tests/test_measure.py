@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -181,16 +183,16 @@ def test_custom_grid_of_a_builders_grid_records_its_a(name):
 
 
 def _one_point_member(space, p):
-    """Each builder's membership rule for one point, written out."""
-    tol = 1e-12 * max(1.0, space.a)
-    x, real = p.real, bool(np.all(np.abs(p.imag) <= tol))
+    """Each builder's membership rule for one point, written out in unit coordinates u = p / a."""
+    x, y, tol = p.real / space.a, p.imag / space.a, 1e-12
+    real = bool(np.all(np.abs(y) <= tol))
     if space.kind == "disk":
-        return bool(abs(p[0]) <= space.a + tol)
+        return math.sqrt(float(x @ x + y @ y)) <= 1.0 + tol
     if space.kind == "ball":
-        return real and math.sqrt(float(x @ x)) <= space.a + tol
+        return real and math.sqrt(float(x @ x)) <= 1.0 + tol
     if space.kind == "simplex":
-        return real and bool(np.all(x >= -tol)) and float(x.sum()) <= space.a + tol
-    return real and bool(np.all(np.abs(x) <= space.a + tol))  # interval and cube
+        return real and bool(np.all(x >= -tol)) and float(x.sum()) <= 1.0 + tol
+    return real and bool(np.all(np.abs(x) <= 1.0 + tol))  # interval and cube
 
 
 _BUILT = {
@@ -216,6 +218,35 @@ def test_array_membership_matches_a_per_point_loop(name):
     assert inside.shape == (len(pts),) and inside.dtype == bool
     assert inside[: len(g)].all() and not inside.all()
     assert inside.tolist() == [space.contains(p) for p in pts] == [_one_point_member(space, p) for p in pts]
+
+
+_BUILDERS = {
+    "interval": lambda a: interval(a=a, grid=9),
+    "cube2": lambda a: cube(2, a=a, per_axis=5),
+    "cube3": lambda a: cube(3, a=a, per_axis=3),
+    "ball1": lambda a: ball(1, a=a, radial=2, angular=16),
+    "ball2": lambda a: ball(2, a=a, radial=3, angular=12),
+    "ball3": lambda a: ball(3, a=a, radial=2, angular=12),
+    "simplex2": lambda a: simplex(2, a=a, refine=4),
+    "simplex3": lambda a: simplex(3, a=a, refine=3),
+    "disk": lambda a: disk(a=a, radial=3, angular=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_membership_does_not_change_with_the_scale(name):
+    # the rule was "within 1e-12 max(1, a)": on a tiny domain every point 1e-12 off it belonged,
+    # and the ball squared coordinates of 1e160 into an overflow
+    unit = _BUILDERS[name](1.0)
+    g = unit.grid
+    pushed = np.concatenate([g, g * (1 + 1e-9), g - 1e-9, g + 1e-9j])
+    expect = unit.membership(pushed)
+    for a in (1e-150, 1.0, 1e150):
+        space = _BUILDERS[name](a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert space.membership(space.grid).all()
+            assert np.array_equal(space.membership(pushed * a), expect), a
 
 
 def test_custom_grid_rejects_repeated_points():
@@ -304,6 +335,21 @@ def test_table_lookup_matches_the_brute_force_nearest_match():
     assert np.array_equal(w.values(queries), brute)
     with pytest.raises(ValueError, match="off its grid"):
         w.values(grid + 1e-8)
+
+
+def test_table_lookup_on_a_tiny_disk_is_fast_and_refuses_a_midpoint():
+    # an absolute 1e-9 covered the whole disk of radius 1e-9: every pair of the 1,921 points was a
+    # candidate (1.9 s, 263 MB), and the midpoint of two neighbours, 2.6e-12 from each, got a value
+    grid = disk(a=1e-9).grid
+    w = table_weight(grid, np.arange(grid.shape[0], dtype=float))
+    took = []
+    for _ in range(3):
+        start = time.perf_counter()
+        values = w.values(grid)
+        took.append(time.perf_counter() - start)
+    assert min(took) < 0.05 and np.array_equal(values, np.arange(grid.shape[0]))
+    with pytest.raises(ValueError, match="off its grid"):
+        w.values(0.5 * (grid[1] + grid[2]))
 
 
 def test_make_design_validation():

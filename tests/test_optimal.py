@@ -183,7 +183,7 @@ def _per_subset_oracles(design, weight, s, z):
 
 @pytest.mark.parametrize("space, s, atoms", [(interval(), 3, 9), (disk(), 4, 8)], ids=["interval-s3", "disk-s4"])
 def test_stacked_oracles_match_a_per_subset_loop(space, s, atoms):
-    # the designs of `optdesign oracle --degree 3 --atoms 9` and of its disk case
+    # nine evenly spread grid atoms at degree 3 on the interval, eight at degree 4 on the disk
     idx = np.unique(np.linspace(0, space.grid_size - 1, atoms).round().astype(int))
     w = np.arange(1.0, idx.size + 1)
     design = make_design(space.grid[idx], w / w.sum())

@@ -279,3 +279,20 @@ def test_prediction_ratio_at_a_zero_theoretical_variance(empirical, theoretical,
     from optdesign.simulate import PredictionRow
 
     assert PredictionRow(np.zeros(1), empirical, theoretical).ratio == ratio
+
+
+def test_simulate_evaluates_the_observed_atoms_once(monkeypatch):
+    # the benchmark's 5-atom Lobatto design: the basis was built twice, the observed atoms' rows
+    # evaluated twice (for the fit, then for the moment matrix), and their distinctness scanned again
+    from optdesign import basis, measure, simulate
+
+    x = math.sqrt(3 / 7)
+    exp = experiment(design=make_design([-1.0, -x, 0.0, x, 1.0], np.full(5, 0.2)), degree=4, theta=np.ones(5),
+                     num_obs=100, trials=200)
+    calls = {"build": [], "replay": [], "scan": []}
+    for owner, name, key in ((simulate, "monomial_basis", "build"), (basis, "_replay", "replay"),
+                             (measure, "_replay", "replay"), (measure, "_near_pairs", "scan")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _log=calls[key], **k: _log.append(1) or _real(*a, **k))
+    simulate_regression(exp)
+    assert {key: len(log) for key, log in calls.items()} == {"build": 1, "replay": 2, "scan": 0}
