@@ -39,14 +39,12 @@ def space_dimension(d: int, s: int) -> int:
 
 
 def degree_sum(d: int, s: int) -> int:
-    """Sum of the total degrees over the monomial basis, d*s*C(s+d,d)/(d+1).
+    """Sum of the total degrees over the monomial basis, d*s*C(s+d,d)/(d+1) = d*C(s+d,d+1), in integers.
 
-    Computed in exact integer arithmetic; the quotient is always an integer.
+    d and s are checked as ``space_dimension`` checks them.
     """
-    num = d * s * space_dimension(d, s)
-    if num % (d + 1) != 0:  # cannot happen; guards the integer contract
-        raise ArithmeticError(f"degree sum d*s*n/(d+1) not integral for d={d}, s={s}")
-    return num // (d + 1)
+    space_dimension(d, s)
+    return d * math.comb(s + d, d + 1)
 
 
 def _compositions(total: int, d: int) -> list[tuple[int, ...]]:

@@ -213,7 +213,7 @@ def weighted_ball_green(z, dimension: int = 1):
     point, an array for many.
     """
     pts = as_points(z, dimension)
-    r = np.sqrt(reduce(np.add, (pts.real**2 + pts.imag**2).T))  # one column at a time, as in eq_density
+    r = reduce(np.hypot, np.abs(pts).T)  # one column at a time, and no square to overflow
     r_star = math.sqrt(0.5)
     # math.log, not np.log: the two differ in the last bit on some inputs
     return _one_or_many(np.array([v * v if v <= r_star else math.log(v) + 0.5 - math.log(r_star) for v in r.tolist()]))

@@ -33,9 +33,10 @@ _PIVOT_REL_TOL = 1e-14  # smallest admissible eigenvalue, relative to n * ||M||_
 class SingularGramError(np.linalg.LinAlgError):
     """Moment matrix is numerically singular or indefinite.
 
-    ``pivot`` is 1-based: the greedy or Cholesky pivot that failed to stay
-    positive, or for a numerically singular matrix the basis element
-    nearest the span of the others.
+    ``pivot`` is 1-based: the greedy pick's count + 1 when fewer than n
+    rows are independent, n when a Cholesky factor fails, and for a
+    numerically singular M the basis element with the largest diagonal
+    entry of inv(M) (for a broken certificate, the largest |L_jj|).
     """
 
     def __init__(self, message: str, pivot: int):
@@ -51,8 +52,8 @@ class MomentMatrix:
     ``log_det_monomial`` maps it to the monomial normalization via the
     triangular change-of-basis determinant (they coincide for the monomial
     basis).  ``L`` is the inverse factor, L M L^H = I, in the same basis.
-    Singularity is encoded as log det -inf, L None and the failed
-    ``pivot``, never as an exception.
+    Singularity is encoded as log det -inf, L None and ``pivot`` as in
+    ``SingularGramError`` (0 for a factored matrix), never as an exception.
     """
 
     matrix: np.ndarray
@@ -76,26 +77,13 @@ def _assemble(B: np.ndarray, coef) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float, int]:
-    """Attempt a Cholesky factorization; returns (lower factor, log det, pivot).
-
-    ``pivot`` is 0 on success, else the 1-based index where the
-    factorization lost positivity (log det is then -inf): the order of the
-    smallest leading block that has no Cholesky factor, found by bisection.
-    """
+def _cholesky_log_det(M: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """(lower Cholesky factor, log det) of M, or (None, -inf) if M has no Cholesky factor."""
     try:
         C = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        ok, bad = 0, M.shape[0]  # leading blocks of these orders do and do not factor
-        while bad - ok > 1:
-            mid = (ok + bad) // 2
-            try:
-                np.linalg.cholesky(M[:mid, :mid])
-                ok = mid
-            except np.linalg.LinAlgError:
-                bad = mid
-        return None, -math.inf, bad
-    return C, 2.0 * float(np.log(C.diagonal().real).sum()), 0
+        return None, -math.inf
+    return C, 2.0 * float(np.log(C.diagonal().real).sum())
 
 
 def _inverse_factor(C: np.ndarray) -> np.ndarray:
@@ -108,10 +96,10 @@ def _inverse_factor(C: np.ndarray) -> np.ndarray:
     return np.linalg.inv(C.conj().T).conj().T
 
 
-def _factor(R: np.ndarray, coef) -> tuple[np.ndarray | None, float, int]:
-    """(L or None, log det, pivot) of M = (R^H * coef) R: L M L^H = I, pivot as in ``_cholesky_log_det``."""
-    C, log_det, pivot = _cholesky_log_det(_assemble(R, coef))
-    return (None if pivot else _inverse_factor(C)), log_det, pivot
+def _factor(R: np.ndarray, coef) -> tuple[np.ndarray | None, float]:
+    """(L, log det) of M = (R^H * coef) R with L M L^H = I; (None, -inf) if M has no Cholesky factor."""
+    C, log_det = _cholesky_log_det(_assemble(R, coef))
+    return (None if C is None else _inverse_factor(C)), log_det
 
 
 def _christoffel_rows(A: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -185,9 +173,9 @@ def _moment_rows(A: np.ndarray, mass: np.ndarray, basis: PolyBasis) -> MomentMat
     L, log_det, pivot = None, -math.inf, len(picks) + 1
     if len(picks) == basis.n:
         T = np.linalg.inv(S[picks])  # the rows S T hold the picked points' Lagrange basis
-        L, log_det, pivot = _factor(_matmul(S, T), 1.0)
+        L, log_det = _factor(_matmul(S, T), 1.0)
         log_det += 2.0 * float(np.linalg.slogdet(S[picks])[1])
-        L = None if L is None else _matmul(L, T.conj().T)  # back in the basis of A
+        L, pivot = (None, basis.n) if L is None else (_matmul(L, T.conj().T), 0)  # back in the basis of A
     return MomentMatrix(matrix=_assemble(A, mass), basis=basis, log_det=log_det, L=L, pivot=pivot)
 
 

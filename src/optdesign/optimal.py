@@ -12,7 +12,8 @@ interval the optimum is equal mass on the Fekete points, so the start is
 close and carries at most n masses.  The rows then move to the
 Lagrange basis of those points, A <- A inv(A[picks]), where M starts
 near I / n and stays well conditioned; they are assembled and factored
-once per solve, and log det M gets 2 log |det A[picks]| back.
+at the start (and once more to check a certificate), and log det M gets
+2 log |det A[picks]| back.
 
 Each step is an active-set Newton step on the masses over the simplex,
 with a backtracking line search on log det itself.  The search reads
@@ -67,7 +68,6 @@ _ORACLE_LIMIT = 10**7  # cap on the number of index tuples a brute-force sum may
 _ORACLE_BLOCK = 4096  # index subsets per stacked determinant call of a brute-force sum
 _ARMIJO = 1e-4  # share of its first-order gain a Newton step must realize in log det
 _BACKTRACKS = 60  # rungs t = 1, 1/2, ... of the clipped-arc ladder; below the face no step is halved
-_NEGLIGIBLE_MASS = 1e-12  # orbit masses at or below this count as zero in a Newton step
 _KKT_RIDGE = 1e-12  # least share of the largest diagonal of -H added to its diagonal in the KKT solve
 _GAP_RIDGE = 0.1  # the share grows to this times the relative KW gap gap / n away from the optimum
 _RESOLUTION = 64 * np.finfo(float).eps  # log det changes within this * max(|log det|, 1) are rounding
@@ -149,9 +149,10 @@ def _orbit_means(Z: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray) -> np
 
 def _evaluate(R: np.ndarray, row_orbit: np.ndarray, counts: np.ndarray, mass: np.ndarray) -> _Iterate:
     """The iterate at these orbit masses, assembled and factored from the rows R."""
-    L, log_det, pivot = _factor(R, (mass / counts)[row_orbit])
-    if pivot:
-        raise SingularGramError(f"moment matrix of the Fekete start is not positive definite at pivot {pivot}", pivot)
+    L, log_det = _factor(R, (mass / counts)[row_orbit])
+    if L is None:
+        n = R.shape[1]
+        raise SingularGramError(f"moment matrix of the Fekete start is not positive definite at pivot {n}", n)
     Z = _matmul(R, L.conj().T)
     return _Iterate(mass, log_det, Z, row_orbit, _orbit_means(Z, row_orbit, counts))
 
@@ -178,7 +179,7 @@ def _frame(it: _Iterate, counts: np.ndarray, moving: np.ndarray):
     def trial(q: np.ndarray):
         E = _assemble(Z, ((q - it.mass) / counts)[row_orbit])
         E.flat[:: n + 1] += 1.0
-        C, log_det, _ = _cholesky_log_det(E)
+        C, log_det = _cholesky_log_det(E)
         return it.log_det + log_det - n * math.log(float(q.sum())), C
 
     return trial
@@ -210,11 +211,10 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     reads each trial in the iterate's frame (``_frame``), and the trial it
     accepts advances that frame (``_advance``).
     """
-    K = it.K
-    # rounding-level masses that K says to shed are shed outright, so they
-    # cannot stall the ratio test at a step of length ~0
-    p = np.where((it.mass <= _NEGLIGIBLE_MASS) & (K < n), 0.0, it.mass)
-    free = np.flatnonzero((p > 0) | (K > n))
+    K, p = it.K, it.mass
+    # an orbit leaves the face with mass exactly 0, through the clipped arc or the face step
+    moving = (p > 0) | (K > n)
+    free = np.flatnonzero(moving)
     slot = np.full(K.size, -1)
     slot[free] = np.arange(free.size)
     rows = slot[it.row_orbit] >= 0
@@ -251,7 +251,7 @@ def _newton_step(it: _Iterate, counts: np.ndarray, n: int) -> _Iterate | None:
     # halve from the full step clipped onto the simplex, which empties every orbit
     # it overshoots at once, down to the first face, then step to that face exactly
     arc = [0.5**j for j in range(_BACKTRACKS) if 0.5**j > t_max]
-    trial = _frame(it, counts, (it.mass > 0) | (K > n))  # the free orbits and the shed ones
+    trial = _frame(it, counts, moving)
     for t in arc + [t_max]:
         q = np.maximum(p + t * d, 0.0)
         if t == t_max < 1.0:
@@ -329,9 +329,9 @@ def d_optimal(
 
     if converged:  # the rows factored afresh at the certified masses check the certificate
         resid = abs(float(it.mass @ it.K) - n)
-        L, _, pivot = _factor(R, (it.mass / counts)[row_orbit])
-        if pivot or resid > _CERTIFIED_TOL * n or gap < -_CERTIFIED_TOL * n:  # rounding broke sum(mass K) = n
-            weakest = n if pivot else 1 + int(np.argmax(np.abs(L.diagonal())))
+        L, _ = _factor(R, (it.mass / counts)[row_orbit])
+        if L is None or resid > _CERTIFIED_TOL * n or gap < -_CERTIFIED_TOL * n:  # rounding broke sum(mass K) = n
+            weakest = n if L is None else 1 + int(np.argmax(np.abs(L.diagonal())))
             raise SingularGramError(
                 f"certificate does not hold at iteration {steps}: mass identity residual {resid:.3e} "
                 f"and KW gap {gap:.3e}, limits {_CERTIFIED_TOL * n:.1e} and {-_CERTIFIED_TOL * n:.1e} (n = {n})",
@@ -347,16 +347,15 @@ def d_optimal(
                 f"{np.real_if_close(grid[i]).tolist()} exceeds the orbit's mean K by {excess[i]:.3e} (n = {n})"
             )
     K, w = it.K[orbits], (it.mass / counts)[orbits]
-    g_idx = int(np.argmax(K))
-    g_val = float(K[g_idx])
+    gv = _grid_max(K, grid)
     keep = w >= min(epsilon, 1.0) / (10.0 * m)  # the heaviest point, at least 1 / m, always stays
     design = make_design(grid[keep], w[keep] / w[keep].sum())
     return OptimalResult(
         design=design,
         log_det=it.log_det + 2.0 * lagrange_log_det - 2.0 * basis.log_lead,
-        g_value=g_val,
-        g_argmax=grid[g_idx].copy(),
-        kw_gap=g_val - n,
+        g_value=gv.value,
+        g_argmax=gv.argmax,
+        kw_gap=gv.value - n,
         iterations=steps,
         converged=converged,
         support_K_values=K[keep].copy(),

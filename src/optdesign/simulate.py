@@ -84,18 +84,15 @@ def apportion(weights, num_obs: int) -> np.ndarray:
     return counts
 
 
-def _trial_estimates(exp: RegressionExperiment, counts: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+def _trial_estimates(exp: RegressionExperiment, counts: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Least-squares estimates for every trial, stacked (trials, n); real when the design and theta are.
 
-    ``P`` holds the monomial rows of the k atoms observed c > 0 times (evaluated here when not
-    given).  With W = diag(sqrt(c)) P and W = QR, the estimate is theta + sigma E conj(Q) R^-T,
-    E holding each trial's k per-atom standard normal sums.  The draw is one (trials, parts, k)
-    block: parts 1 for real noise, 2 (real parts, then imaginary parts) for the complex noise a
-    complex design gets.
+    ``P`` holds the monomial rows of the k atoms observed c > 0 times.  With W = diag(sqrt(c)) P
+    and W = QR, the estimate is theta + sigma E conj(Q) R^-T, E holding each trial's k per-atom
+    standard normal sums.  The draw is one (trials, parts, k) block: parts 1 for real noise, 2
+    (real parts, then imaginary parts) for the complex noise a complex design gets.
     """
     pos = counts > 0
-    if P is None:
-        P = eval_basis_many(monomial_basis(exp.design.dimension, exp.degree), exp.design.points[pos])
     complex_noise = bool(np.any(exp.design.points.imag))
     theta = exp.theta if complex_noise or np.any(exp.theta.imag) else exp.theta.real
     rng = np.random.Generator(np.random.Philox(key=np.array([exp.seed, 0], dtype=np.uint64)))

@@ -47,3 +47,11 @@ def test_fekete_and_tfd_delta_s_reach_their_recorded_values(workloads):
     assert [r.s for r in rows] == [1, 2, 4]
     for r in rows:
         assert r.delta_s >= ref[f"tfd_s{r.s}"] * slack, r.s
+
+
+def test_every_analysis_operation_passes_its_benchmark_check(workloads, tmp_path):
+    # every CLI subcommand and direct diagnostic the benchmark times, with its artifact checks
+    ops, _ = workloads.make_ops("analysis", 7, tmp_path)
+    assert ops
+    for op in ops:
+        assert op.check(op.run()) is None, op.name

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -370,6 +371,18 @@ def test_weighted_ball_green_reads_every_point():
     green = weighted_ball_green([0.1, 0.9])
     assert np.array_equal(green, [weighted_ball_green(0.1), weighted_ball_green(0.9)])
     assert green[0] == pytest.approx(0.01, rel=1e-15) and isinstance(weighted_ball_green(0.9), float)
+
+
+def test_weighted_ball_green_takes_the_radius_without_squaring():
+    # 1e200 squared overflows, while log r + 1/2 - log(1/sqrt 2) is finite: the radius must come without squares
+    outside = 0.5 - math.log(math.sqrt(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = weighted_ball_green(1e200)
+        huge = weighted_ball_green([[3e250 + 4e250j, 1e-300], [0.1, 0.2j]], 2)
+    assert far == pytest.approx(math.log(1e200) + outside, rel=1e-15) and far == pytest.approx(461.36, abs=5e-3)
+    assert huge[0] == pytest.approx(math.log(5e250) + outside, rel=1e-15)
+    assert huge[1] == pytest.approx(0.05, rel=1e-15)
 
 
 @pytest.mark.parametrize(

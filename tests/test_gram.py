@@ -22,6 +22,7 @@ from optdesign import (
     simplex,
     unit_weight,
 )
+from optdesign import gram
 from optdesign.basis import eval_basis_many
 from optdesign.gram import (
     _assemble,
@@ -97,6 +98,10 @@ def test_orthonormal_factor_reuses_the_factor_of_moment_matrix(monkeypatch):
     # fewer independent rows than n: the greedy pick reports where it stopped
     two = moment_matrix(make_design([0.0, 1.0], [0.5, 0.5]), unit_weight(), 2, monomial_basis(1, 2))
     assert two.L is None and two.pivot == 3
+    # n picked rows whose factor fails: pivot n
+    monkeypatch.setattr(gram, "_factor", lambda R, coef: (None, -math.inf))
+    failed = moment_matrix(design, gaussian_weight(), 2, monomial_basis(1, 2))
+    assert failed.L is None and failed.log_det == -math.inf and failed.pivot == 3
 
 
 def test_near_singular_design_is_refused():
@@ -181,8 +186,8 @@ def test_assemble_complex_rows_matches_the_hermitian_product(coef_kind):
 
 def _uniform_grid_factor(A):
     # inverse Cholesky factor of the uniform-mass moment matrix on the weighted rows A
-    C, _, pivot = _cholesky_log_det(_assemble(A, 1.0 / A.shape[0]))
-    assert pivot == 0
+    C, _ = _cholesky_log_det(_assemble(A, 1.0 / A.shape[0]))
+    assert C is not None
     return _inverse_factor(C)
 
 
@@ -290,7 +295,7 @@ def test_one_shot_paths_run_real_on_real_grids(space):
     assert K.dtype == np.float64
     # the complex path: the same rows held in complex dtype
     B = weighted_rows(basis, design.points, gaussian_weight().values(design.points)).astype(complex)
-    C, log_det, _ = _cholesky_log_det(_assemble(B, design.weights))
+    C, log_det = _cholesky_log_det(_assemble(B, design.weights))
     L_complex = _inverse_factor(C)
     assert mm.log_det == pytest.approx(log_det, abs=1e-12)
     K_complex = _christoffel_rows(_grid_rows(space, gaussian_weight(), s).astype(complex), L_complex)
@@ -322,9 +327,9 @@ def _failing_factorizations(n, dtype, rng):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [5, 17, 45])
 def test_cholesky_pivot_matches_lapack_potrf(n, dtype):
-    # scipy's potrf is the oracle here only: its info is the 1-based pivot
-    # that lost positivity (0 when it did not, which is also what it
-    # reports for NaN entries)
+    # the factor's failure contract: no factor and log det -inf exactly where
+    # scipy's potrf (the oracle here only) reports a pivot that lost
+    # positivity, info > 0; its info is 0 for NaN entries, and log det is NaN
     sla = pytest.importorskip("scipy.linalg")
     cases = _failing_factorizations(n, dtype, np.random.default_rng(n))
     design = make_design([0.0, 1.0], [0.5, 0.5])
@@ -332,9 +337,9 @@ def test_cholesky_pivot_matches_lapack_potrf(n, dtype):
     for name, M in cases.items():
         potrf = sla.get_lapack_funcs("potrf", dtype=M.dtype)
         _, info = potrf(M, lower=True, clean=True, overwrite_a=False)
-        C, log_det, pivot = _cholesky_log_det(M)
-        assert pivot == info, name
-        if pivot:
-            assert C is None and log_det == -math.inf, name
+        C, log_det = _cholesky_log_det(M)
+        assert (C is None) == (info > 0), name
+        if info > 0:
+            assert log_det == -math.inf, name
         else:
-            assert math.isnan(log_det), name
+            assert name.startswith("nan-") and math.isnan(log_det), name

@@ -93,6 +93,16 @@ def test_g_value_recomputed_from_returned_design(cached_solve):
     assert space.contains(gv.argmax)
 
 
+def test_g_argmax_follows_the_tie_rule_of_g_value():
+    # K is 6 to 1e-15 at grid points 0, (0, 0), and 12, (0, 0.5): both name the lowest index
+    space = simplex(2)
+    res = d_optimal(space, unit_weight(), 2)
+    gv = g_value(orthonormal_factor(moment_matrix(res.design, unit_weight(), 2, basis_for_space(space, 2)),
+                                    unit_weight()), space)
+    assert gv.index == 0
+    assert np.array_equal(res.g_argmax, gv.argmax) and np.array_equal(res.g_argmax, space.grid[0])
+
+
 def test_epsilon_must_be_positive():
     for epsilon in (0.0, -math.inf, math.nan, math.inf):
         with pytest.raises(ValueError, match="epsilon"):
@@ -684,6 +694,22 @@ def test_certificate_that_only_looks_valid_is_refused(monkeypatch, a):
     _inflate_christoffel(monkeypatch)
     with pytest.raises(SingularGramError, match=r"^certificate does not hold at iteration \d+: mass identity residual"):
         d_optimal(interval(a=a, grid=201), gaussian_weight(), 8, epsilon=1e-5)
+
+
+@pytest.mark.parametrize("failing_call, message", [(1, "moment matrix of the Fekete start is not positive definite"),
+                                                   (2, "certificate does not hold")])
+def test_a_failed_factor_is_refused_at_pivot_n(monkeypatch, failing_call, message):
+    # every factor the solver takes is positive definite by construction; a failed one names pivot n
+    factor, calls = optimal._factor, []
+
+    def failing(R, coef):
+        calls.append(1)
+        return (None, -math.inf) if len(calls) == failing_call else factor(R, coef)
+
+    monkeypatch.setattr(optimal, "_factor", failing)
+    with pytest.raises(SingularGramError, match=f"^{message}") as err:
+        d_optimal(interval(grid=201), unit_weight(), 4)
+    assert err.value.pivot == 5
 
 
 _FORMERLY_REFUSED = {

@@ -203,13 +203,18 @@ def replicated_least_squares_inputs(exp):
     return V, counts, Y
 
 
+def observed_rows(exp, counts):
+    """The monomial rows of the atoms observed at least once: the fit's rows, as the experiment passes them."""
+    return eval_basis_many(monomial_basis(exp.design.dimension, exp.degree), exp.design.points[counts > 0])
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_trial_noise_is_one_philox_draw_of_per_atom_sums(kind):
     from optdesign.simulate import _trial_estimates
 
     exp = unequal_counts_experiment(kind, trials=5)
     V, counts, Y = replicated_least_squares_inputs(exp)
-    theta_hats = _trial_estimates(exp, counts)
+    theta_hats = _trial_estimates(exp, counts, observed_rows(exp, counts))
     for t in range(exp.trials):
         ref = np.linalg.lstsq(V, V @ exp.theta + Y[t], rcond=None)[0]
         assert np.allclose(theta_hats[t], ref, rtol=0, atol=1e-12)
@@ -230,7 +235,7 @@ def test_prediction_rows_match_a_per_point_loop(kind):
         pts = np.array([[0.1j], [0.5 - 0.2j], [-0.9]])
     rows = variance_identity_check(exp, pts).rows
     counts = apportion(exp.design.weights, exp.num_obs)
-    theta_hats = _trial_estimates(exp, counts)
+    theta_hats = _trial_estimates(exp, counts, observed_rows(exp, counts))
     basis = monomial_basis(1, exp.degree)
     pos = counts > 0
     ev = orthonormal_factor(
@@ -252,7 +257,7 @@ def test_many_trials_match_least_squares_and_stay_real_on_real_designs(kind):
 
     exp = unequal_counts_experiment(kind, trials=4000)
     V, counts, Y = replicated_least_squares_inputs(exp)
-    theta_hats = _trial_estimates(exp, counts)
+    theta_hats = _trial_estimates(exp, counts, observed_rows(exp, counts))
     assert theta_hats.dtype == (np.float64 if kind == "real" else np.complex128)
     ref = np.linalg.lstsq(V, (V @ exp.theta)[:, None] + Y.T, rcond=None)[0].T
     np.testing.assert_allclose(theta_hats, ref, rtol=0, atol=1e-12)
